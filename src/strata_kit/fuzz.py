@@ -14,7 +14,7 @@ import random
 from .errors import DomainError
 from .residue import SIZE_CAP, make_field
 from .strata import StratumSkeleton, make_stratum, standard_order
-from .tower import (TameElement, TameField, base_field, coerce, extend,
+from .tower import (INF, TameElement, TameField, base_field, coerce, extend,
                     subfield_generated)
 
 Q_CHOICES = (3, 5, 9)
@@ -77,7 +77,7 @@ def random_element(rng: random.Random, field: TameField, vmin: int = -8,
     """A random nonzero exact element with a few digits."""
     k = rng.randint(1, max_digits)
     vals = rng.sample(range(vmin, vmax + 1), k)
-    out = field.zero(prec=float("inf"))
+    out = field.zero(prec=INF)
     for v in vals:
         digit = field.residue.gen_power(rng.randrange(field.residue.q - 1))
         out = out + field.monomial(v, digit)

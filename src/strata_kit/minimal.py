@@ -23,7 +23,7 @@ from math import gcd
 
 from .errors import DomainError, PrecisionError
 from .tower import (INF, Subfield, TameElement, TameField, apply_embedding,
-                    coerce, sr, subfield_generated, tower_subfield)
+                    sr, tower_subfield)
 
 
 def as_subfield(base, ambient: TameField) -> Subfield:
@@ -40,6 +40,30 @@ def as_subfield(base, ambient: TameField) -> Subfield:
 # ---------------------------------------------------------------------------
 # minimality
 # ---------------------------------------------------------------------------
+
+def separating_pairs(images, small: Subfield, big: Subfield):
+    """The embedding-pair table behind criterion 3 and GE1.
+
+    ``images[i]`` is the image of an element c under ambient embedding i.
+    Returns ``[((i, j), ord(images[i] - images[j])), ...]`` over the pairs
+    i < j that agree on ``small`` but not on ``big``; the ord is None for an
+    exact zero difference.
+    """
+    table = []
+    n = len(images)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not small.same_restriction(i, j) or big.same_restriction(i, j):
+                continue
+            diff = images[i] - images[j]
+            if not diff.digits:
+                if diff.prec is not INF:
+                    raise PrecisionError("embedding difference is zero to precision")
+                table.append(((i, j), None))
+            else:
+                table.append(((i, j), diff.ord()))
+    return table
+
 
 @dataclass
 class MinimalityReport:
@@ -76,7 +100,7 @@ def is_minimal(c: TameElement, base) -> MinimalityReport:
                else PrecisionError("element is zero to precision"))
     ambient = c.owner
     base_sub = as_subfield(base, ambient)
-    Ec = subfield_generated(base_sub.generators + [c], ambient)
+    Ec = base_sub.adjoin(c)
     in_base = Ec.degree == base_sub.degree
     witnesses = {}
 
@@ -100,33 +124,20 @@ def is_minimal(c: TameElement, base) -> MinimalityReport:
                           "residue_degree": base_sub.residue_degree_of(r0)}
 
     # --- criterion 2: sr generates the same field --------------------------
-    Esr = subfield_generated(base_sub.generators + [sr(c)], ambient)
+    Esr = base_sub.adjoin(sr(c))
     crit2 = Esr.degree == Ec.degree
     witnesses["crit2"] = {"deg_sr": Esr.degree, "deg_c": Ec.degree}
 
     # --- criterion 3: embedding differences sit at the critical ord --------
-    crit3 = True
     c_ord = c.ord()
-    images = [apply_embedding(h, c) for h in Ec.homs]
-    n = len(Ec.homs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not base_sub.same_restriction(i, j):
-                continue
-            if Ec.same_restriction(i, j):
-                continue
-            diff = images[i] - images[j]
-            if not diff.digits:
-                if diff.prec is not INF:
-                    raise PrecisionError("embedding difference is zero to precision")
-                d_ord = None
-            else:
-                d_ord = diff.ord()
-            if d_ord != c_ord:
-                crit3 = False
-                witnesses.setdefault("crit3_violations", []).append(
-                    {"pair": (i, j), "ord": None if d_ord is None else str(d_ord),
-                     "expected": str(c_ord)})
+    violations = [{"pair": pair, "ord": None if d_ord is None else str(d_ord),
+                   "expected": str(c_ord)}
+                  for pair, d_ord in separating_pairs([row[-1] for row in Ec.images],
+                                                      base_sub, Ec)
+                  if d_ord != c_ord]
+    crit3 = not violations
+    if violations:
+        witnesses["crit3_violations"] = violations
     return MinimalityReport(c, base_sub, in_base, crit1, crit2, crit3, witnesses)
 
 
@@ -192,7 +203,7 @@ def howe_factorize(beta: TameElement, base: TameField) -> Factorization:
         else:
             if cur:
                 groups.append((cur, K))
-            K = subfield_generated(K.generators + [m], ambient)
+            K = K.adjoin(m)
             cur = [m]
     groups.append((cur, K))
     chunks, fields = [], []
@@ -262,7 +273,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
             return fail("field_not_nested", f"E_{i+1} is not contained in E_{i}")
         if small.degree >= big.degree:
             return fail("field_not_nested", f"E_{i+1} does not strictly grow to E_{i}")
-        gen = subfield_generated(small.generators + [fac.chunks[i]], ambient)
+        gen = small.adjoin(fac.chunks[i])
         if gen.degree != big.degree:
             return fail("field_not_generated",
                         f"E_{i+1}[c_{i}] has degree {gen.degree} != {big.degree}")
@@ -271,7 +282,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
     if not set(fac.fields[-1].stabilizer) <= set(base_sub.stabilizer):
         return fail("field_not_nested", "E_s does not contain the base")
     if n >= 1 and fac.fields[-1].degree > base_sub.degree:
-        gen = subfield_generated(base_sub.generators + [fac.chunks[-1]], ambient)
+        gen = base_sub.adjoin(fac.chunks[-1])
         if gen.degree != fac.fields[-1].degree:
             return fail("field_not_generated", "base[c_s] does not equal E_s")
 
@@ -284,7 +295,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
             return fail("chunk_not_minimal",
                         f"chunk {i} is not minimal over the next smaller field")
 
-    top = subfield_generated(base_sub.generators + [fac.beta], ambient)
+    top = base_sub.adjoin(fac.beta)
     if top.degree != fac.fields[0].degree or \
             set(top.stabilizer) != set(fac.fields[0].stabilizer):
         return fail("top_field_mismatch", "E_0 is not base[beta]")
@@ -340,29 +351,13 @@ def is_generic(c: TameElement, levels) -> GenericityReport:
         raise DomainError("element does not lie in the bigger level E'")
     c_ord = c.ord()
     depth = -c_ord
-    images = [apply_embedding(h, c) for h in Eprime.homs]
-    nh = len(Eprime.homs)
-    ge1 = True
-    table = []
-    for i in range(nh):
-        for j in range(i + 1, nh):
-            if not Esmall.same_restriction(i, j):
-                continue
-            if Eprime.same_restriction(i, j):
-                continue
-            diff = images[i] - images[j]
-            if not diff.digits:
-                if diff.prec is not INF:
-                    raise PrecisionError("embedding difference is zero to precision")
-                d_ord = None
-            else:
-                d_ord = diff.ord()
-            table.append({"pair": (i, j),
-                          "ord": None if d_ord is None else str(d_ord)})
-            if d_ord != c_ord:
-                ge1 = False
+    pairs = separating_pairs([apply_embedding(h, c) for h in Eprime.homs],
+                             Esmall, Eprime)
+    ge1 = all(d_ord == c_ord for _, d_ord in pairs)
+    table = [{"pair": pair, "ord": None if d_ord is None else str(d_ord)}
+             for pair, d_ord in pairs]
     rep = is_minimal(c, Esmall)
-    Ec = subfield_generated(Esmall.generators + [c], ambient)
+    Ec = Esmall.adjoin(c)
     generates = Ec.degree == Eprime.degree
     minimal_consensus = rep.agree() and rep.minimal
     return GenericityReport(c, Eprime, Esmall, depth, ge1,

@@ -118,14 +118,11 @@ class _ResidueDecomposer:
         return out
 
 
-_DECOMPOSERS = {}
-
-
 def _decomposer(field: TameField) -> _ResidueDecomposer:
-    key = id(field)
-    if key not in _DECOMPOSERS:
-        _DECOMPOSERS[key] = _ResidueDecomposer(field)
-    return _DECOMPOSERS[key]
+    """The field's decomposer, cached on the field."""
+    if field._decomposer is None:
+        field._decomposer = _ResidueDecomposer(field)
+    return field._decomposer
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ the identity-like embedding first.
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 from math import gcd
@@ -52,7 +53,7 @@ class TameField:
 
     __slots__ = ("parent", "p", "base_f", "f_rel", "e_rel", "twist",
                  "residue", "f_over_base", "e_abs", "degree", "acc_twist",
-                 "_splitting", "_self_subfield")
+                 "_splitting", "_subfields", "_decomposer")
 
     def __init__(self, parent, p, base_f, f_rel, e_rel, twist):
         self.parent = parent
@@ -85,7 +86,8 @@ class TameField:
             self.acc_twist = (twist ** parent.e_abs) * residue.embed(parent.acc_twist, self.residue)
         self.degree = self.f_over_base * self.e_abs
         self._splitting = None
-        self._self_subfield = None
+        self._subfields = {}          # tower level -> Subfield, see tower_subfield
+        self._decomposer = None       # oracle._ResidueDecomposer, built lazily
 
     # -- structure helpers --------------------------------------------------
 
@@ -139,14 +141,6 @@ class TameField:
         """The element t^k coerced into this field (a single digit)."""
         return coerce(TameElement(self.base(), {k: self.base().residue.one}, INF), self)
 
-    def level_signature(self):
-        """Per-level (f_rel, e_rel, twist-dlog) tuples, for serialization."""
-        sig = []
-        for node in self.ancestors()[1:]:
-            sig.append((node.f_rel, node.e_rel,
-                        node.residue.dlog(node.twist) if not node.twist.is_zero() else None))
-        return tuple(sig)
-
     def __repr__(self):
         if self.parent is None:
             return f"F(q={self.q})"
@@ -181,17 +175,21 @@ class TameElement:
     """A finite-precision canonical expansion sum_v a_v pi^v.
 
     ``digits`` maps integer valuations to nonzero residue digits; digits at
-    valuations >= ``prec`` are unknown.  ``prec`` may be ``math.inf`` for
-    exact elements (finitely many digits, all known).
+    valuations >= ``prec`` are unknown.  ``prec`` is the :data:`INF` object
+    for exact elements (finitely many digits, all known); any infinite
+    ``prec`` passed in, such as ``float("inf")`` or ``INF + v``, is stored
+    as :data:`INF`, so ``prec is INF`` decides exactness.
     """
 
     __slots__ = ("owner", "digits", "prec")
 
     def __init__(self, owner: TameField, digits: dict, prec):
         self.owner = owner
-        self.digits = {v: a for v, a in digits.items()
-                       if not a.is_zero() and v < prec}
-        self.prec = prec
+        self.digits = {}
+        for v, a in digits.items():
+            if v < prec and not a.is_zero():
+                self.digits[v] = a
+        self.prec = INF if prec == INF else prec
 
     # -- basic state --------------------------------------------------------
 
@@ -341,18 +339,6 @@ class TameElement:
         return f"<{terms} | prec={self.prec} @ {self.owner!r}>"
 
 
-def arith(x: TameElement, y: TameElement, op: str) -> TameElement:
-    """Spec-level arithmetic entry point: op in {add, sub, mul, div}."""
-    ops = {"add": lambda: x + y, "sub": lambda: x - y,
-           "mul": lambda: x * y, "div": lambda: x / y}
-    if op not in ops:
-        raise DomainError(f"unknown op {op!r}")
-    out = ops[op]()
-    if not out.digits and out.prec is not INF and out.prec <= 0:
-        raise PrecisionError("result has no certain digits")
-    return out
-
-
 def coerce(x: TameElement, target: TameField) -> TameElement:
     """Rewrite x in the canonical expansion of a descendant field.
 
@@ -400,38 +386,43 @@ class Embedding:
     uniformizer relations at every level follow from the single constraint
     mu^e_abs = twist_L / tau_j(acc_twist_E), which is enforced on
     construction.
+
+    Both parts act on discrete logs mod |k_L^*|: a digit a at valuation v
+    maps to the digit with dlog  dlog(a) * res_scale + v * mu_dlog, where
+    ``res_scale`` is the residue-embedding index |k_L^*|/|k_E^*| times the
+    Frobenius power q^j.
     """
 
-    __slots__ = ("source", "target", "frob_exp", "mu", "_res_cache")
+    __slots__ = ("source", "target", "frob_exp", "mu", "mu_dlog", "res_scale")
 
     def __init__(self, source: TameField, target: TameField, frob_exp: int, mu: FqElem):
         self.source = source
         self.target = target
         self.frob_exp = frob_exp
         self.mu = mu
-        self._res_cache = {}
+        kE, kL = source.residue, target.residue
+        order = kL.q - 1
+        self.mu_dlog = kL.dlog(mu)
+        frob = pow(kL.p, (source.base_f * frob_exp) % kL.f, order)
+        self.res_scale = (order // (kE.q - 1)) * frob % order
 
     def residue_image(self, a: FqElem) -> FqElem:
-        key = a.coords
-        out = self._res_cache.get(key)
-        if out is None:
-            out = residue.frobenius(residue.embed(a, self.target.residue),
-                                    self.source.base_f * self.frob_exp)
-            self._res_cache[key] = out
-        return out
+        """tau_j(embed(a)) for a digit a of the source residue field."""
+        if a.is_zero():
+            return self.target.residue.zero
+        return self.target.residue.gen_power(self.source.residue.dlog(a) * self.res_scale)
 
     def __call__(self, x: TameElement) -> TameElement:
         return apply_embedding(self, x)
 
     def is_identity_like(self) -> bool:
-        return self.frob_exp == 0 and self.mu == self.target.residue.one
+        return self.frob_exp == 0 and self.mu_dlog == 0
 
     def to_json(self):
-        return {"frob_exp": self.frob_exp,
-                "root_choice": self.target.residue.dlog(self.mu)}
+        return {"frob_exp": self.frob_exp, "root_choice": self.mu_dlog}
 
     def __repr__(self):
-        return f"Emb(j={self.frob_exp}, mu=g^{self.target.residue.dlog(self.mu)})"
+        return f"Emb(j={self.frob_exp}, mu=g^{self.mu_dlog})"
 
 
 def splitting_field(E: TameField) -> TameField:
@@ -502,9 +493,12 @@ def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
             x = coerce(x, sigma.source)
         else:
             raise DomainError("element is not owned by the embedding's source")
+    gen_power = sigma.target.residue.gen_power
+    dlog = sigma.source.residue.dlog
+    scale, mu_dlog = sigma.res_scale, sigma.mu_dlog
     digits = {}
     for v, a in x.digits.items():
-        digits[v] = sigma.residue_image(a) * (sigma.mu ** v)
+        digits[v] = gen_power(dlog(a) * scale + v * mu_dlog)
     return TameElement(sigma.target, digits, x.prec)
 
 
@@ -531,32 +525,70 @@ class Subfield:
     every generator.  Numerical invariants (ramification, residue degree, a
     uniformizing monomial) are recovered from the stabilizer by discrete-log
     congruence solving.
+
+    Incremental invariant: ``images[i][k]`` is generator k under ambient
+    embedding i, ``cut`` is the least generator precision and
+    ``restriction_keys[i]`` freezes row i of ``images`` below ``cut``.  The
+    constructor adjoins its generators one at a time, and :meth:`adjoin`
+    embeds only the new generator, so ``K.adjoin(x)`` has the degree,
+    stabilizer and keys of ``subfield_generated(K.generators + [x])`` and
+    raises :class:`PrecisionError` on exactly the same inputs.  A Subfield
+    is immutable apart from its lazily resolved invariants.
     """
 
-    __slots__ = ("ambient", "generators", "splitting", "homs", "degree",
-                 "stabilizer", "restriction_keys", "_invariants")
+    __slots__ = ("ambient", "generators", "splitting", "homs", "images", "cut",
+                 "degree", "stabilizer", "restriction_keys", "_invariants")
 
     def __init__(self, ambient: TameField, generators):
+        generators = [coerce(g, ambient) for g in generators]
         self.ambient = ambient
-        self.generators = [coerce(g, ambient) if g.owner is not ambient else g
-                           for g in generators]
-        L, homs = _splitting_data(ambient)
-        self.splitting = L
-        self.homs = homs
-        images = [[apply_embedding(h, g) for g in self.generators] for h in homs]
-        cut = min([img.prec for row in images for img in row], default=INF)
+        self.splitting, self.homs = _splitting_data(ambient)
+        n = len(self.homs)
+        self.generators = []
+        self.images = [()] * n
+        self.cut = INF
+        self.restriction_keys = [()] * n
+        self.degree = 1
+        self.stabilizer = list(range(n))
+        self._invariants = None
+        for g in generators:
+            self._push(g)
+
+    def adjoin(self, x: TameElement) -> "Subfield":
+        """The subfield generated by this one and x; applies the ambient
+        embeddings to x only."""
+        K = copy.copy(self)
+        K._invariants = None
+        K._push(coerce(x, self.ambient))
+        return K
+
+    def _push(self, x: TameElement):
+        """Append x as the last generator.  Rebinds, never mutates, the
+        per-generator lists, which copies made by :meth:`adjoin` share."""
+        column = [apply_embedding(h, x) for h in self.homs]
+        self.generators = self.generators + [x]
+        self.images = [row + (img,) for row, img in zip(self.images, column)]
+        cut = min(self.cut, x.prec)
+        dropped = cut < self.cut
         if cut is not INF:
-            for row in images:
-                for img in row:
-                    lead = min(img.digits) if img.digits else cut
-                    if cut - lead < GUARD_DIGITS:
-                        raise PrecisionError(
-                            "precision too low to separate embeddings on a generator")
-        keys = [tuple(img.freeze(cut) for img in row) for row in images]
+            # every image of a generator has the generator's digit
+            # valuations and precision, so the guard over all images is a
+            # guard over the generators; the old ones passed it at the old
+            # cut and only need re-checking when the cut drops
+            for g in (self.generators if dropped else (x,)):
+                lead = min(g.digits) if g.digits else cut
+                if cut - lead < GUARD_DIGITS:
+                    raise PrecisionError(
+                        "precision too low to separate embeddings on a generator")
+        if dropped:
+            keys = [tuple(img.freeze(cut) for img in row) for row in self.images]
+        else:
+            keys = [key + (img.freeze(cut),)
+                    for key, img in zip(self.restriction_keys, column)]
+        self.cut = cut
         self.restriction_keys = keys
         self.degree = len(set(keys))
         self.stabilizer = [i for i, k in enumerate(keys) if k == keys[0]]
-        self._invariants = None
 
     # -- membership ---------------------------------------------------------
 
@@ -588,7 +620,7 @@ class Subfield:
         for i in self.stabilizer:
             h = self.homs[i]
             a_i = (kappa * (pow(Q, h.frob_exp, ML) - 1)) % ML
-            b_i = (-v * kL.dlog(h.mu)) % ML
+            b_i = (-v * h.mu_dlog) % ML
             g = gcd(a_i, ML)
             if b_i % g != 0:
                 return None
@@ -673,25 +705,21 @@ def subfield_generated(S, ambient: TameField) -> Subfield:
     return Subfield(ambient, list(S))
 
 
-def contains(K: Subfield, x: TameElement) -> bool:
-    return K.contains(x)
-
-
 def whole_field(ambient: TameField) -> Subfield:
     """The ambient field itself, as a Subfield (cached on the field)."""
-    if ambient._self_subfield is None:
-        gens = [ambient.residue_gen_elem(), ambient.uniformizer()]
-        ambient._self_subfield = Subfield(ambient, gens)
-    return ambient._self_subfield
+    return tower_subfield(ambient, ambient)
 
 
 def tower_subfield(level: TameField, ambient: TameField) -> Subfield:
-    """A tower ancestor viewed as a Subfield of the ambient field."""
-    if not level.is_ancestor_of(ambient):
-        raise DomainError("level is not an ancestor of the ambient field")
-    gens = [coerce(level.residue_gen_elem(), ambient),
-            coerce(level.uniformizer(), ambient)]
-    return Subfield(ambient, gens)
+    """A tower ancestor viewed as a Subfield of the ambient field (cached
+    on the ambient field)."""
+    K = ambient._subfields.get(level)
+    if K is None:
+        if not level.is_ancestor_of(ambient):
+            raise DomainError("level is not an ancestor of the ambient field")
+        K = Subfield(ambient, [level.residue_gen_elem(), level.uniformizer()])
+        ambient._subfields[level] = K
+    return K
 
 
 def prime_subfield(ambient: TameField) -> Subfield:

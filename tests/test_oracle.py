@@ -178,3 +178,27 @@ def test_oracle_cap():
     E8 = extend(extend(F, 2, 1, 1), 1, 4, 1)
     with pytest.raises(DomainError):
         regular_rep(E8.uniformizer(), copies=2)     # 16 > cap
+
+
+def test_decomposer_lives_on_its_field():
+    import gc
+
+    from strata_kit.oracle import _decomposer
+    from strata_kit.tower import TameField
+
+    def live_fields():
+        gc.collect()
+        return sum(isinstance(o, TameField) for o in gc.get_objects())
+
+    before = live_fields()
+    for k in range(12):
+        q, f = ((3, 2), (5, 3), (3, 3))[k % 3]
+        E = extend(base_field(q), f, 1, 1)
+        dec = _decomposer(E)
+        assert dec.field is E and _decomposer(E) is dec
+        # the regular representation of 1 is the identity on this field
+        assert mats_equal(regular_rep(E.one()), Mat.identity(E.base(), E.degree))
+        del E, dec
+    # a dropped tower takes its decomposer with it, so no later tower can
+    # be handed a decomposer built for another field
+    assert live_fields() <= before

@@ -166,3 +166,104 @@ def test_degree_is_e_times_f(towers):
         w = whole_field(E)
         deg, e, f = w.signature()
         assert deg == e * f == E.degree
+
+
+# -- incremental subfields -----------------------------------------------------
+
+def _adjoin_cases(seed, count):
+    """(K, x) pairs on seeded fuzzed towers: K is a tower level, a generated
+    subfield or a chain of adjoins; x is exact or finite-precision."""
+    import random
+
+    from strata_kit.fuzz import random_element, random_tower, tower_levels
+    rng = random.Random(seed)
+    for _ in range(count):
+        E = random_tower(rng)
+        levels = tower_levels(E)
+        K = tower_subfield(rng.choice(levels), E)
+        for _ in range(rng.randint(0, 2)):
+            y = random_element(rng, E)
+            if rng.random() < 0.3:
+                y = y.truncate(y.val() + rng.randint(1, 8))
+            try:
+                K = K.adjoin(y)
+            except PrecisionError:
+                pass
+        x = random_element(rng, rng.choice(levels))
+        if rng.random() < 0.5:
+            x = x.truncate(x.val() + rng.randint(0, 8))
+        yield E, K, x
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_adjoin_matches_rebuild(seed):
+    raised = 0
+    for E, K, x in _adjoin_cases(seed, 60):
+        try:
+            ref = subfield_generated(K.generators + [x], E)
+        except PrecisionError:
+            raised += 1
+            with pytest.raises(PrecisionError):
+                K.adjoin(x)
+            continue
+        got = K.adjoin(x)
+        assert got.degree == ref.degree
+        assert got.stabilizer == ref.stabilizer
+        assert got.restriction_keys == ref.restriction_keys
+        assert got.signature() == ref.signature()
+    assert raised                       # the precision guard was exercised
+
+
+def test_adjoin_precision_drop_rechecks_old_generators(E_ram2):
+    # an exact generator whose only digit sits far above a later cut must
+    # fail the guard once a low-precision generator lowers the cut
+    K = subfield_generated([mono(E_ram2, 20)], E_ram2)
+    x = TameElement(E_ram2, {0: E_ram2.residue.one}, 10)
+    with pytest.raises(PrecisionError):
+        subfield_generated(K.generators + [x], E_ram2)
+    with pytest.raises(PrecisionError):
+        K.adjoin(x)
+
+
+def test_adjoin_leaves_the_original_unchanged(E_ram2):
+    K = tower_subfield(E_ram2.base(), E_ram2)
+    before = (list(K.generators), K.degree, list(K.stabilizer),
+              list(K.restriction_keys))
+    L = K.adjoin(E_ram2.uniformizer())
+    assert L.degree == 2 and K.degree == 1
+    assert before == (K.generators, K.degree, K.stabilizer, K.restriction_keys)
+
+
+def test_tower_subfields_are_cached(towers):
+    for E in towers:
+        for level in E.ancestors():
+            assert tower_subfield(level, E) is tower_subfield(level, E)
+        assert whole_field(E) is tower_subfield(E, E)
+
+
+# -- exact precision is the INF object -----------------------------------------
+
+def test_infinite_prec_is_normalized_to_INF(E_ram2):
+    import random
+
+    from strata_kit.fuzz import random_element
+    x = random_element(random.Random(5), E_ram2)
+    assert x.prec is INF
+    assert TameElement(E_ram2, {}, float("inf")).prec is INF
+    prod = mono(E_ram2, -1) * (mono(E_ram2, 0) + mono(E_ram2, 3, 1))
+    assert prod.prec is INF
+
+
+def test_inverse_of_exact_product_terminates(E_ram2):
+    x = (mono(E_ram2, -1) + mono(E_ram2, 2, 1)) * (mono(E_ram2, 0) + mono(E_ram2, 1))
+    y = x.inverse()
+    assert y.prec == DEFAULT_PREC + 1
+    assert not (x * y - E_ram2.one()).digits
+
+
+def test_exact_product_serializes(E_ram2):
+    from strata_kit.serialize import element_from_json, element_to_json
+    x = (mono(E_ram2, -1) + mono(E_ram2, 2, 1)) * mono(E_ram2, 3)
+    doc = element_to_json(x, E_ram2)
+    assert doc["prec"] is None
+    assert element_from_json(doc, E_ram2).equals(x)
