@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import DomainError, PrecisionError
 from . import residue
-from .tower import DEFAULT_PREC, INF, TameElement, TameField
+from .tower import INF, TameElement, TameField
 
 ORACLE_N_CAP = 6
 
@@ -178,11 +178,7 @@ class Mat:
             for k in range(n):
                 acc = _exact_zero(self.base)
                 for j in range(n):
-                    a, b = self.rows[i][j], other.rows[j][k]
-                    if a.digits and b.digits:
-                        acc = acc + a * b
-                    else:
-                        acc = acc + (a * b)   # keep precision bookkeeping
+                    acc = acc + self.rows[i][j] * other.rows[j][k]
                 row.append(acc)
             out.append(row)
         return Mat(self.base, out)
@@ -425,7 +421,7 @@ class MatrixLattice:
                 v[u] = v[u] - col[u] * q
         return v
 
-    def contains_vector(self, vec, guard: int = 8) -> bool:
+    def contains_vector(self, vec) -> bool:
         rem = self.reduce_vector(vec)
         return all(not x.digits for x in rem)
 

@@ -2,11 +2,23 @@
 
 Elements are coordinate vectors in the polynomial basis for a fixed monic
 irreducible modulus.  Both the modulus and the distinguished multiplicative
-generator are chosen deterministically (lexicographically least), so that
-serialized data is portable across runs.  No precomputed polynomial tables
-are used; compatibility of embeddings between fields of the same
-characteristic is enforced by the index formula
-``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
+generator are chosen deterministically, so that serialized data is portable
+across runs:
+
+* the modulus is the lexicographically least monic irreducible polynomial
+  of degree f (coefficient tuples compared from the constant term up).  For
+  f > 1 the search starts at constant term 1: every candidate with constant
+  term 0 is divisible by x, so the result is the one the plain search over
+  all candidates returns;
+* the generator is the lexicographically least coordinate vector of
+  multiplicative order q - 1.
+
+The power table g^0, ..., g^(q-2) and the discrete-log table inverting it
+are built by stepping integer indices through the GF(p)-linear map "multiply
+by g", two table lookups per step (see :meth:`FqField._build_tables`); they
+equal the tables built with one polynomial product per step.  Compatibility
+of embeddings between fields of the same characteristic is enforced by the
+index formula ``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
 
 Fields are capped at p^f <= 2^16 so that discrete-log tables stay small;
 multiplication, division, powers, Frobenius and embeddings all run through
@@ -143,9 +155,9 @@ class FqField:
             raise DomainError(f"p = {p} is not prime")
         if f < 1:
             raise DomainError(f"f = {f} must be >= 1")
+        if f >= SIZE_CAP.bit_length() or p ** f > SIZE_CAP:    # p >= 2 bounds f
+            raise DomainError(f"GF({p}^{f}) exceeds the size cap {SIZE_CAP}")
         q = p ** f
-        if q > SIZE_CAP:
-            raise DomainError(f"p^f = {q} exceeds the size cap {SIZE_CAP}")
         self.p = p
         self.f = f
         self.q = q
@@ -164,8 +176,10 @@ class FqField:
         p, f = self.p, self.f
         if f == 1:
             return (0, 1)  # x
-        for tail in itertools.product(range(p), repeat=f):
-            m = tuple(tail) + (1,)
+        # A zero constant term means x divides the candidate; those are the
+        # first p^(f-1) candidates in lex order, none of them irreducible.
+        for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
+            m = tail + (1,)
             if _is_irreducible(m, p):
                 return m
         raise DomainError("no irreducible polynomial found (unreachable)")
@@ -203,17 +217,61 @@ class FqField:
         return result
 
     def _build_tables(self, gen_coords):
+        """Powers of the generator, stepped on integer indices.
+
+        The element with coordinates c has index n = sum(c_i p^i).  Split n
+        into its low h digits and high f - h digits; multiplication by g is
+        GF(p)-linear, so the image of n is the digitwise sum mod p of the
+        tabulated images of the two halves.  Images are packed in base
+        2p - 1, where that sum cannot carry, and each packed half of the sum
+        is mapped back to its part of the index by one table lookup.  The
+        coordinate tuple of each power is read off the same split of n.
+        """
+        p, f, q = self.p, self.f, self.q
+        h = f // 2
+        split, base = p ** h, 2 * p - 1
+
+        def images(lo, hi):
+            # packed g * c for every c supported on coordinates lo..hi-1,
+            # listed by index; built one output coordinate at a time
+            cols = [self._mul_coords((0,) * i + (1,) + (0,) * (f - 1 - i), gen_coords)
+                    for i in range(lo, hi)]
+            packed = [0] * p ** (hi - lo)
+            for j in reversed(range(f)):
+                digit = [0]
+                for col in reversed(cols):
+                    digit = [(d * col[j] + v) % p for v in digit for d in range(p)]
+                packed = [base * a + b for a, b in zip(packed, digit)]
+            return packed
+
+        def unpack(k, scale):
+            # packed k-digit sums with digits < 2p - 1 -> scale * index
+            out = [0]
+            for _ in range(k):
+                out = [d % p + p * v for v in out for d in range(base)]
+            return [scale * v for v in out]
+
+        def coords(k):
+            out = [()]
+            for _ in range(k):
+                out = [(d,) + c for c in out for d in range(p)]
+            return out
+
+        low_img, high_img = images(0, h), images(h, f)
+        low_idx, high_idx = unpack(h, 1), unpack(f - h, split)
+        low, high = coords(h), coords(f - h)
+        pack_split = base ** h
         powers = []
-        dlog = {}
-        cur = self._one_coords()
-        for i in range(self.q - 1):
-            powers.append(cur)
-            dlog[cur] = i
-            cur = self._mul_coords(cur, gen_coords)
-        if cur != self._one_coords():
+        n = 1
+        for _ in range(q - 1):
+            hi, lo = divmod(n, split)
+            powers.append(low[lo] + high[hi])
+            hi, lo = divmod(low_img[lo] + high_img[hi], pack_split)
+            n = low_idx[lo] + high_idx[hi]
+        if n != 1:
             raise DomainError("generator does not have full order (unreachable)")
         self._pow = powers
-        self._dlog = dlog
+        self._dlog = dict(zip(powers, range(q - 1)))
 
     # -- public helpers -----------------------------------------------------
 

@@ -32,6 +32,23 @@ def rational_from_str(s: str) -> Fraction:
         raise SchemaError(f"bad rational {s!r}") from exc
 
 
+def _int(value, what: str) -> int:
+    """``value`` as an int; SchemaError for bools and for what int() rejects."""
+    if not isinstance(value, bool):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SchemaError(f"{what} must be an integer, not {value!r}")
+
+
+def _coords(coords, f: int) -> list:
+    """A residue coordinate list padded with zeros to length ``f``."""
+    if not isinstance(coords, list):
+        raise SchemaError("residue coordinates must be a list")
+    return [_int(c, "residue coordinate") for c in coords[:f]] + [0] * (f - len(coords))
+
+
 def tower_to_json(E: TameField) -> dict:
     levels = []
     node = E
@@ -48,20 +65,16 @@ def tower_to_json(E: TameField) -> dict:
 def tower_from_json(obj) -> TameField:
     if not isinstance(obj, dict) or "base_q" not in obj:
         raise SchemaError("tower document needs base_q")
-    try:
-        cur = base_field(int(obj["base_q"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("base_q must be a prime power integer") from exc
-    for lvl in obj.get("levels", []):
+    cur = base_field(_int(obj["base_q"], "base_q"))
+    levels = obj.get("levels", [])
+    if not isinstance(levels, list):
+        raise SchemaError("tower levels must be a list")
+    for lvl in levels:
         if not isinstance(lvl, dict) or "f" not in lvl or "e" not in lvl:
             raise SchemaError("tower level needs f and e")
-        f, e = int(lvl["f"]), int(lvl["e"])
+        f, e = _int(lvl["f"], "level f"), _int(lvl["e"], "level e")
         res = make_field(cur.p, cur.base_f * cur.f_over_base * f)
-        coords = lvl.get("twist", [1])
-        if not isinstance(coords, list):
-            raise SchemaError("twist must be a coordinate list")
-        coords = list(coords) + [0] * (res.f - len(coords))
-        cur = extend(cur, f, e, res.elem(coords[:res.f]))
+        cur = extend(cur, f, e, res.elem(_coords(lvl.get("twist", [1]), res.f)))
     return cur
 
 
@@ -91,20 +104,23 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
         raise SchemaError("element document needs digits")
     levels = _levels_of(tower)
     idx = obj.get("field", len(levels) - 1)
-    if not isinstance(idx, int) or not 0 <= idx < len(levels):
+    if type(idx) is not int or not 0 <= idx < len(levels):
         raise SchemaError(f"field index {idx!r} out of range")
     owner = levels[idx]
+    if not isinstance(obj["digits"], list):
+        raise SchemaError("digits must be [valuation, coords] pairs")
     digits = {}
     for pair in obj["digits"]:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not isinstance(pair[0], int) or not isinstance(pair[1], list)):
+                or type(pair[0]) is not int or not isinstance(pair[1], list)):
             raise SchemaError("digits must be [valuation, coords] pairs")
         v, coords = pair
-        coords = list(coords) + [0] * (owner.residue.f - len(coords))
-        digits[v] = owner.residue.elem(coords[:owner.residue.f])
+        digits[v] = owner.residue.elem(_coords(coords, owner.residue.f))
     prec = obj.get("prec")
     if prec is None:
         prec = INF if default_prec is None else default_prec
+    elif isinstance(prec, bool) or not isinstance(prec, (int, float)):
+        raise SchemaError(f"prec must be an integer or null, not {prec!r}")
     return TameElement(owner, digits, prec)
 
 
@@ -132,12 +148,14 @@ def stratum_from_json(obj, default_prec=None) -> StratumSkeleton:
     E = tower_from_json(obj["tower"])
     beta = element_from_json(obj["beta"], E, default_prec)
     ospec = obj.get("order", {})
-    order = OrderSkeleton(m=int(ospec.get("m", E.degree)),
-                          d=int(ospec.get("d", 1)),
-                          e_A=int(ospec.get("e_A", E.e_abs)),
+    if not isinstance(ospec, dict):
+        raise SchemaError("order must be an object")
+    order = OrderSkeleton(m=_int(ospec.get("m", E.degree), "order m"),
+                          d=_int(ospec.get("d", 1), "order d"),
+                          e_A=_int(ospec.get("e_A", E.e_abs), "order e_A"),
                           pure_over=E,
                           b_maximal=bool(ospec.get("b_maximal", True)))
-    return make_stratum(order, beta, r=int(obj.get("r", 0)))
+    return make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
 
 
 def yu_to_json(yu) -> dict:
@@ -165,13 +183,13 @@ def yu_from_json(obj, default_prec=None):
     E = tower_from_json(obj["tower"])
     chunks = [None if c is None else element_from_json(c, E, default_prec)
               for c in obj["chunks"]]
+    d = _int(obj["d"], "d")
     return YuSkeleton(
         ambient=E,
-        tower_degrees=tuple(obj.get("tower_degrees",
-                                    [E.degree] * (int(obj["d"])) + [1])),
+        tower_degrees=tuple(obj.get("tower_degrees", [E.degree] * d + [1])),
         depths=[rational_from_str(s) for s in obj["depths"]],
         chunks=chunks,
-        d=int(obj["d"]), e_A=int(obj["e_A"]), N=int(obj["N"]),
+        d=d, e_A=_int(obj["e_A"], "e_A"), N=_int(obj["N"], "N"),
         trivial_top=bool(obj.get("trivial_top", False)),
         depth_zero=bool(obj.get("depth_zero", False)))
 

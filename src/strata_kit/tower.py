@@ -148,18 +148,19 @@ class TameField:
 
 
 def base_field(q: int) -> TameField:
-    """The base field GF(q)((t)), q = p^f0."""
-    for p in range(2, q + 1):
-        if residue._is_prime(p):
-            f0, m = 0, q
-            while m % p == 0:
-                m //= p
-                f0 += 1
-            if m == 1 and f0 >= 1:
-                return TameField(None, p, f0, 1, 1, None)
-            if q % p == 0:
-                break
-    raise DomainError(f"q = {q} is not a prime power")
+    """The base field GF(q)((t)), q = p^f0 <= residue.SIZE_CAP."""
+    if q > residue.SIZE_CAP:
+        raise DomainError(f"q = {q} exceeds the residue size cap {residue.SIZE_CAP}")
+    if q < 2:
+        raise DomainError(f"q = {q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    f0, m = 0, q
+    while m % p == 0:
+        m //= p
+        f0 += 1
+    if m != 1:
+        raise DomainError(f"q = {q} is not a prime power")
+    return TameField(None, p, f0, 1, 1, None)
 
 
 def extend(parent: TameField, f_rel: int, e_rel: int, twist) -> TameField:

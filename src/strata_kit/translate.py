@@ -49,11 +49,6 @@ class YuSkeleton:
         if self.trivial_top and self.depths[-1] != self.depths[-2]:
             raise DomainError("a trivial final step must repeat the last depth")
 
-    def to_debug(self):
-        return {"degrees": self.tower_degrees, "depths": self.depths,
-                "d": self.d, "e_A": self.e_A, "N": self.N,
-                "trivial_top": self.trivial_top, "depth_zero": self.depth_zero}
-
 
 def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     """Stratum -> tower datum.

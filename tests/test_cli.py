@@ -130,3 +130,22 @@ def test_prec_env(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["expand"], doc_in)
     assert code == 0
     assert json.loads(out)["element"]["prec"] == 32
+
+
+@pytest.mark.parametrize("doc", [
+    {"tower": {"base_q": 3, "levels": [{"f": "x", "e": 2}]}, "element": ELT},
+    {"tower": TOWER, "element": {"field": 1, "digits": [[-1, ["a"]]], "prec": None}},
+    {"tower": TOWER, "element": {"field": True, "digits": [[-1, [1]]], "prec": None}},
+])
+def test_malformed_values_are_schema_errors(capsys, monkeypatch, doc):
+    code, out, err = run(capsys, monkeypatch, ["expand"], doc)
+    assert code == 1 and out == ""
+    assert err.startswith("schema error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_huge_base_q_is_domain_error(capsys, monkeypatch):
+    code, _, err = run(capsys, monkeypatch, ["expand"],
+                       {"tower": {"base_q": 2147483647},
+                        "element": {"field": 0, "digits": [[0, [1]]]}})
+    assert code == 2 and "size cap" in err

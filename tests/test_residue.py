@@ -1,11 +1,15 @@
 """Finite residue field layer: deterministic moduli/generators, tables,
 field axioms, frobenius, and embeddings."""
 
+import itertools
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_kit.errors import DomainError
-from strata_kit.residue import (FqElem, arith, embed, frobenius, make_field)
+from strata_kit.residue import (FqElem, _is_irreducible, arith, embed, frobenius,
+                                make_field)
 
 
 def test_gf25_modulus_is_lex_least():
@@ -83,5 +87,53 @@ def test_arith_dispatch():
 
 
 def test_size_cap():
-    with pytest.raises(DomainError):
-        make_field(2, 17)
+    for f in (17, 10 ** 9):              # rejected without computing 2^f
+        with pytest.raises(DomainError):
+            make_field(2, f)
+
+
+def _reference_tables(p, f):
+    """The plain definitions: lex-least monic irreducible over every
+    candidate, powers of the generator by one polynomial product each."""
+    fld = make_field(p, f)
+    if f == 1:
+        modulus = (0, 1)
+    else:
+        modulus = next(tail + (1,) for tail in itertools.product(range(p), repeat=f)
+                       if _is_irreducible(tail + (1,), p))
+    assert fld.modulus == modulus
+    one = (1,) + (0,) * (f - 1)
+    gen = fld.generator.coords
+    powers, cur = [], one
+    for _ in range(fld.q - 1):
+        powers.append(cur)
+        cur = fld._mul_coords(cur, gen)
+    assert cur == one
+    dlog = {c: i for i, c in enumerate(powers)}
+    assert len(dlog) == fld.q - 1                       # g has full order
+    for coords in itertools.product(range(p), repeat=f):
+        if coords == gen:
+            break
+        if any(coords):                                 # lex-smaller: not a generator
+            assert gcd(dlog[coords], fld.q - 1) > 1
+    return powers, dlog
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tables_match_plain_lex_search(p):
+    f = 1
+    while p ** f <= 4096:
+        fld = make_field(p, f)
+        powers, dlog = _reference_tables(p, f)
+        assert fld._pow == powers and fld._dlog == dlog
+        f += 1
+
+
+def test_large_fields_pinned():
+    k = make_field(3, 10)
+    assert k.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    assert k.generator.coords == (0, 0, 0, 0, 0, 0, 1, 0, 2, 1)
+    k = make_field(2, 16)
+    assert k.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+    assert k.generator.coords == (0,) * 14 + (1, 1)
+    assert k.dlog(k.gen_power(12345)) == 12345

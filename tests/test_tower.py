@@ -19,6 +19,19 @@ def mono(E, v, a=0):
 
 # -- arithmetic and precision ------------------------------------------------
 
+def test_base_field_prime_powers():
+    assert [(base_field(q).p, base_field(q).base_f) for q in (2, 9, 25, 65521)] == \
+        [(2, 1), (3, 2), (5, 2), (65521, 1)]
+    for q in (0, 1, 6, 12, 65537):
+        with pytest.raises(DomainError):
+            base_field(q)
+
+
+def test_base_field_rejects_huge_prime_before_scanning():
+    with pytest.raises(DomainError):
+        base_field(2147483647)
+
+
 def test_uniformizer_relation(E_ram2, F3):
     pi = E_ram2.uniformizer()
     t_img = E_ram2.from_base_t_power(1)
