@@ -231,12 +231,12 @@ class FqField:
         h = f // 2
         split, base = p ** h, 2 * p - 1
 
-        def images(lo, hi):
-            # packed g * c for every c supported on coordinates lo..hi-1,
+        def images(start, stop):
+            # packed g * c for every c supported on coordinates start..stop-1,
             # listed by index; built one output coordinate at a time
             cols = [self._mul_coords((0,) * i + (1,) + (0,) * (f - 1 - i), gen_coords)
-                    for i in range(lo, hi)]
-            packed = [0] * p ** (hi - lo)
+                    for i in range(start, stop)]
+            packed = [0] * p ** (stop - start)
             for j in reversed(range(f)):
                 digit = [0]
                 for col in reversed(cols):
