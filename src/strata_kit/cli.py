@@ -124,7 +124,7 @@ def cmd_embeddings(args):
 def cmd_generic(args):
     doc = _read_doc(args)
     E, x = _element_ctx(doc, args.prec)
-    levels = ser._levels_of(E)
+    levels = E.levels
     try:
         big = levels[args.big if args.big is not None else len(levels) - 1]
         small = levels[args.small]
@@ -182,18 +182,6 @@ def cmd_indices(args):
     _emit(out)
 
 
-def cmd_fuzz(args):
-    rng = fuzzmod.rng_from_seed(args.seed)
-    docs = []
-    for i in range(args.count):
-        if i % 10 == 9:
-            st = fuzzmod.random_depth_zero(rng)
-        else:
-            st = fuzzmod.random_stratum(rng)
-        docs.append(ser.stratum_to_json(st))
-    _emit({"schema": ser.SCHEMA, "seed": args.seed, "strata": docs})
-
-
 def _suite_cases(args):
     rng = fuzzmod.rng_from_seed(args.seed)
     for i in range(args.count):
@@ -201,6 +189,11 @@ def _suite_cases(args):
             yield fuzzmod.random_depth_zero(rng)
         else:
             yield fuzzmod.random_stratum(rng)
+
+
+def cmd_fuzz(args):
+    docs = [ser.stratum_to_json(st) for st in _suite_cases(args)]
+    _emit({"schema": ser.SCHEMA, "seed": args.seed, "strata": docs})
 
 
 def cmd_verify(args):
@@ -233,7 +226,7 @@ def cmd_verify(args):
         for st in _suite_cases(args):
             cases += 1
             try:
-                yu = secherre_to_yu(st)
+                secherre_to_yu(st)
             except DomainError as exc:
                 failures.append(str(exc))
     elif args.suite == "roundtrip":
@@ -243,7 +236,6 @@ def cmd_verify(args):
             if not rep.ok:
                 failures.append(str(rep.checks))
     elif args.suite in ("filtration", "oracle"):
-        from . import oracle
         from .oracle import chain_from_field, regular_rep, v_A_direct
         from .strata import v_order
         for st in _suite_cases(args):

@@ -47,13 +47,8 @@ def random_tower(rng: random.Random, q: int | None = None,
 
 
 def tower_levels(E: TameField):
-    """All tower nodes from the base up to E, ascending degree."""
-    chain = []
-    node = E
-    while node is not None:
-        chain.append(node)
-        node = node.parent
-    return list(reversed(chain))
+    """All tower nodes from the base up to E: the tuple ``E.levels``."""
+    return E.levels
 
 
 def random_unit(rng: random.Random, field: TameField, max_depth: int = 6) -> TameElement:
@@ -108,7 +103,7 @@ def random_beta(rng: random.Random, E: TameField, max_chunks: int = 3,
     """A sum of generating monomials along a nested level chain with
     strictly decreasing negative ords; returns (beta, intended_levels,
     intended_chunks) with levels from F[beta] = E downwards."""
-    levels = tower_levels(E)
+    levels = E.levels
     for _ in range(max_tries):
         s = rng.randint(0, min(max_chunks - 1, len(levels) - 1))
         # chunk fields: E itself first, then a decreasing sample of proper

@@ -170,9 +170,6 @@ class Factorization:
             out = out + self.chunks[j]
         return out
 
-    def field_tower_signature(self):
-        return tuple(K.signature() for K in self.fields)
-
     def depth_jumps(self):
         """The decreasing ord list (ord(c_0), ..., ord(c_s))."""
         return tuple(c.ord() for c in self.chunks)

@@ -183,9 +183,6 @@ class Mat:
             out.append(row)
         return Mat(self.base, out)
 
-    def scale(self, x: TameElement) -> "Mat":
-        return Mat(self.base, [[a * x for a in r] for r in self.rows])
-
     def trace(self) -> TameElement:
         acc = _exact_zero(self.base)
         for i in range(self.n):

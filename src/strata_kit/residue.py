@@ -309,14 +309,6 @@ class FqField:
     def __hash__(self):
         return hash(("FqField", self.p, self.f))
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "f": self.f,
-            "modulus": list(self.modulus) + [0] * (self.f + 1 - len(self.modulus)),
-            "generator": list(self.generator.coords),
-        }
-
 
 class FqElem:
     """An element of an :class:`FqField`, as polynomial-basis coordinates."""

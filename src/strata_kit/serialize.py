@@ -50,15 +50,8 @@ def _coords(coords, f: int) -> list:
 
 
 def tower_to_json(E: TameField) -> dict:
-    levels = []
-    node = E
-    chain = []
-    while node.parent is not None:
-        chain.append(node)
-        node = node.parent
-    for nd in reversed(chain):
-        levels.append({"f": nd.f_rel, "e": nd.e_rel,
-                       "twist": list(nd.twist.coords)})
+    levels = [{"f": nd.f_rel, "e": nd.e_rel, "twist": list(nd.twist.coords)}
+              for nd in E.levels[1:]]
     return {"base_q": E.q, "levels": levels}
 
 
@@ -78,23 +71,11 @@ def tower_from_json(obj) -> TameField:
     return cur
 
 
-def _levels_of(E: TameField):
-    chain = []
-    node = E
-    while node is not None:
-        chain.append(node)
-        node = node.parent
-    return list(reversed(chain))
-
-
 def element_to_json(x: TameElement, tower: TameField) -> dict:
-    levels = _levels_of(tower)
-    try:
-        idx = next(i for i, nd in enumerate(levels) if nd is x.owner)
-    except StopIteration:
+    if not x.owner.is_ancestor_of(tower):
         raise SchemaError("element owner is not a level of the given tower")
     digits = sorted((v, list(a.coords)) for v, a in x.digits.items())
-    return {"field": idx,
+    return {"field": len(x.owner.levels) - 1,
             "digits": [[v, c] for v, c in digits],
             "prec": None if x.prec is INF else int(x.prec)}
 
@@ -102,7 +83,7 @@ def element_to_json(x: TameElement, tower: TameField) -> dict:
 def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
     if not isinstance(obj, dict) or "digits" not in obj:
         raise SchemaError("element document needs digits")
-    levels = _levels_of(tower)
+    levels = tower.levels
     idx = obj.get("field", len(levels) - 1)
     if type(idx) is not int or not 0 <= idx < len(levels):
         raise SchemaError(f"field index {idx!r} out of range")

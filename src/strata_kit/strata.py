@@ -54,10 +54,6 @@ class OrderSkeleton:
     def N(self) -> int:
         return self.m * self.d
 
-    @property
-    def e_field(self) -> int:
-        return self.pure_over.e_abs
-
 
 def standard_order(E: TameField, d: int = 1) -> OrderSkeleton:
     """The order attached to the canonical chain of an embedded field E
@@ -202,13 +198,9 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
                                   clause="jump_not_integral")
             k0_i = int(scaled)
         r_i = r_prev if i == 0 else -stages[-1].k0_value
-        if i > 0:
-            if stages[-1].k0_value is None:
-                raise DomainError("central tail admits no further stage",
-                                  clause="jump_after_central")
-            if r_i <= stages[-1].r and not (i == 1 and stratum.r == r_i):
-                raise DomainError("jump sequence is not strictly increasing",
-                                  clause="jumps_not_increasing")
+        if i > 0 and r_i <= stages[-1].r and not (i == 1 and stratum.r == r_i):
+            raise DomainError("jump sequence is not strictly increasing",
+                              clause="jumps_not_increasing")
         stages.append(DefiningStage(order, stratum.n, r_i, beta_i,
                                     fac.fields[i], k0_i))
         r_prev = r_i
@@ -433,16 +425,14 @@ def presentation_yu(yu):
 
 def compare_presentations(a: GroupPresentation, b: GroupPresentation):
     """Equality of normal forms; returns (equal, diff-dict)."""
-    diff = {}
     if a.tower_degrees != b.tower_degrees:
-        diff["tower"] = {"a": a.tower_degrees, "b": b.tower_degrees}
-        raise DomainError(f"tower mismatch: {diff['tower']}", clause="tower_mismatch")
+        raise DomainError(
+            f"tower mismatch: {{'a': {a.tower_degrees!r}, 'b': {b.tower_degrees!r}}}",
+            clause="tower_mismatch")
     if a.e_A != b.e_A or a.N != b.N:
-        diff["order"] = {"a": (a.e_A, a.N), "b": (b.e_A, b.N)}
         raise DomainError("order-constant mismatch", clause="order_mismatch")
     if a.normal_form != b.normal_form:
-        diff["normal_form"] = {"a": a.to_json(), "b": b.to_json()}
-        return False, diff
+        return False, {"normal_form": {"a": a.to_json(), "b": b.to_json()}}
     return True, {}
 
 

@@ -47,16 +47,19 @@ INF = math.inf
 class TameField:
     """A node in a tower of tamely ramified extensions of GF(q)((t)).
 
-    Immutable after construction; build with :func:`base_field` and
-    :func:`extend`.
+    ``levels`` is the tower chain ``(base, ..., self)``, base first: level
+    index i of a ``strata-kit/v1`` document names ``levels[i]``, and every
+    walk along the tower reads this tuple.  Immutable after construction;
+    build with :func:`base_field` and :func:`extend`.
     """
 
-    __slots__ = ("parent", "p", "base_f", "f_rel", "e_rel", "twist",
+    __slots__ = ("parent", "levels", "p", "base_f", "f_rel", "e_rel", "twist",
                  "residue", "f_over_base", "e_abs", "degree", "acc_twist",
                  "_splitting", "_subfields", "_decomposer")
 
     def __init__(self, parent, p, base_f, f_rel, e_rel, twist):
         self.parent = parent
+        self.levels = (parent.levels if parent is not None else ()) + (self,)
         self.p = p
         self.base_f = base_f          # f0: degree of the base residue field over GF(p)
         self.f_rel = f_rel
@@ -96,27 +99,12 @@ class TameField:
         return self.p ** self.base_f
 
     def base(self) -> "TameField":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
-    def ancestors(self):
-        """Chain [base, ..., self]."""
-        chain = []
-        node = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        return list(reversed(chain))
+        return self.levels[0]
 
     def is_ancestor_of(self, other: "TameField") -> bool:
-        node = other
-        while node is not None:
-            if node is self:
-                return True
-            node = node.parent
-        return False
+        """Whether self is a level of other's tower (other itself included)."""
+        k = len(self.levels)
+        return len(other.levels) >= k and other.levels[k - 1] is self
 
     def uniformizer(self) -> "TameElement":
         return TameElement(self, {1: self.residue.one}, INF)
@@ -348,14 +336,9 @@ def coerce(x: TameElement, target: TameField) -> TameElement:
     """
     if x.owner is target:
         return x
-    chain = []
-    node = target
-    while node is not None and node is not x.owner:
-        chain.append(node)
-        node = node.parent
-    if node is None:
+    if not x.owner.is_ancestor_of(target):
         raise DomainError("coerce target is not a descendant of the element's field")
-    for level in reversed(chain):
+    for level in target.levels[len(x.owner.levels):]:
         digits = {}
         for v, a in x.digits.items():
             digits[v * level.e_rel] = residue.embed(a, level.residue) * (level.twist ** v)
@@ -412,9 +395,6 @@ class Embedding:
         if a.is_zero():
             return self.target.residue.zero
         return self.target.residue.gen_power(self.source.residue.dlog(a) * self.res_scale)
-
-    def __call__(self, x: TameElement) -> TameElement:
-        return apply_embedding(self, x)
 
     def is_identity_like(self) -> bool:
         return self.frob_exp == 0 and self.mu_dlog == 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .minimal import howe_factorize, is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
-                     defining_sequence, make_stratum, presentation_secherre,
+                     defining_sequence, k0, make_stratum, presentation_secherre,
                      presentation_yu, standard_order, v_order)
 from .tower import TameElement, TameField, tower_subfield, whole_field
 
@@ -199,7 +199,6 @@ def factchar_indices(stratum: StratumSkeleton, t: int = 0) -> CharacterIndexTabl
     order = stratum.order
     kk = None
     if not stratum.fac.degenerate:
-        from .strata import k0
         kk = k0(stratum.beta, order, stratum.fac)
     bound = -kk if kk is not None else stratum.n + 1
     if not (0 <= t < max(bound, 1)):

@@ -103,9 +103,11 @@ def test_fuzz_deterministic(capsys, monkeypatch):
     assert out1 == out2
 
 
-def test_verify_suite(capsys, monkeypatch):
+@pytest.mark.parametrize("suite", ["sr", "minimal", "factorize", "filtration",
+                                   "presentations", "roundtrip", "oracle"])
+def test_verify_suite(capsys, monkeypatch, suite):
     code, out, _ = run(capsys, monkeypatch,
-                       ["verify", "--suite", "factorize", "--seed", "1",
+                       ["verify", "--suite", suite, "--seed", "1",
                         "--count", "10"])
     doc = json.loads(out)
     assert code == 0 and doc["failure_count"] == 0

@@ -142,8 +142,10 @@ def test_presentation_domination():
 def test_compare_presentations_tower_mismatch():
     a = GroupPresentation("a", (2, 1), 2, 2, [(0, "MP", FiltDepth(Fraction(0)))])
     b = GroupPresentation("b", (4, 1), 2, 2, [(0, "MP", FiltDepth(Fraction(0)))])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         compare_presentations(a, b)
+    assert str(exc.value) == "tower mismatch: {'a': (2, 1), 'b': (4, 1)}"
+    assert exc.value.clause == "tower_mismatch"
 
 
 def test_index_card_frozen_examples():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_kit.errors import DomainError, PrecisionError
-from strata_kit.tower import (DEFAULT_PREC, INF, TameElement, base_field,
-                              coerce, embeddings, extend, prime_subfield,
-                              splitting_field, sr, subfield_generated,
-                              tower_subfield, whole_field)
+from strata_kit.tower import (DEFAULT_PREC, INF, TameElement, apply_embedding,
+                              base_field, coerce, embeddings, extend,
+                              prime_subfield, splitting_field, sr,
+                              subfield_generated, tower_subfield, whole_field)
 
 
 def mono(E, v, a=0):
@@ -134,7 +134,7 @@ def test_embeddings_respect_uniformizer_relation():
     L = splitting_field(E)
     t_img = L.from_base_t_power(1)
     for s in embeddings(E):
-        img = s(E.uniformizer())
+        img = apply_embedding(s, E.uniformizer())
         tw = TameElement(L, {0: s.residue_image(E.twist)}, INF)
         assert ((img ** 4) * tw).equals(t_img)
 
@@ -146,7 +146,7 @@ def test_identity_like_embedding_first(towers):
 
 def test_embeddings_are_distinct(E_ram2):
     pi = E_ram2.uniformizer()
-    images = [s(pi).freeze(8) for s in embeddings(E_ram2)]
+    images = [apply_embedding(s, pi).freeze(8) for s in embeddings(E_ram2)]
     assert len(set(images)) == len(images)
 
 
@@ -181,6 +181,99 @@ def test_degree_is_e_times_f(towers):
         assert deg == e * f == E.degree
 
 
+# -- the tower-level chain -----------------------------------------------------
+
+def _fuzzed_towers(seed, count):
+    import random
+
+    from strata_kit.fuzz import random_tower
+    rng = random.Random(seed)
+    return [random_tower(rng) for _ in range(count)]
+
+
+def _twin_towers(E):
+    """Two towers of E's shape, built from its JSON: equal, not identical."""
+    from strata_kit.serialize import tower_from_json, tower_to_json
+    doc = tower_to_json(E)
+    return tower_from_json(doc), tower_from_json(doc)
+
+
+def test_levels_chain_runs_from_base_to_self():
+    for E in _fuzzed_towers(7, 30):
+        levels = E.levels
+        assert levels[0] is E.base() and levels[0].parent is None
+        assert levels[-1] is E
+        for i in range(1, len(levels)):
+            assert levels[i].parent is levels[i - 1]
+            assert levels[i].levels == levels[:i + 1]
+
+
+def test_is_ancestor_of_is_level_membership():
+    for E in _fuzzed_towers(8, 20):
+        A, B = _twin_towers(E)
+        nodes = A.levels + B.levels
+        for a in nodes:
+            for b in nodes:
+                assert a.is_ancestor_of(b) == any(n is a for n in b.levels)
+
+
+def test_levels_of_an_equal_shaped_tower_are_foreign():
+    from strata_kit.errors import SchemaError
+    from strata_kit.serialize import element_to_json
+    for E in _fuzzed_towers(9, 12):
+        A, B = _twin_towers(E)
+        for a in A.levels:
+            x = a.uniformizer()
+            with pytest.raises(DomainError):
+                coerce(x, B)
+            with pytest.raises(DomainError):
+                tower_subfield(a, B)
+            with pytest.raises(SchemaError):
+                element_to_json(x, B)
+
+
+def test_element_json_roundtrip_at_every_level():
+    import random
+
+    from strata_kit.fuzz import random_element
+    from strata_kit.serialize import element_from_json, element_to_json
+    rng = random.Random(10)
+    for E in _fuzzed_towers(10, 20):
+        for i, level in enumerate(E.levels):
+            x = random_element(rng, level)
+            doc = element_to_json(x, E)
+            assert doc["field"] == i
+            y = element_from_json(doc, E)
+            assert y.owner is level and y.prec is x.prec and y.equals(x)
+
+
+def test_tower_json_roundtrip_keeps_every_level():
+    from strata_kit.serialize import tower_from_json, tower_to_json
+    for E in _fuzzed_towers(11, 30):
+        F = tower_from_json(tower_to_json(E))
+        assert F.q == E.q and len(F.levels) == len(E.levels)
+        for a, b in zip(E.levels, F.levels):
+            assert (a.f_rel, a.e_rel, a.twist.coords) == \
+                (b.f_rel, b.e_rel, b.twist.coords)
+
+
+def test_only_tower_module_walks_parent_pointers():
+    """Every walk along a tower reads ``TameField.levels``; the parent
+    pointer is read only where the chain is built, in ``tower``."""
+    import ast
+    import pathlib
+
+    import strata_kit
+    readers = []
+    for path in sorted(pathlib.Path(strata_kit.__file__).parent.glob("*.py")):
+        if path.name == "tower.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "parent":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 # -- incremental subfields -----------------------------------------------------
 
 def _adjoin_cases(seed, count):
@@ -188,11 +281,11 @@ def _adjoin_cases(seed, count):
     subfield or a chain of adjoins; x is exact or finite-precision."""
     import random
 
-    from strata_kit.fuzz import random_element, random_tower, tower_levels
+    from strata_kit.fuzz import random_element, random_tower
     rng = random.Random(seed)
     for _ in range(count):
         E = random_tower(rng)
-        levels = tower_levels(E)
+        levels = E.levels
         K = tower_subfield(rng.choice(levels), E)
         for _ in range(rng.randint(0, 2)):
             y = random_element(rng, E)
@@ -249,7 +342,7 @@ def test_adjoin_leaves_the_original_unchanged(E_ram2):
 
 def test_tower_subfields_are_cached(towers):
     for E in towers:
-        for level in E.ancestors():
+        for level in E.levels:
             assert tower_subfield(level, E) is tower_subfield(level, E)
         assert whole_field(E) is tower_subfield(E, E)
 
