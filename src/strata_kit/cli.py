@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Every subcommand reads one JSON document (stdin or --in FILE) and writes
-one JSON document to stdout with sorted keys, so output is reproducible
-byte for byte.  Exit codes: 0 success, 1 malformed input, 2 domain error,
-3 precision exhausted.
+Every subcommand except ``fuzz`` and ``verify`` reads one JSON document
+(stdin or --in FILE).  Every subcommand writes one JSON document to stdout
+with sorted keys, so output is reproducible byte for byte.  Exit codes:
+0 success, 1 malformed input, 2 domain error, 3 precision exhausted.
 """
 
 from __future__ import annotations
@@ -125,11 +125,10 @@ def cmd_generic(args):
     doc = _read_doc(args)
     E, x = _element_ctx(doc, args.prec)
     levels = E.levels
-    try:
-        big = levels[args.big if args.big is not None else len(levels) - 1]
-        small = levels[args.small]
-    except IndexError:
+    big = args.big if args.big is not None else len(levels) - 1
+    if not (0 <= big < len(levels) and 0 <= args.small < len(levels)):
         raise SchemaError("level index out of range")
+    big, small = levels[big], levels[args.small]
     rep = is_generic(x, (tower_subfield(big, E), tower_subfield(small, E)))
     out = {"schema": ser.SCHEMA,
            "ge1": rep.ge1,
@@ -270,29 +269,34 @@ def build_parser():
 
     def add(name, fn, **extra):
         sp = sub.add_parser(name)
-        sp.add_argument("--in", dest="infile", default=None,
-                        help="input file (default: stdin)")
-        sp.add_argument("--dump", action="store_true",
-                        help="include debug detail in output")
         for argname, kw in extra.items():
             sp.add_argument(argname, **kw)
         handlers[name] = fn
         return sp
 
-    add("expand", cmd_expand)
-    add("sr", cmd_sr)
-    add("minimal", cmd_minimal)
-    add("factorize", cmd_factorize)
-    add("embeddings", cmd_embeddings)
-    add("generic", cmd_generic,
-        **{"--big": dict(type=int, default=None,
-                         help="tower level index of the larger field"),
-           "--small": dict(type=int, default=0,
-                           help="tower level index of the smaller field")})
-    add("stratum2yu", cmd_stratum2yu)
-    add("yu2stratum", cmd_yu2stratum)
-    add("groups", cmd_groups)
-    add("indices", cmd_indices, **{"--t": dict(type=int, default=0)})
+    def add_reader(name, fn, **extra):
+        # a subcommand that reads one JSON document
+        sp = add(name, fn, **extra)
+        sp.add_argument("--in", dest="infile", default=None,
+                        help="input file (default: stdin)")
+        return sp
+
+    add_reader("expand", cmd_expand)
+    add_reader("sr", cmd_sr)
+    add_reader("minimal", cmd_minimal,
+               **{"--dump": dict(action="store_true",
+                                 help="include the criteria witnesses in the output")})
+    add_reader("factorize", cmd_factorize)
+    add_reader("embeddings", cmd_embeddings)
+    add_reader("generic", cmd_generic,
+               **{"--big": dict(type=int, default=None,
+                                help="tower level index of the larger field"),
+                  "--small": dict(type=int, default=0,
+                                  help="tower level index of the smaller field")})
+    add_reader("stratum2yu", cmd_stratum2yu)
+    add_reader("yu2stratum", cmd_yu2stratum)
+    add_reader("groups", cmd_groups)
+    add_reader("indices", cmd_indices, **{"--t": dict(type=int, default=0)})
     add("fuzz", cmd_fuzz,
         **{"--seed": dict(type=int, default=0),
            "--count": dict(type=int, default=10)})

@@ -18,14 +18,15 @@ from .tower import (INF, TameElement, TameField, base_field, coerce, extend,
                     subfield_generated)
 
 Q_CHOICES = (3, 5, 9)
+MAX_DEGREE = 8      # largest [E:F] of a random tower
+MAX_CHUNKS = 3      # most chunks in a random beta
 
 
 def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_tower(rng: random.Random, q: int | None = None,
-                 max_degree: int = 8) -> TameField:
+def random_tower(rng: random.Random, q: int | None = None) -> TameField:
     """A random tame tower node over GF(q)((t)), with random twists."""
     if q is None:
         q = rng.choice(Q_CHOICES)
@@ -35,7 +36,7 @@ def random_tower(rng: random.Random, q: int | None = None,
     for _ in range(steps):
         opts = [(f, e) for f in (1, 2, 3) for e in (1, 2, 3, 4, 5)
                 if f * e > 1 and e % p != 0
-                and cur.degree * f * e <= max_degree
+                and cur.degree * f * e <= MAX_DEGREE
                 and p ** (cur.base_f * cur.f_over_base * f) <= SIZE_CAP]
         if not opts:
             break
@@ -51,11 +52,11 @@ def tower_levels(E: TameField):
     return E.levels
 
 
-def random_unit(rng: random.Random, field: TameField, max_depth: int = 6) -> TameElement:
+def random_unit(rng: random.Random, field: TameField) -> TameElement:
     """A principal unit 1 + (positive valuation stuff)."""
     u = field.one()
     for _ in range(rng.randint(1, 3)):
-        v = rng.randint(1, max_depth)
+        v = rng.randint(1, 6)
         digit = field.residue.gen_power(rng.randrange(field.residue.q - 1))
         u = u + field.monomial(v, digit)
     return u
@@ -67,11 +68,11 @@ def perturb(rng: random.Random, x: TameElement) -> TameElement:
     return x * random_unit(rng, x.owner)
 
 
-def random_element(rng: random.Random, field: TameField, vmin: int = -8,
-                   vmax: int = 4, max_digits: int = 3) -> TameElement:
-    """A random nonzero exact element with a few digits."""
-    k = rng.randint(1, max_digits)
-    vals = rng.sample(range(vmin, vmax + 1), k)
+def random_element(rng: random.Random, field: TameField) -> TameElement:
+    """A random nonzero exact element with one to three digits of valuation
+    -8 to 4."""
+    k = rng.randint(1, 3)
+    vals = rng.sample(range(-8, 5), k)
     out = field.zero(prec=INF)
     for v in vals:
         digit = field.residue.gen_power(rng.randrange(field.residue.q - 1))
@@ -98,14 +99,13 @@ def generating_monomial(rng: random.Random, level: TameField,
     return None
 
 
-def random_beta(rng: random.Random, E: TameField, max_chunks: int = 3,
-                max_tries: int = 40):
+def random_beta(rng: random.Random, E: TameField):
     """A sum of generating monomials along a nested level chain with
     strictly decreasing negative ords; returns (beta, intended_levels,
     intended_chunks) with levels from F[beta] = E downwards."""
     levels = E.levels
-    for _ in range(max_tries):
-        s = rng.randint(0, min(max_chunks - 1, len(levels) - 1))
+    for _ in range(40):
+        s = rng.randint(0, min(MAX_CHUNKS - 1, len(levels) - 1))
         # chunk fields: E itself first, then a decreasing sample of proper
         # ancestors (the base is allowed as the last one)
         lower = sorted(rng.sample(range(len(levels) - 1), s), reverse=True)
@@ -135,16 +135,15 @@ def random_beta(rng: random.Random, E: TameField, max_chunks: int = 3,
     raise DomainError("fuzzer failed to assemble a beta for this tower")
 
 
-def random_stratum(rng: random.Random, q: int | None = None,
-                   max_degree: int = 8, max_chunks: int = 3) -> StratumSkeleton:
+def random_stratum(rng: random.Random, q: int | None = None) -> StratumSkeleton:
     """A random simple stratum over a random tower (retrying towers whose
     random data collides)."""
     for _ in range(40):
-        E = random_tower(rng, q=q, max_degree=max_degree)
+        E = random_tower(rng, q=q)
         if E.degree == 1:
             return random_depth_zero(rng, q=E.q)
         try:
-            beta, _, _ = random_beta(rng, E, max_chunks=max_chunks)
+            beta, _, _ = random_beta(rng, E)
             return make_stratum(standard_order(E), beta)
         except DomainError:
             continue

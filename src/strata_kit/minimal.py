@@ -119,9 +119,10 @@ def is_minimal(c: TameElement, base) -> MinimalityReport:
     if lead_v != 0:
         raise DomainError("unit part of c^e does not have valuation 0 (inconsistency)")
     f_rel = Ec.f_over_base // base_sub.f_over_base
-    crit1 = (gcd(v, e_rel) == 1) and (base_sub.residue_degree_of(r0) == f_rel)
+    res_deg = base_sub.residue_degree_of(r0)
+    crit1 = (gcd(v, e_rel) == 1) and (res_deg == f_rel)
     witnesses["crit1"] = {"v": v, "e_rel": e_rel, "f_rel": f_rel,
-                          "residue_degree": base_sub.residue_degree_of(r0)}
+                          "residue_degree": res_deg}
 
     # --- criterion 2: sr generates the same field --------------------------
     Esr = base_sub.adjoin(sr(c))

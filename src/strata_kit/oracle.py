@@ -336,21 +336,20 @@ class MatrixLattice:
     """A finitely generated o_F-lattice inside F^dim, held as generator
     columns and normalized to a column Hermite form over the series ring:
     pivot entries are monic powers of t, entries in a pivot row of the
-    other pivot columns are reduced below the pivot exponent."""
+    other pivot columns are reduced below the pivot exponent.  The form is
+    computed once, in the constructor: ``cols`` are the pivot columns and
+    ``pivots`` their (row, exponent) pairs."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
-    def __init__(self, base: TameField, dim: int, cols, canonical=False):
+    def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        self.cols = [list(c) for c in cols]
-        self.pivots = None
-        if canonical:
-            self.canonicalize()
+        self._canonicalize(cols)
 
-    def canonicalize(self):
+    def _canonicalize(self, cols):
         base = self.base
-        cols = [c for c in self.cols if any(x.digits for x in c)]
+        cols = [list(c) for c in cols if any(x.digits for x in c)]
         pivots = []       # (row, exponent, column)
         pivot_cols = []
         for row in range(self.dim):
@@ -388,23 +387,16 @@ class MatrixLattice:
             pivot_cols.append(col)
         self.cols = pivot_cols
         self.pivots = pivots
-        return self
 
     def pivot_exponent_sum(self) -> int:
-        if self.pivots is None:
-            self.canonicalize()
         return sum(v for _, v in self.pivots)
 
     def rank(self) -> int:
-        if self.pivots is None:
-            self.canonicalize()
         return len(self.pivots)
 
     def reduce_vector(self, vec):
         """Remainder of vec after greedy reduction by the canonical columns
         with series-ring coefficients; zero remainder certifies membership."""
-        if self.pivots is None:
-            self.canonicalize()
         base = self.base
         v = list(vec)
         for (row, a), col in zip(self.pivots, self.cols):
@@ -423,10 +415,6 @@ class MatrixLattice:
         return all(not x.digits for x in rem)
 
     def same_as(self, other: "MatrixLattice") -> bool:
-        if self.pivots is None:
-            self.canonicalize()
-        if other.pivots is None:
-            other.canonicalize()
         if self.pivots != other.pivots:
             return False
         for c1, c2 in zip(self.cols, other.cols):
@@ -448,7 +436,7 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
             vec = [_exact_zero(base) for _ in range(N * N)]
             vec[i * N + k] = base.monomial(D[i][k], one)
             cols.append(vec)
-    return MatrixLattice(base, N * N, cols, canonical=True)
+    return MatrixLattice(base, N * N, cols)
 
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
@@ -565,7 +553,7 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     for c in cols:
         out.append([c[u] * base.monomial(D[u // N][u % N], one)
                     for u in range(dim)])
-    return MatrixLattice(base, dim, out, canonical=True)
+    return MatrixLattice(base, dim, out)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ class FqField:
     """The finite field GF(p^f) with a fixed modulus and generator.
 
     Immutable after construction.  Use :func:`make_field`; do not call the
-    constructor directly (construction builds the full power/dlog tables).
+    constructor directly: fields are compared by identity, so there must be
+    one object per (p, f), and construction builds the full power/dlog tables.
     """
 
     __slots__ = ("p", "f", "q", "modulus", "generator", "_pow", "_dlog", "zero", "one")
@@ -303,12 +304,6 @@ class FqField:
     def __repr__(self):
         return f"GF({self.p}^{self.f})"
 
-    def __eq__(self, other):
-        return isinstance(other, FqField) and (self.p, self.f) == (other.p, other.f)
-
-    def __hash__(self):
-        return hash(("FqField", self.p, self.f))
-
 
 class FqElem:
     """An element of an :class:`FqField`, as polynomial-basis coordinates."""
@@ -323,7 +318,7 @@ class FqElem:
         return not any(self.coords)
 
     def _check(self, other):
-        if self.owner != other.owner:
+        if self.owner is not other.owner:
             raise DomainError("owner mismatch in residue-field arithmetic")
 
     def __add__(self, other):
@@ -368,7 +363,7 @@ class FqElem:
         return fld.gen_power(fld.dlog(self) * e)
 
     def __eq__(self, other):
-        return (isinstance(other, FqElem) and self.owner == other.owner
+        return (isinstance(other, FqElem) and self.owner is other.owner
                 and self.coords == other.coords)
 
     def __hash__(self):
@@ -387,23 +382,12 @@ class FqElem:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, f: int) -> FqField:
+def make_field(p: int, f: int, /) -> FqField:
     """Deterministic GF(p^f): lex-least monic irreducible modulus, lex-least
-    full-order generator.  Cached, so fields are shared by (p, f)."""
+    full-order generator.  Cached, so there is one field object per (p, f)
+    and fields compare by identity; the arguments are positional-only so
+    that a keyword call cannot miss the cache and build a second object."""
     return FqField(p, f)
-
-
-def arith(a: FqElem, b: FqElem, op: str) -> FqElem:
-    """Spec-level arithmetic entry point: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise DomainError(f"unknown op {op!r}")
 
 
 def frobenius(a: FqElem, k: int) -> FqElem:

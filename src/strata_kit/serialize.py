@@ -105,10 +105,6 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
     return TameElement(owner, digits, prec)
 
 
-def depth_to_json(depth) -> dict:
-    return {"value": rational_str(depth.value), "plus": bool(depth.plus)}
-
-
 def stratum_to_json(st: StratumSkeleton) -> dict:
     E = st.order.pure_over
     return {"schema": SCHEMA,

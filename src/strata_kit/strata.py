@@ -55,13 +55,11 @@ class OrderSkeleton:
         return self.m * self.d
 
 
-def standard_order(E: TameField, d: int = 1) -> OrderSkeleton:
+def standard_order(E: TameField) -> OrderSkeleton:
     """The order attached to the canonical chain of an embedded field E
-    inside M_[E:F](F) (split by default), which is E-pure with e_A = e(E/F)
+    inside M_[E:F](F) (split, d = 1), which is E-pure with e_A = e(E/F)
     and maximal centralizer level."""
-    if E.degree % d != 0:
-        raise DomainError("d must divide [E:F] for the standard order")
-    return OrderSkeleton(m=E.degree // d, d=d, e_A=d * E.e_abs, pure_over=E,
+    return OrderSkeleton(m=E.degree, d=1, e_A=E.e_abs, pure_over=E,
                          b_maximal=True)
 
 
@@ -139,16 +137,14 @@ def classify_stratum(st: StratumSkeleton) -> str:
     return "pure"
 
 
-def make_stratum(order: OrderSkeleton, beta: TameElement, r: int = 0,
-                 fac: Factorization | None = None) -> StratumSkeleton:
+def make_stratum(order: OrderSkeleton, beta: TameElement,
+                 r: int = 0) -> StratumSkeleton:
     """Build [order, n, r, beta] with n = -v_order(beta) (or the depth-zero
     stratum n = 0 for a unit of the base ring)."""
     E = order.pure_over
     if beta.owner is not E:
         raise DomainError("beta must be owned by the order's pure field")
-    base = E.base()
-    if fac is None:
-        fac = howe_factorize(beta, base)
+    fac = howe_factorize(beta, E.base())
     if fac.fields[0].degree != E.degree:
         raise DomainError("order is not pure over F[beta] "
                           f"(degree {fac.fields[0].degree} != {E.degree})")
@@ -185,7 +181,6 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
     order = stratum.order
     e_A = order.e_A
     stages = []
-    r_prev = stratum.r
     for i in range(len(fac.chunks)):
         beta_i = fac.partial_tail(i)
         # k0 of beta_i: -infinity when the tail is central, else e_A*ord(c_i)
@@ -197,13 +192,9 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
                 raise DomainError("jump index is not integral at the order",
                                   clause="jump_not_integral")
             k0_i = int(scaled)
-        r_i = r_prev if i == 0 else -stages[-1].k0_value
-        if i > 0 and r_i <= stages[-1].r and not (i == 1 and stratum.r == r_i):
-            raise DomainError("jump sequence is not strictly increasing",
-                              clause="jumps_not_increasing")
+        r_i = stratum.r if i == 0 else -stages[-1].k0_value
         stages.append(DefiningStage(order, stratum.n, r_i, beta_i,
                                     fac.fields[i], k0_i))
-        r_prev = r_i
     # strictness and the bound by n
     rs = [st.r for st in stages]
     for i in range(1, len(rs)):
@@ -375,14 +366,12 @@ def _normalize(factors, e_A):
     return kept
 
 
-def _stratum_levels(stages, base_degree=1):
+def _stratum_levels(stages):
     """Level field degrees for a defining sequence: fields E_0..E_s, with a
-    final base level appended when E_s is not already the base."""
+    final base level (degree 1) appended when E_s is not already the base."""
     degs = [st.level_field.degree for st in stages]
-    if degs and degs[-1] != base_degree:
-        degs.append(base_degree)
-    if not degs:
-        degs = [base_degree]
+    if not degs or degs[-1] != 1:
+        degs.append(1)
     return tuple(degs)
 
 
@@ -457,7 +446,7 @@ def _effective_depth(nf, level):
     return min(cands, key=_depth_sort_key)
 
 
-def index_card(num: GroupPresentation, den: GroupPresentation, q: int | None = None):
+def index_card(num: GroupPresentation, den: GroupPresentation):
     """The group index (num : den) as a q-power exponent, computed from
     Lie-lattice digit counts: each tower slice contributes its dimension
     per jump times the number of jumps in its effective depth window."""

@@ -80,7 +80,7 @@ class TameField:
             self.residue = make_field(p, base_f * self.f_over_base)
             if isinstance(twist, int):
                 twist = self.residue.from_int(twist)
-            if twist.owner != self.residue:
+            if twist.owner is not self.residue:
                 twist = residue.embed(twist, self.residue)
             if twist.is_zero():
                 raise DomainError("twist must be a nonzero residue element")
@@ -118,12 +118,13 @@ class TameField:
     def one(self) -> "TameElement":
         return TameElement(self, {0: self.residue.one}, INF)
 
-    def monomial(self, v: int, coeff: FqElem, prec=INF) -> "TameElement":
-        if coeff.owner != self.residue:
+    def monomial(self, v: int, coeff: FqElem) -> "TameElement":
+        """The exact element coeff * pi^v."""
+        if coeff.owner is not self.residue:
             raise DomainError("monomial coefficient must lie in the residue field")
         if coeff.is_zero():
-            return TameElement(self, {}, prec)
-        return TameElement(self, {v: coeff}, prec)
+            return TameElement(self, {}, INF)
+        return TameElement(self, {v: coeff}, INF)
 
     def from_base_t_power(self, k: int) -> "TameElement":
         """The element t^k coerced into this field (a single digit)."""
@@ -643,7 +644,7 @@ class Subfield:
                 "internal consistency: subfield degree "
                 f"{self.degree} != e*f = {e_over_base}*{f_over_base}",
                 clause="subfield_invariants")
-        self._invariants = (e_over_base, f_over_base, v_min, unif)
+        self._invariants = (e_over_base, f_over_base, unif)
         return self._invariants
 
     @property
@@ -654,13 +655,9 @@ class Subfield:
     def f_over_base(self) -> int:
         return self._resolve_invariants()[1]
 
-    @property
-    def min_positive_valuation(self) -> int:
-        return self._resolve_invariants()[2]
-
     def uniformizer(self) -> TameElement:
         """A uniformizing monomial of this subfield, inside the ambient."""
-        return self._resolve_invariants()[3]
+        return self._resolve_invariants()[2]
 
     def residue_degree_of(self, r0: FqElem) -> int:
         """Degree of a residue element over this subfield's residue field."""

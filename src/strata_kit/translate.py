@@ -18,7 +18,7 @@ from .errors import DomainError
 from .minimal import howe_factorize, is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
                      defining_sequence, k0, make_stratum, presentation_secherre,
-                     presentation_yu, standard_order, v_order)
+                     presentation_yu, v_order)
 from .tower import TameElement, TameField, tower_subfield, whole_field
 
 
@@ -120,8 +120,7 @@ def _check_presentations(stratum: StratumSkeleton, yu: YuSkeleton):
                               clause="presentation_mismatch")
 
 
-def yu_to_secherre(yu: YuSkeleton, r: int = 0,
-                   order: OrderSkeleton | None = None) -> StratumSkeleton:
+def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     """Tower datum -> stratum: beta is the sum of the realizing chunks,
     n = -v_order(beta), and the jump sequence is re-derived and checked
     against the stated depths."""
@@ -129,11 +128,8 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0,
     if not real:
         raise DomainError("datum carries no realizing chunks")
     E = real[0].owner
-    if order is None:
-        order = standard_order(E, d=1)
-        if order.e_A != yu.e_A:
-            order = OrderSkeleton(m=order.m, d=order.d, e_A=yu.e_A,
-                                  pure_over=E, b_maximal=order.b_maximal)
+    # the standard order of E, at the datum's period e_A
+    order = OrderSkeleton(m=E.degree, d=1, e_A=yu.e_A, pure_over=E)
     beta = real[0]
     for c in real[1:]:
         beta = beta + c
@@ -197,9 +193,7 @@ class CharacterIndexTable:
 
 def factchar_indices(stratum: StratumSkeleton, t: int = 0) -> CharacterIndexTable:
     order = stratum.order
-    kk = None
-    if not stratum.fac.degenerate:
-        kk = k0(stratum.beta, order, stratum.fac)
+    kk = k0(stratum.beta, order, stratum.fac)
     bound = -kk if kk is not None else stratum.n + 1
     if not (0 <= t < max(bound, 1)):
         raise DomainError(f"truncation level t={t} outside [0, {bound})")

@@ -352,7 +352,7 @@ def test_criterion_5_four_correspondences():
         # canonical-form equality is independent of the generator set
         mixed = [c for c in lats[3].cols]
         extra = [[x + y for x, y in zip(mixed[0], c)] for c in mixed[1:]]
-        redundant = MatrixLattice(F, N * N, mixed + extra, canonical=True)
+        redundant = MatrixLattice(F, N * N, mixed + extra)
         assert redundant.same_as(lats[3])
 
 
@@ -436,7 +436,7 @@ def lie_lattice(pres, fields, chain, base):
         sub = intersect_with_centralizer(centralizer_gens(fields[lvl], None),
                                          chain, idx, base)
         cols.extend(sub.cols)
-    return MatrixLattice(base, N * N, cols, canonical=True)
+    return MatrixLattice(base, N * N, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,35 @@ def test_huge_base_q_is_domain_error(capsys, monkeypatch):
                        {"tower": {"base_q": 2147483647},
                         "element": {"field": 0, "digits": [[0, [1]]]}})
     assert code == 2 and "size cap" in err
+
+
+@pytest.mark.parametrize("levels", [["--small", "-1"],
+                                    ["--small", "-2", "--big", "-1"],
+                                    ["--small", "5"]])
+def test_generic_level_index_out_of_range(capsys, monkeypatch, levels):
+    code, out, err = run(capsys, monkeypatch, ["generic", *levels],
+                         {"tower": TOWER,
+                          "element": {"field": 1, "digits": [[-1, [1]]],
+                                      "prec": None}})
+    assert code == 1 and out == ""
+    assert err == "schema error: level index out of range\n"
+
+
+def test_minimal_dump_returns_witnesses(capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, ["minimal", "--dump"],
+                       {"tower": TOWER,
+                        "element": {"field": 1, "digits": [[-1, [1]]],
+                                    "prec": None}})
+    doc = json.loads(out)
+    assert code == 0 and doc["witnesses"]["crit1"] == \
+        "{'v': -1, 'e_rel': 2, 'f_rel': 1, 'residue_degree': 1}"
+
+
+@pytest.mark.parametrize("argv", [["factorize", "--dump"],
+                                  ["fuzz", "--in", "x"],
+                                  ["verify", "--suite", "sr", "--in", "x"]])
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

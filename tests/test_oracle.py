@@ -96,7 +96,7 @@ def test_lattice_periodicity():
         b = filt_lattice(ch, n + 2, F)
         shifted = MatrixLattice(
             F, 4, [[x * F.monomial(1, F.residue.one) for x in c]
-                   for c in a.cols], canonical=True)
+                   for c in a.cols])
         assert b.same_as(shifted)
 
 
@@ -110,8 +110,8 @@ def test_hermite_canonical_form_is_stable():
     c2 = [[F.monomial(0, one), F.monomial(1, one) + F.monomial(2, one)],
           [z, F.monomial(2, one)],
           [F.monomial(2, one), F.monomial(3, one)]]
-    L1 = MatrixLattice(F, 2, c1, canonical=True)
-    L2 = MatrixLattice(F, 2, c2, canonical=True)
+    L1 = MatrixLattice(F, 2, c1)
+    L2 = MatrixLattice(F, 2, c2)
     assert L1.same_as(L2)
     assert [v for _, v in L1.pivots] == [0, 2]
 

@@ -1,14 +1,17 @@
 """Finite residue field layer: deterministic moduli/generators, tables,
 field axioms, frobenius, and embeddings."""
 
+import ast
 import itertools
+import pathlib
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strata_kit.errors import DomainError
-from strata_kit.residue import (FqElem, _is_irreducible, arith, embed, frobenius,
+from strata_kit import residue
+from strata_kit.residue import (FqElem, _is_irreducible, embed, frobenius,
                                 make_field)
 
 
@@ -56,8 +59,11 @@ def test_field_axioms_gf25(i, j, k):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a and a * b == b * a
+    assert (a - b) + b == a
     if not a.is_zero():
         assert a * a.inverse() == fld.one
+    if not b.is_zero():
+        assert (a / b) * b == a
 
 
 def test_frobenius_is_additive_and_multiplicative():
@@ -75,15 +81,6 @@ def test_dlog_power_tables_consistent():
     k = make_field(7, 2)
     for e in range(k.q - 1):
         assert k.dlog(k.gen_power(e)) == e
-
-
-def test_arith_dispatch():
-    k = make_field(3, 1)
-    a, b = k.from_int(2), k.from_int(2)
-    assert arith(a, b, "add") == k.from_int(1)
-    assert arith(a, b, "mul") == k.from_int(1)
-    assert arith(a, b, "sub") == k.zero
-    assert arith(a, b, "div") == k.one
 
 
 def test_size_cap():
@@ -137,3 +134,27 @@ def test_large_fields_pinned():
     assert k.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
     assert k.generator.coords == (0,) * 14 + (1, 1)
     assert k.dlog(k.gen_power(12345)) == 12345
+
+
+def test_make_field_is_one_object_per_field():
+    assert make_field(3, 2) is make_field(3, 2)
+    with pytest.raises(TypeError):
+        make_field(p=3, f=2)
+
+
+def test_fields_are_built_only_by_make_field():
+    # residue fields compare by identity, which holds only while make_field's
+    # cache is the one place that constructs them
+    builders = []
+    for path in sorted(pathlib.Path(residue.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "make_field":
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in allowed
+                    and "FqField" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))):
+                builders.append(f"{path.name}:{node.lineno}")
+    assert builders == []
