@@ -171,8 +171,8 @@ def cmd_indices(args):
     h1, j, jhat = presentation_secherre(st)
     j1 = GroupPresentation(
         "J1", j.tower_degrees, j.e_A, j.N,
-        [(0, "MP", FiltDepth(j.normal_form[0][1].value, True))]
-        + [(l, "MP", d) for l, d in j.normal_form if l >= 1])
+        [(0, FiltDepth(j.normal_form[0][1].value, True))]
+        + [(l, d) for l, d in j.normal_form if l >= 1])
     tab = factchar_indices(st, t=args.t)
     out = {"schema": ser.SCHEMA,
            "J1_H1_q_exponent": index_card(j1, h1),

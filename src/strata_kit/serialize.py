@@ -28,7 +28,7 @@ def rational_from_str(s: str) -> Fraction:
     try:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
 
 
@@ -40,6 +40,20 @@ def _int(value, what: str) -> int:
         except (TypeError, ValueError, OverflowError):
             pass
     raise SchemaError(f"{what} must be an integer, not {value!r}")
+
+
+def _bool(obj: dict, key: str, default: bool) -> bool:
+    """``obj[key]`` (``default`` when missing), which must be a JSON boolean."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, not {value!r}")
+    return value
 
 
 def _coords(coords, f: int) -> list:
@@ -131,7 +145,7 @@ def stratum_from_json(obj, default_prec=None) -> StratumSkeleton:
                           d=_int(ospec.get("d", 1), "order d"),
                           e_A=_int(ospec.get("e_A", E.e_abs), "order e_A"),
                           pure_over=E,
-                          b_maximal=bool(ospec.get("b_maximal", True)))
+                          b_maximal=_bool(ospec, "b_maximal", True))
     return make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
 
 
@@ -159,16 +173,18 @@ def yu_from_json(obj, default_prec=None):
             raise SchemaError(f"datum document needs {key}")
     E = tower_from_json(obj["tower"])
     chunks = [None if c is None else element_from_json(c, E, default_prec)
-              for c in obj["chunks"]]
-    d = _int(obj["d"], "d")
+              for c in _list(obj["chunks"], "chunks")]
+    depths = [rational_from_str(s) for s in _list(obj["depths"], "depths")]
+    degrees = _list(obj.get("tower_degrees", [E.degree] * (len(depths) - 1) + [1]),
+                    "tower_degrees")
     return YuSkeleton(
         ambient=E,
-        tower_degrees=tuple(obj.get("tower_degrees", [E.degree] * d + [1])),
-        depths=[rational_from_str(s) for s in obj["depths"]],
+        tower_degrees=tuple(_int(k, "tower degree") for k in degrees),
+        depths=depths,
         chunks=chunks,
-        d=d, e_A=_int(obj["e_A"], "e_A"), N=_int(obj["N"], "N"),
-        trivial_top=bool(obj.get("trivial_top", False)),
-        depth_zero=bool(obj.get("depth_zero", False)))
+        d=_int(obj["d"], "d"), e_A=_int(obj["e_A"], "e_A"), N=_int(obj["N"], "N"),
+        trivial_top=_bool(obj, "trivial_top", False),
+        depth_zero=_bool(obj, "depth_zero", False))
 
 
 def dumps(obj) -> str:

@@ -10,9 +10,11 @@ maximal.  On top of that this module computes:
 - the critical exponents k_F / k0 through the chunk factorization,
 - defining sequences of simple strata with their jump indices,
 - the four index <-> depth correspondences between radical powers and
-  Moy-Prasad-style depths, and
-- the concrete group presentations of both constructions, normalized to
-  canonical (level, depth) windows so that equality is decidable.
+  Moy-Prasad-style depths (depth_of_index is the one place that decides
+  which depth an index names), and
+- the concrete group presentations of both constructions, each a list of
+  (level, depth) windows with a depth a FiltDepth or STAB_MARKER, in a
+  normal form that makes equality decidable.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import ceil, floor
 
 from .errors import DomainError
 from .minimal import Factorization, howe_factorize
-from .tower import Subfield, TameElement, TameField, tower_subfield
+from .tower import Subfield, TameElement, TameField
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,8 @@ class StratumSkeleton:
 def classify_stratum(st: StratumSkeleton) -> str:
     if st.n < st.r:
         raise DomainError("stratum requires n >= r")
+    if st.r < 0:
+        raise DomainError(f"stratum requires r >= 0, not {st.r}", clause="negative_r")
     v = v_order(st.beta, st.order)
     if st.n == 0 and st.r == 0 and v == 0:
         return "simple"     # depth-zero stratum with a unit entry
@@ -213,24 +217,11 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
 # index <-> depth conversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class FiltDepth:
-    """A depth in the ordered monoid R union {r+}."""
+    """A depth in the ordered monoid R union {r+}; r < r+ < every s > r."""
     value: Fraction
     plus: bool = False
-
-    def key(self):
-        return (self.value, 1 if self.plus else 0)
-
-    def __le__(self, other):
-        return self.key() <= other.key()
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def to_json(self):
-        return {"value": f"{self.value.numerator}/{self.value.denominator}",
-                "plus": self.plus}
 
     def __repr__(self):
         return f"{self.value}{'+' if self.plus else ''}"
@@ -288,9 +279,7 @@ STAB_MARKER = "stab"
 
 
 def _depth_sort_key(d):
-    if d == STAB_MARKER:
-        return (Fraction(-1), -1)
-    return d.key()
+    return (0,) if d == STAB_MARKER else (1, d)
 
 
 def _dominates(l1, d1, l2, d2) -> bool:
@@ -305,20 +294,19 @@ def _dominates(l1, d1, l2, d2) -> bool:
 class GroupPresentation:
     """A product of per-level filtration subgroups, plus its normal form.
 
-    ``factors`` is the raw emitted list of (level, rule, argument); the
-    normal form converts every factor to a (level, depth) window, drops
-    factors dominated by another, and sorts by level.
+    ``factors`` is the raw list of (level, depth) windows, each depth a
+    FiltDepth or STAB_MARKER; the normal form drops every window dominated
+    by another and sorts by level.
     """
     label: str
     tower_degrees: tuple      # [E_i : F] per level, level 0 = biggest field
     e_A: int
     N: int
     factors: list
-    normal_form: list = field(default_factory=list)
+    normal_form: list = field(init=False)
 
     def __post_init__(self):
-        if not self.normal_form:
-            self.normal_form = _normalize(self.factors, self.e_A)
+        self.normal_form = _normalize(self.factors)
 
     def to_json(self):
         out = []
@@ -332,27 +320,10 @@ class GroupPresentation:
         return out
 
 
-def _convert_factor(level, rule, arg, e_A):
-    if rule == "U0B":
-        return (level, FiltDepth(Fraction(0), False))
-    if rule == "U1B":
-        return (level, FiltDepth(Fraction(0), True))
-    if rule == "Kfrak":
-        return (level, STAB_MARKER)
-    if rule == "half_plus":     # B_level ∩ U^(floor(arg/2)+1)
-        return (level, FiltDepth(Fraction(arg, 2 * e_A), True))
-    if rule == "half":          # B_level ∩ U^(floor((arg+1)/2))
-        return (level, FiltDepth(Fraction(arg, 2 * e_A), False))
-    if rule == "MP":            # explicit depth
-        return (level, arg)
-    raise DomainError(f"unknown presentation rule {rule!r}")
-
-
-def _normalize(factors, e_A):
-    converted = [_convert_factor(lvl, rule, arg, e_A) for lvl, rule, arg in factors]
+def _normalize(factors):
     # per-level: keep the shallowest window only
     best = {}
-    for lvl, dep in converted:
+    for lvl, dep in factors:
         if lvl not in best or _depth_sort_key(dep) < _depth_sort_key(best[lvl]):
             best[lvl] = dep
     items = sorted(best.items())
@@ -377,19 +348,24 @@ def _stratum_levels(stages):
 
 def presentation_secherre(stratum: StratumSkeleton):
     """The three concrete product presentations attached to a simple
-    stratum with maximal centralizer-level order, as normalized windows."""
-    if not stratum.order.b_maximal:
+    stratum with maximal centralizer-level order: H1 at the half_plus
+    depths of the jumps and of n, J at the half depths with the units at
+    level 0, and Jhat with the stabilizer at level 0."""
+    order = stratum.order
+    if not order.b_maximal:
         raise DomainError("presentations require a maximal centralizer order")
     stages = defining_sequence(stratum)
     degs = _stratum_levels(stages)
     top = len(degs) - 1
-    e_A, N = stratum.order.e_A, stratum.order.N
-    h1 = [(i, "half_plus", st.r) for i, st in enumerate(stages)]
-    h1.append((top, "half_plus", stratum.n))
-    j = [(0, "U0B", None)]
-    j += [(i, "half", st.r) for i, st in enumerate(stages) if i >= 1]
-    j.append((top, "half", stratum.n))
-    jhat = [(0, "Kfrak", None)] + j[1:]
+    h1 = [(i, depth_of_index(st.r, order, "half_plus"))
+          for i, st in enumerate(stages)]
+    h1.append((top, depth_of_index(stratum.n, order, "half_plus")))
+    j = [(0, depth_of_index(0, order))]
+    j += [(i, depth_of_index(st.r, order, "half"))
+          for i, st in enumerate(stages) if i >= 1]
+    j.append((top, depth_of_index(stratum.n, order, "half")))
+    jhat = [(0, STAB_MARKER)] + j[1:]
+    e_A, N = order.e_A, order.N
     return (GroupPresentation("H1", degs, e_A, N, h1),
             GroupPresentation("J", degs, e_A, N, j),
             GroupPresentation("Jhat", degs, e_A, N, jhat))
@@ -399,14 +375,11 @@ def presentation_yu(yu):
     """The three concrete product presentations on the other side, from a
     datum skeleton (duck-typed: needs tower_degrees, depths, d, e_A, N)."""
     degs = tuple(yu.tower_degrees)
+    half = [Fraction(0)] + [Fraction(r, 2) for r in yu.depths[:yu.d]]
+    kplus = [(i, FiltDepth(h, True)) for i, h in enumerate(half)]
+    kcirc = [(i, FiltDepth(h, False)) for i, h in enumerate(half)]
+    kfull = [(0, STAB_MARKER)] + kcirc[1:]
     e_A, N = yu.e_A, yu.N
-    d = yu.d
-    half = [Fraction(r, 2) for r in yu.depths]
-    kplus = [(0, "MP", FiltDepth(Fraction(0), True))]
-    kplus += [(i, "MP", FiltDepth(half[i - 1], True)) for i in range(1, d + 1)]
-    kcirc = [(0, "MP", FiltDepth(Fraction(0), False))]
-    kcirc += [(i, "MP", FiltDepth(half[i - 1], False)) for i in range(1, d + 1)]
-    kfull = [(0, "Kfrak", None)] + kcirc[1:]
     return (GroupPresentation("Kplus", degs, e_A, N, kplus),
             GroupPresentation("Kcirc", degs, e_A, N, kcirc),
             GroupPresentation("K", degs, e_A, N, kfull))

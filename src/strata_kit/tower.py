@@ -28,7 +28,7 @@ from math import gcd
 
 from .errors import DomainError, PrecisionError
 from . import residue
-from .residue import FqElem, FqField, make_field
+from .residue import FqElem, make_field
 
 #: default working precision, in valuation steps of the top field
 DEFAULT_PREC = 64

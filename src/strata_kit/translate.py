@@ -11,15 +11,15 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .minimal import howe_factorize, is_generic
+from .minimal import is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
                      defining_sequence, k0, make_stratum, presentation_secherre,
                      presentation_yu, v_order)
-from .tower import TameElement, TameField, tower_subfield, whole_field
+from .tower import TameElement, TameField, tower_subfield
 
 
 @dataclass
@@ -38,6 +38,9 @@ class YuSkeleton:
     depth_zero: bool = False
 
     def __post_init__(self):
+        if self.d < 0:
+            raise DomainError(f"d must be non-negative, not {self.d}",
+                              clause="negative_d")
         if len(self.depths) != self.d + 1 or len(self.tower_degrees) != self.d + 1:
             raise DomainError("tower/depth lengths must equal d + 1")
         if self.tower_degrees[-1] != 1:
@@ -50,6 +53,11 @@ class YuSkeleton:
             raise DomainError("a trivial final step must repeat the last depth")
 
 
+def _jump_depths(stages, n: int, e_A: int) -> list:
+    """Datum depths of a defining sequence: the jumps r_{i+1}/e_A, then n/e_A."""
+    return [Fraction(st.r, e_A) for st in stages[1:]] + [Fraction(n, e_A)]
+
+
 def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     """Stratum -> tower datum.
 
@@ -59,30 +67,23 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     chunk is generic for its pair of neighbouring fields, and the three
     product presentations agree across the translation.
     """
-    stages = defining_sequence(stratum)
     fac = stratum.fac
     order = stratum.order
-    e_A, N = order.e_A, order.N
-    s = fac.s
-    if stratum.n == 0:
-        yu = YuSkeleton(stratum.beta.owner, (1,), [Fraction(0)],
-                        [stratum.beta], 0, e_A, N, depth_zero=True)
-        return yu
-    depths = [Fraction(stages[i + 1].r, e_A) for i in range(s)]
-    depths.append(Fraction(stratum.n, e_A))
+    depths = _jump_depths(defining_sequence(stratum), stratum.n, order.e_A)
     degrees = [f.degree for f in fac.fields]
     chunks = list(fac.chunks)
     if degrees[-1] == 1:
-        d = s
+        d = fac.s
         trivial_top = False
     else:
-        d = s + 1
+        d = fac.s + 1
         degrees.append(1)
         depths.append(depths[-1])
         chunks.append(None)
         trivial_top = True
     yu = YuSkeleton(stratum.beta.owner, tuple(degrees), depths, chunks, d,
-                    e_A, N, trivial_top=trivial_top)
+                    order.e_A, order.N, trivial_top=trivial_top,
+                    depth_zero=stratum.n == 0)
     if check:
         _check_genericity(stratum, yu)
         _check_presentations(stratum, yu)
@@ -133,14 +134,9 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     beta = real[0]
     for c in real[1:]:
         beta = beta + c
-    if yu.depth_zero:
-        return make_stratum(order, beta, r=0)
     st = make_stratum(order, beta, r=r)
-    stages = defining_sequence(st)
-    derived = [Fraction(stages[i + 1].r, order.e_A) for i in range(len(stages) - 1)]
-    derived.append(Fraction(st.n, order.e_A))
-    stated = yu.depths[:yu.d] if yu.trivial_top else yu.depths
-    stated = list(stated)
+    derived = _jump_depths(defining_sequence(st), st.n, order.e_A)
+    stated = yu.depths[:yu.d] if yu.trivial_top else list(yu.depths)
     if derived != stated:
         raise DomainError(f"stated depths {stated} disagree with derived {derived}",
                           clause="depth_mismatch")

@@ -33,10 +33,11 @@ from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice,
                                intersect_with_centralizer, lattice_index,
                                psi_witness, regular_rep, uniform_chain,
                                v_A_direct)
-from strata_kit.strata import (FiltDepth, GroupPresentation, OrderSkeleton,
-                               defining_sequence, depth_of_index, index_card,
-                               index_of_depth, k0, k_F, presentation_secherre,
-                               presentation_yu, standard_order, v_order)
+from strata_kit.strata import (STAB_MARKER, FiltDepth, GroupPresentation,
+                               OrderSkeleton, defining_sequence,
+                               depth_of_index, index_card, index_of_depth, k0,
+                               k_F, presentation_secherre, presentation_yu,
+                               standard_order, v_order)
 from strata_kit.strata import compare_presentations
 from strata_kit.tower import (INF, base_field, embeddings, extend,
                               apply_embedding, sr, subfield_generated,
@@ -390,27 +391,6 @@ def window_index(dep, e_A):
     return int(n0)
 
 
-def converted_factors(pres):
-    """(level, FiltDepth) for each raw factor; None depth = stabilizer."""
-    out = []
-    for lvl, rule, arg in pres.factors:
-        if rule == "Kfrak":
-            out.append((lvl, None))
-        elif rule == "U0B":
-            out.append((lvl, FiltDepth(Fraction(0), False)))
-        elif rule == "U1B":
-            out.append((lvl, FiltDepth(Fraction(0), True)))
-        elif rule == "half":
-            out.append((lvl, FiltDepth(Fraction(arg, 2 * pres.e_A), False)))
-        elif rule == "half_plus":
-            out.append((lvl, FiltDepth(Fraction(arg, 2 * pres.e_A), True)))
-        elif rule == "MP":
-            out.append((lvl, arg))
-        else:
-            raise AssertionError(rule)
-    return out
-
-
 def level_subfields(stratum):
     stages = defining_sequence(stratum)
     fields = [sg.level_field for sg in stages]
@@ -429,8 +409,8 @@ def lie_lattice(pres, fields, chain, base):
     factors skipped: they carry no Lie content)."""
     N = chain.N
     cols = []
-    for lvl, dep in converted_factors(pres):
-        if dep is None:
+    for lvl, dep in pres.factors:
+        if dep == STAB_MARKER:
             continue
         idx = window_index(dep, pres.e_A)
         sub = intersect_with_centralizer(centralizer_gens(fields[lvl], None),
@@ -517,7 +497,9 @@ def j1_presentation(stratum):
     """J cap U^1: the level-0 unit factor of J deepened to the principal
     units of the centralizer order."""
     _, j, _ = presentation_secherre(stratum)
-    factors = [(l, "U1B" if r == "U0B" else r, a) for l, r, a in j.factors]
+    zero = FiltDepth(Fraction(0), False)
+    factors = [(l, FiltDepth(Fraction(0), True) if (l, d) == (0, zero) else d)
+               for l, d in j.factors]
     return GroupPresentation("J1", j.tower_degrees, j.e_A, j.N, factors)
 
 
@@ -529,11 +511,9 @@ def pair_index_symbolic(yu, i, degs, e_A, N):
 
     def card(level):
         num = GroupPresentation("n", degs, e_A, N,
-                                [(level, "MP", FiltDepth(s, False)),
-                                 (top, "MP", deep)])
+                                [(level, FiltDepth(s, False)), (top, deep)])
         den = GroupPresentation("d", degs, e_A, N,
-                                [(level, "MP", FiltDepth(s, True)),
-                                 (top, "MP", deep)])
+                                [(level, FiltDepth(s, True)), (top, deep)])
         return index_card(num, den)
 
     return card(i) - card(i - 1)

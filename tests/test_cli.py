@@ -183,3 +183,70 @@ def test_unread_flags_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def datum(capsys, monkeypatch, stratum_doc):
+    code, out, _ = run(capsys, monkeypatch, ["stratum2yu"], stratum_doc)
+    assert code == 0
+    return json.loads(out)
+
+
+MINIMAL_STRATUM = dict(STRATUM, beta={"field": 1, "digits": [[-1, [1]]],
+                                      "prec": None})
+DEPTH_ZERO_STRATUM = {"tower": {"base_q": 5},
+                      "beta": {"field": 0, "digits": [[0, [2]]], "prec": None}}
+
+
+@pytest.mark.parametrize("stratum_doc,edits", [
+    (MINIMAL_STRATUM, {"depths": ["1/7", "1/7"], "depth_zero": True}),
+    (DEPTH_ZERO_STRATUM, {"depths": ["1/3"]}),
+])
+def test_depth_zero_datum_depths_are_checked(capsys, monkeypatch, stratum_doc,
+                                             edits):
+    yu = datum(capsys, monkeypatch, stratum_doc)
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, **edits})
+    assert code == 2 and out == ""
+    assert err.startswith("domain error [depth_mismatch]:")
+
+
+@pytest.mark.parametrize("edits", [
+    {"chunks": 7},
+    {"depths": 5},
+    {"depths": [1, 2]},
+    {"tower_degrees": 5},
+    {"tower_degrees": ["a", 1]},
+    {"trivial_top": "no"},
+    {"depth_zero": 1},
+])
+def test_malformed_datum_is_schema_error(capsys, monkeypatch, edits):
+    yu = datum(capsys, monkeypatch, STRATUM)
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, **edits})
+    assert code == 1 and out == ""
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+def test_negative_datum_length_is_domain_error(capsys, monkeypatch):
+    yu = datum(capsys, monkeypatch, STRATUM)
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"],
+                         {**yu, "d": -1, "depths": [], "tower_degrees": [],
+                          "chunks": []})
+    assert code == 2 and out == ""
+    assert err.startswith("domain error [negative_d]:")
+
+
+@pytest.mark.parametrize("cmd", ["groups", "indices", "stratum2yu"])
+def test_b_maximal_must_be_boolean(capsys, monkeypatch, cmd):
+    order = dict(STRATUM["order"], b_maximal="no")
+    code, out, err = run(capsys, monkeypatch, [cmd], dict(STRATUM, order=order))
+    assert code == 1 and out == ""
+    assert err == "schema error: b_maximal must be true or false, not 'no'\n"
+    del order["b_maximal"]          # a missing key keeps its default, true
+    code, _, _ = run(capsys, monkeypatch, [cmd], dict(STRATUM, order=order))
+    assert code == 0
+
+
+@pytest.mark.parametrize("cmd", ["groups", "indices", "stratum2yu"])
+def test_negative_r_is_domain_error(capsys, monkeypatch, cmd):
+    code, out, err = run(capsys, monkeypatch, [cmd], dict(STRATUM, r=-1))
+    assert code == 2 and out == ""
+    assert err == "domain error [negative_r]: stratum requires r >= 0, not -1\n"

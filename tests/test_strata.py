@@ -127,21 +127,21 @@ def test_presentations_running_example(running):
 def test_presentation_domination():
     # a deeper window at the same level is absorbed
     p = GroupPresentation("x", (2, 1), 2, 2,
-                          [(1, "MP", FiltDepth(Fraction(1, 4))),
-                           (1, "MP", FiltDepth(Fraction(1))),
-                           (0, "MP", FiltDepth(Fraction(0), True))])
+                          [(1, FiltDepth(Fraction(1, 4))),
+                           (1, FiltDepth(Fraction(1))),
+                           (0, FiltDepth(Fraction(0), True))])
     assert p.normal_form == [(0, FiltDepth(Fraction(0), True)),
                              (1, FiltDepth(Fraction(1, 4), False))]
     # a shallower window at a higher level absorbs lower levels
     p2 = GroupPresentation("y", (2, 1), 2, 2,
-                           [(0, "MP", FiltDepth(Fraction(1))),
-                            (1, "MP", FiltDepth(Fraction(1, 2)))])
+                           [(0, FiltDepth(Fraction(1))),
+                            (1, FiltDepth(Fraction(1, 2)))])
     assert p2.normal_form == [(1, FiltDepth(Fraction(1, 2), False))]
 
 
 def test_compare_presentations_tower_mismatch():
-    a = GroupPresentation("a", (2, 1), 2, 2, [(0, "MP", FiltDepth(Fraction(0)))])
-    b = GroupPresentation("b", (4, 1), 2, 2, [(0, "MP", FiltDepth(Fraction(0)))])
+    a = GroupPresentation("a", (2, 1), 2, 2, [(0, FiltDepth(Fraction(0)))])
+    b = GroupPresentation("b", (4, 1), 2, 2, [(0, FiltDepth(Fraction(0)))])
     with pytest.raises(DomainError) as exc:
         compare_presentations(a, b)
     assert str(exc.value) == "tower mismatch: {'a': (2, 1), 'b': (4, 1)}"
@@ -150,18 +150,18 @@ def test_compare_presentations_tower_mismatch():
 
 def test_index_card_frozen_examples():
     # (U^1 : U^2) in the 2x2 algebra with period 1 is q^4
-    u1 = GroupPresentation("U1", (1,), 1, 2, [(0, "MP", FiltDepth(Fraction(1)))])
-    u2 = GroupPresentation("U2", (1,), 1, 2, [(0, "MP", FiltDepth(Fraction(2)))])
+    u1 = GroupPresentation("U1", (1,), 1, 2, [(0, FiltDepth(Fraction(1)))])
+    u2 = GroupPresentation("U2", (1,), 1, 2, [(0, FiltDepth(Fraction(2)))])
     assert index_card(u1, u2) == 4
     # full-lattice vs radical with period 2 in the 2x2 algebra is q^2
-    p0 = GroupPresentation("P0", (1,), 2, 2, [(0, "MP", FiltDepth(Fraction(0)))])
-    p1 = GroupPresentation("P1", (1,), 2, 2, [(0, "MP", FiltDepth(Fraction(1, 2)))])
+    p0 = GroupPresentation("P0", (1,), 2, 2, [(0, FiltDepth(Fraction(0)))])
+    p1 = GroupPresentation("P1", (1,), 2, 2, [(0, FiltDepth(Fraction(1, 2)))])
     assert index_card(p0, p1) == 2
 
 
 def test_index_card_rejects_non_inclusion():
-    a = GroupPresentation("a", (1,), 1, 2, [(0, "MP", FiltDepth(Fraction(2)))])
-    b = GroupPresentation("b", (1,), 1, 2, [(0, "MP", FiltDepth(Fraction(1)))])
+    a = GroupPresentation("a", (1,), 1, 2, [(0, FiltDepth(Fraction(2)))])
+    b = GroupPresentation("b", (1,), 1, 2, [(0, FiltDepth(Fraction(1)))])
     with pytest.raises(DomainError):
         index_card(a, b)
 
