@@ -15,7 +15,7 @@ from .errors import DomainError
 from .residue import SIZE_CAP, make_field
 from .strata import StratumSkeleton, make_stratum, standard_order
 from .tower import (INF, TameElement, TameField, base_field, coerce, extend,
-                    subfield_generated)
+                    monomial_degree)
 
 Q_CHOICES = (3, 5, 9)
 MAX_DEGREE = 8      # largest [E:F] of a random tower
@@ -94,7 +94,7 @@ def generating_monomial(rng: random.Random, level: TameField,
     for a in order[:24]:
         digit = level.residue.gen_power(a)
         x = coerce(level.monomial(v_lvl, digit), ambient)
-        if subfield_generated([x], ambient).degree == level.degree:
+        if monomial_degree(x) == level.degree:
             return x
     return None
 

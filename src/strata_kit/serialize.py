@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 from .residue import make_field
 from .strata import OrderSkeleton, StratumSkeleton, make_stratum
 from .tower import INF, TameElement, TameField, base_field, extend
@@ -33,8 +33,10 @@ def rational_from_str(s: str) -> Fraction:
 
 
 def _int(value, what: str) -> int:
-    """``value`` as an int; SchemaError for bools and for what int() rejects."""
-    if not isinstance(value, bool):
+    """``value`` as an int; SchemaError for bools, for numbers with a
+    fractional part and for what int() rejects."""
+    if not isinstance(value, bool) and not (isinstance(value, float)
+                                            and not value.is_integer()):
         try:
             return int(value)
         except (TypeError, ValueError, OverflowError):
@@ -146,7 +148,17 @@ def stratum_from_json(obj, default_prec=None) -> StratumSkeleton:
                           e_A=_int(ospec.get("e_A", E.e_abs), "order e_A"),
                           pure_over=E,
                           b_maximal=_bool(ospec, "b_maximal", True))
-    return make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
+    st = make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
+    if "n" in obj and _int(obj["n"], "n") != st.n:
+        raise DomainError(f"stated n = {obj['n']} disagrees with the derived "
+                          f"n = -v_A(beta) = {st.n}", clause="n_mismatch")
+    if "kind" in obj:
+        if not isinstance(obj["kind"], str):
+            raise SchemaError(f"kind must be a string, not {obj['kind']!r}")
+        if obj["kind"] != st.kind:
+            raise DomainError(f"stated kind {obj['kind']!r} disagrees with the "
+                              f"derived kind {st.kind!r}", clause="kind_mismatch")
+    return st
 
 
 def yu_to_json(yu) -> dict:

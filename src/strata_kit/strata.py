@@ -51,6 +51,10 @@ class OrderSkeleton:
             raise DomainError("e(E/F) must divide e_A for an E-pure order")
         if self.N % self.pure_over.degree != 0:
             raise DomainError("[E:F] must divide N = m*d")
+        if self.N % self.e_A != 0:
+            raise DomainError(f"the period e_A = {self.e_A} of a principal order "
+                              f"must divide N = m*d = {self.N}",
+                              clause="period_not_dividing_N")
 
     @property
     def N(self) -> int:

@@ -678,6 +678,26 @@ class Subfield:
         return f"Subfield(deg={self.degree} of {self.ambient!r})"
 
 
+def monomial_degree(x: TameElement) -> int:
+    """[F[x]:F] for an exact monomial x = a*pi^v of its owner E, in closed form.
+
+    Under an embedding h of E into its splitting field L, the single image
+    digit of x has discrete log  (dlog(a)*h.res_scale + v*h.mu_dlog) mod
+    (q_L - 1), so the degree is the number of distinct such integers over
+    the [E:F] embeddings: the degree of ``subfield_generated([x], E)``,
+    found without building images or a Subfield.  Exact single-digit
+    elements only: anything else raises DomainError.
+    """
+    if len(x.digits) != 1 or x.prec is not INF:
+        raise DomainError("monomial_degree needs an exact single-digit element",
+                          clause="not_exact_monomial")
+    (v, a), = x.digits.items()
+    L, homs = _splitting_data(x.owner)
+    ML = L.residue.q - 1
+    d = x.owner.residue.dlog(a)
+    return len({(d * h.res_scale + v * h.mu_dlog) % ML for h in homs})
+
+
 def subfield_generated(S, ambient: TameField) -> Subfield:
     """The subfield of the ambient field generated by the elements of S."""
     return Subfield(ambient, list(S))

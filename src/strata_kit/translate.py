@@ -58,6 +58,12 @@ def _jump_depths(stages, n: int, e_A: int) -> list:
     return [Fraction(st.r, e_A) for st in stages[1:]] + [Fraction(n, e_A)]
 
 
+def _datum_degrees(fac) -> tuple:
+    """Tower degrees of a datum: the chunk fields' degrees, ending at the base."""
+    degrees = tuple(f.degree for f in fac.fields)
+    return degrees if degrees[-1] == 1 else degrees + (1,)
+
+
 def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     """Stratum -> tower datum.
 
@@ -70,18 +76,13 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     fac = stratum.fac
     order = stratum.order
     depths = _jump_depths(defining_sequence(stratum), stratum.n, order.e_A)
-    degrees = [f.degree for f in fac.fields]
+    degrees = _datum_degrees(fac)
     chunks = list(fac.chunks)
-    if degrees[-1] == 1:
-        d = fac.s
-        trivial_top = False
-    else:
-        d = fac.s + 1
-        degrees.append(1)
+    trivial_top = len(degrees) > len(fac.fields)
+    if trivial_top:
         depths.append(depths[-1])
         chunks.append(None)
-        trivial_top = True
-    yu = YuSkeleton(stratum.beta.owner, tuple(degrees), depths, chunks, d,
+    yu = YuSkeleton(stratum.beta.owner, degrees, depths, chunks, len(degrees) - 1,
                     order.e_A, order.N, trivial_top=trivial_top,
                     depth_zero=stratum.n == 0)
     if check:
@@ -124,7 +125,8 @@ def _check_presentations(stratum: StratumSkeleton, yu: YuSkeleton):
 def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     """Tower datum -> stratum: beta is the sum of the realizing chunks,
     n = -v_order(beta), and the jump sequence is re-derived and checked
-    against the stated depths."""
+    against the stated depths, as are the stated tower degrees, N = [E:F]
+    and depth-zero flag."""
     real = [c for c in yu.chunks if c is not None]
     if not real:
         raise DomainError("datum carries no realizing chunks")
@@ -140,6 +142,17 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     if derived != stated:
         raise DomainError(f"stated depths {stated} disagree with derived {derived}",
                           clause="depth_mismatch")
+    degrees = _datum_degrees(st.fac)
+    if tuple(yu.tower_degrees) != degrees:
+        raise DomainError(f"stated tower degrees {list(yu.tower_degrees)} disagree "
+                          f"with derived {list(degrees)}",
+                          clause="tower_degrees_mismatch")
+    if yu.N != order.N:
+        raise DomainError(f"stated N = {yu.N} disagrees with [E:F] = {order.N}",
+                          clause="N_mismatch")
+    if yu.depth_zero != (st.n == 0):
+        raise DomainError(f"stated depth_zero = {yu.depth_zero} disagrees with "
+                          f"n = {st.n}", clause="depth_zero_mismatch")
     return st
 
 

@@ -250,3 +250,52 @@ def test_negative_r_is_domain_error(capsys, monkeypatch, cmd):
     code, out, err = run(capsys, monkeypatch, [cmd], dict(STRATUM, r=-1))
     assert code == 2 and out == ""
     assert err == "domain error [negative_r]: stratum requires r >= 0, not -1\n"
+
+
+@pytest.mark.parametrize("edits,clause", [
+    ({"tower_degrees": [7, 1]}, "tower_degrees_mismatch"),
+    ({"N": 99}, "N_mismatch"),
+    ({"depth_zero": True}, "depth_zero_mismatch"),
+])
+def test_datum_keys_are_checked_against_chunks(capsys, monkeypatch, edits,
+                                               clause):
+    yu = datum(capsys, monkeypatch, STRATUM)
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, **edits})
+    assert code == 2 and out == ""
+    assert err.startswith(f"domain error [{clause}]:")
+
+
+def test_fractional_numbers_are_schema_errors(capsys, monkeypatch):
+    yu = datum(capsys, monkeypatch, STRATUM)
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, "d": 1.5})
+    assert code == 1 and out == ""
+    assert err == "schema error: d must be an integer, not 1.5\n"
+    code, out, err = run(capsys, monkeypatch, ["groups"], dict(STRATUM, r=0.7))
+    assert code == 1 and out == ""
+    assert err == "schema error: r must be an integer, not 0.7\n"
+    # integral numbers keep their output
+    for cmd, doc, edited in (("yu2stratum", yu, {**yu, "d": 1.0}),
+                             ("groups", STRATUM, dict(STRATUM, r=0.0))):
+        assert run(capsys, monkeypatch, [cmd], edited) == \
+            run(capsys, monkeypatch, [cmd], doc)
+
+
+@pytest.mark.parametrize("edits,clause", [
+    ({"n": 1000000000}, "n_mismatch"),
+    ({"kind": "pure"}, "kind_mismatch"),
+    ({"order": dict(STRATUM["order"], m=8, e_A=400000000)},
+     "period_not_dividing_N"),
+])
+def test_stated_stratum_data_is_checked(capsys, monkeypatch, edits, clause):
+    code, out, err = run(capsys, monkeypatch, ["groups"], {**STRATUM, **edits})
+    assert code == 2 and out == ""
+    assert err.startswith(f"domain error [{clause}]:")
+
+
+def test_stated_stratum_data_that_agrees_is_accepted(capsys, monkeypatch):
+    stated = dict(STRATUM, n=4, kind="simple")
+    assert run(capsys, monkeypatch, ["groups"], stated) == \
+        run(capsys, monkeypatch, ["groups"], STRATUM)
+    code, out, err = run(capsys, monkeypatch, ["groups"], dict(STRATUM, kind=3))
+    assert code == 1 and out == ""
+    assert err == "schema error: kind must be a string, not 3\n"

@@ -41,6 +41,9 @@ def test_order_validation():
         OrderSkeleton(m=1, d=1, e_A=3, pure_over=E)     # e(E/F)=2 does not divide 3
     with pytest.raises(DomainError):
         OrderSkeleton(m=1, d=2, e_A=3, pure_over=F)     # d does not divide e_A
+    with pytest.raises(DomainError) as err:
+        OrderSkeleton(m=2, d=1, e_A=4, pure_over=E)     # e_A does not divide N
+    assert err.value.clause == "period_not_dividing_N"
 
 
 def test_v_order(running):

@@ -373,3 +373,33 @@ def test_exact_product_serializes(E_ram2):
     doc = element_to_json(x, E_ram2)
     assert doc["prec"] is None
     assert element_from_json(doc, E_ram2).equals(x)
+
+
+# -- closed-form degree of a monomial -----------------------------------------
+
+def test_monomial_degree_matches_subfield_generated():
+    import random
+
+    from strata_kit.tower import monomial_degree
+    rng = random.Random(12)
+    checked = 0
+    for E in _fuzzed_towers(12, 100):
+        for level in E.levels:
+            n = level.residue.q - 1
+            digits = {0, 1, n - 1} | set(rng.sample(range(n), min(n, 5)))
+            for v in range(-3, 4):
+                for a in sorted(digits):
+                    x = coerce(level.monomial(v, level.residue.gen_power(a)), E)
+                    assert monomial_degree(x) == subfield_generated([x], E).degree
+                    checked += 1
+    assert checked > 5000
+
+
+def test_monomial_degree_rejects_non_monomials(E_ram2):
+    from strata_kit.tower import monomial_degree
+    for x in (mono(E_ram2, -1) + mono(E_ram2, 2),
+              TameElement(E_ram2, {-1: E_ram2.residue.one}, 10),
+              E_ram2.zero(prec=INF)):
+        with pytest.raises(DomainError) as err:
+            monomial_degree(x)
+        assert err.value.clause == "not_exact_monomial"
