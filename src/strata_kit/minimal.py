@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, PrecisionError
-from .tower import (INF, Subfield, TameElement, TameField, apply_embedding,
-                    sr, tower_subfield)
+from .tower import INF, Subfield, TameElement, TameField, sr, tower_subfield
 
 
 def as_subfield(base, ambient: TameField) -> Subfield:
@@ -41,27 +41,29 @@ def as_subfield(base, ambient: TameField) -> Subfield:
 # minimality
 # ---------------------------------------------------------------------------
 
-def separating_pairs(images, small: Subfield, big: Subfield):
+def separating_pairs(Ec: Subfield, small: Subfield, big: Subfield):
     """The embedding-pair table behind criterion 3 and GE1.
 
-    ``images[i]`` is the image of an element c under ambient embedding i.
-    Returns ``[((i, j), ord(images[i] - images[j])), ...]`` over the pairs
-    i < j that agree on ``small`` but not on ``big``; the ord is None for an
-    exact zero difference.
+    Returns ``[((i, j), ord(sigma_i(c) - sigma_j(c))), ...]`` over the pairs
+    i < j that agree on ``small`` but not on ``big``, where c is the last
+    generator of ``Ec``.  The ord is the least valuation where c's image
+    keys differ, decided below ``Ec.cut``: None when they agree and the cut
+    is infinite (an exact zero), :class:`PrecisionError` when they agree
+    below a finite cut.
     """
+    images = [row[-1] for row in Ec.restriction_keys]
+    small_keys, big_keys = small.restriction_keys, big.restriction_keys
     table = []
-    n = len(images)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not small.same_restriction(i, j) or big.same_restriction(i, j):
-                continue
-            diff = images[i] - images[j]
-            if not diff.digits:
-                if diff.prec is not INF:
-                    raise PrecisionError("embedding difference is zero to precision")
-                table.append(((i, j), None))
-            else:
-                table.append(((i, j), diff.ord()))
+    for i, j in combinations(range(len(images)), 2):
+        if small_keys[i] != small_keys[j] or big_keys[i] == big_keys[j]:
+            continue
+        diff = set(images[i]).symmetric_difference(images[j])
+        if diff:
+            table.append(((i, j), Fraction(min(diff)[0], Ec.ambient.e_abs)))
+        elif Ec.cut is INF:
+            table.append(((i, j), None))
+        else:
+            raise PrecisionError("embedding difference is zero to precision")
     return table
 
 
@@ -133,8 +135,7 @@ def is_minimal(c: TameElement, base) -> MinimalityReport:
     c_ord = c.ord()
     violations = [{"pair": pair, "ord": None if d_ord is None else str(d_ord),
                    "expected": str(c_ord)}
-                  for pair, d_ord in separating_pairs([row[-1] for row in Ec.images],
-                                                      base_sub, Ec)
+                  for pair, d_ord in separating_pairs(Ec, base_sub, Ec)
                   if d_ord != c_ord]
     crit3 = not violations
     if violations:
@@ -349,13 +350,12 @@ def is_generic(c: TameElement, levels) -> GenericityReport:
         raise DomainError("element does not lie in the bigger level E'")
     c_ord = c.ord()
     depth = -c_ord
-    pairs = separating_pairs([apply_embedding(h, c) for h in Eprime.homs],
-                             Esmall, Eprime)
+    Ec = Esmall.adjoin(c)
+    pairs = separating_pairs(Ec, Esmall, Eprime)
     ge1 = all(d_ord == c_ord for _, d_ord in pairs)
     table = [{"pair": pair, "ord": None if d_ord is None else str(d_ord)}
              for pair, d_ord in pairs]
     rep = is_minimal(c, Esmall)
-    Ec = Esmall.adjoin(c)
     generates = Ec.degree == Eprime.degree
     minimal_consensus = rep.agree() and rep.minimal
     return GenericityReport(c, Eprime, Esmall, depth, ge1,

@@ -18,6 +18,10 @@ from .tower import INF, TameElement, TameField, base_field, extend
 
 SCHEMA = "strata-kit/v1"
 
+#: most digits one element document, or all chunks of one datum together,
+#: may list; work grows with the digit count, so this bounds one document
+MAX_DIGITS = 256
+
 
 def rational_str(x) -> str:
     x = Fraction(x)
@@ -56,6 +60,12 @@ def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{what} must be a list, not {value!r}")
     return value
+
+
+def _check_digit_count(count: int) -> None:
+    if count > MAX_DIGITS:
+        raise DomainError(f"{count} digits exceed the cap of {MAX_DIGITS} per document",
+                          clause="too_many_digits")
 
 
 def _coords(coords, f: int) -> list:
@@ -106,6 +116,7 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
     owner = levels[idx]
     if not isinstance(obj["digits"], list):
         raise SchemaError("digits must be [valuation, coords] pairs")
+    _check_digit_count(len(obj["digits"]))
     digits = {}
     for pair in obj["digits"]:
         if (not isinstance(pair, list) or len(pair) != 2
@@ -184,8 +195,10 @@ def yu_from_json(obj, default_prec=None):
         if key not in obj:
             raise SchemaError(f"datum document needs {key}")
     E = tower_from_json(obj["tower"])
+    chunk_docs = _list(obj["chunks"], "chunks")
     chunks = [None if c is None else element_from_json(c, E, default_prec)
-              for c in _list(obj["chunks"], "chunks")]
+              for c in chunk_docs]
+    _check_digit_count(sum(len(c["digits"]) for c in chunk_docs if c is not None))
     depths = [rational_from_str(s) for s in _list(obj["depths"], "depths")]
     degrees = _list(obj.get("tower_degrees", [E.degree] * (len(depths) - 1) + [1]),
                     "tower_degrees")

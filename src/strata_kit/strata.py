@@ -55,6 +55,11 @@ class OrderSkeleton:
             raise DomainError(f"the period e_A = {self.e_A} of a principal order "
                               f"must divide N = m*d = {self.N}",
                               clause="period_not_dividing_N")
+        e_prime = self.e_A // e_field
+        if self.d == 1 and (self.N // self.pure_over.degree) % e_prime != 0:
+            raise DomainError(f"an E-pure order needs e_A / e(E/F) = {e_prime} to "
+                              f"divide N / [E:F] = {self.N // self.pure_over.degree}",
+                              clause="order_not_pure")
 
     @property
     def N(self) -> int:

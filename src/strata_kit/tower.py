@@ -320,10 +320,6 @@ class TameElement:
                     f"{guard} certain digits beyond the leading term")
         return True
 
-    def freeze(self, cut):
-        """Hashable key of the digits below ``cut`` (for set membership)."""
-        return tuple(sorted((v, a.coords) for v, a in self.digits.items() if v < cut))
-
     def __repr__(self):
         terms = ", ".join(f"{v}:{list(a.coords)}" for v, a in sorted(self.digits.items()))
         return f"<{terms} | prec={self.prec} @ {self.owner!r}>"
@@ -390,12 +386,6 @@ class Embedding:
         self.mu_dlog = kL.dlog(mu)
         frob = pow(kL.p, (source.base_f * frob_exp) % kL.f, order)
         self.res_scale = (order // (kE.q - 1)) * frob % order
-
-    def residue_image(self, a: FqElem) -> FqElem:
-        """tau_j(embed(a)) for a digit a of the source residue field."""
-        if a.is_zero():
-            return self.target.residue.zero
-        return self.target.residue.gen_power(self.source.residue.dlog(a) * self.res_scale)
 
     def is_identity_like(self) -> bool:
         return self.frob_exp == 0 and self.mu_dlog == 0
@@ -468,6 +458,17 @@ def _enumerate_embeddings(E: TameField, L: TameField):
     return homs
 
 
+def _image_key(sigma: Embedding, x: TameElement, cut=INF) -> tuple:
+    """The digits of sigma(x) below ``cut`` as sorted ``(v, dlog)`` pairs,
+    for x owned by sigma's source: equal keys mean equal images below
+    ``cut``, and two keys first differ at the valuation of the difference."""
+    dlog = sigma.source.residue.dlog
+    scale, mu_dlog = sigma.res_scale, sigma.mu_dlog
+    order = sigma.target.residue.q - 1
+    return tuple(sorted((v, (dlog(a) * scale + v * mu_dlog) % order)
+                        for v, a in x.digits.items() if v < cut))
+
+
 def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
     """Digit-wise image: a pi^v  ->  tau(a) mu^v pi_L^v."""
     if x.owner is not sigma.source:
@@ -476,12 +477,8 @@ def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
         else:
             raise DomainError("element is not owned by the embedding's source")
     gen_power = sigma.target.residue.gen_power
-    dlog = sigma.source.residue.dlog
-    scale, mu_dlog = sigma.res_scale, sigma.mu_dlog
-    digits = {}
-    for v, a in x.digits.items():
-        digits[v] = gen_power(dlog(a) * scale + v * mu_dlog)
-    return TameElement(sigma.target, digits, x.prec)
+    return TameElement(sigma.target, {v: gen_power(d) for v, d in _image_key(sigma, x)},
+                       x.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +505,9 @@ class Subfield:
     uniformizing monomial) are recovered from the stabilizer by discrete-log
     congruence solving.
 
-    Incremental invariant: ``images[i][k]`` is generator k under ambient
-    embedding i, ``cut`` is the least generator precision and
-    ``restriction_keys[i]`` freezes row i of ``images`` below ``cut``.  The
+    Incremental invariant: ``cut`` is the least generator precision and
+    ``restriction_keys[i][k]`` is ``_image_key(homs[i], generator k, cut)``,
+    the image of generator k under ambient embedding i below ``cut``.  The
     constructor adjoins its generators one at a time, and :meth:`adjoin`
     embeds only the new generator, so ``K.adjoin(x)`` has the degree,
     stabilizer and keys of ``subfield_generated(K.generators + [x])`` and
@@ -518,7 +515,7 @@ class Subfield:
     is immutable apart from its lazily resolved invariants.
     """
 
-    __slots__ = ("ambient", "generators", "splitting", "homs", "images", "cut",
+    __slots__ = ("ambient", "generators", "splitting", "homs", "cut",
                  "degree", "stabilizer", "restriction_keys", "_invariants")
 
     def __init__(self, ambient: TameField, generators):
@@ -527,7 +524,6 @@ class Subfield:
         self.splitting, self.homs = _splitting_data(ambient)
         n = len(self.homs)
         self.generators = []
-        self.images = [()] * n
         self.cut = INF
         self.restriction_keys = [()] * n
         self.degree = 1
@@ -547,9 +543,7 @@ class Subfield:
     def _push(self, x: TameElement):
         """Append x as the last generator.  Rebinds, never mutates, the
         per-generator lists, which copies made by :meth:`adjoin` share."""
-        column = [apply_embedding(h, x) for h in self.homs]
         self.generators = self.generators + [x]
-        self.images = [row + (img,) for row, img in zip(self.images, column)]
         cut = min(self.cut, x.prec)
         dropped = cut < self.cut
         if cut is not INF:
@@ -562,11 +556,11 @@ class Subfield:
                 if cut - lead < GUARD_DIGITS:
                     raise PrecisionError(
                         "precision too low to separate embeddings on a generator")
+        keys = self.restriction_keys
         if dropped:
-            keys = [tuple(img.freeze(cut) for img in row) for row in self.images]
-        else:
-            keys = [key + (img.freeze(cut),)
-                    for key, img in zip(self.restriction_keys, column)]
+            keys = [tuple(tuple(d for d in key if d[0] < cut) for key in row)
+                    for row in keys]
+        keys = [row + (_image_key(h, x, cut),) for row, h in zip(keys, self.homs)]
         self.cut = cut
         self.restriction_keys = keys
         self.degree = len(set(keys))
@@ -579,30 +573,21 @@ class Subfield:
             if not x.owner.is_ancestor_of(self.ambient):
                 raise DomainError("element does not live in the ambient field")
             x = coerce(x, self.ambient)
-        ref = apply_embedding(self.homs[self.stabilizer[0]], x)
-        for i in self.stabilizer[1:]:
-            if not apply_embedding(self.homs[i], x).equals(ref, guard=0):
-                return False
-        return True
-
-    def same_restriction(self, i: int, j: int) -> bool:
-        """Whether ambient embeddings i and j agree on this subfield."""
-        return self.restriction_keys[i] == self.restriction_keys[j]
+        ref = _image_key(self.homs[self.stabilizer[0]], x)
+        return all(_image_key(self.homs[i], x) == ref for i in self.stabilizer[1:])
 
     # -- numerical invariants ----------------------------------------------
 
     def _monomial_congruences(self, v: int):
-        """Congruences for dlog(a) making a*pi^v fixed by the stabilizer."""
-        kL = self.splitting.residue
-        ML = kL.q - 1
-        Mamb = self.ambient.residue.q - 1
-        kappa = ML // Mamb
-        Q = self.ambient.base().q
+        """Congruences for dlog(a) making a*pi^v fixed by the stabilizer:
+        its image key under each h there equals the one under ``homs[0]``."""
+        ML = self.splitting.residue.q - 1
+        h0 = self.homs[0]
         sol = (0, 1)
         for i in self.stabilizer:
             h = self.homs[i]
-            a_i = (kappa * (pow(Q, h.frob_exp, ML) - 1)) % ML
-            b_i = (-v * h.mu_dlog) % ML
+            a_i = (h.res_scale - h0.res_scale) % ML
+            b_i = (-v * (h.mu_dlog - h0.mu_dlog)) % ML
             g = gcd(a_i, ML)
             if b_i % g != 0:
                 return None
@@ -718,8 +703,3 @@ def tower_subfield(level: TameField, ambient: TameField) -> Subfield:
         K = Subfield(ambient, [level.residue_gen_elem(), level.uniformizer()])
         ambient._subfields[level] = K
     return K
-
-
-def prime_subfield(ambient: TameField) -> Subfield:
-    """The base field F, as a Subfield of the ambient field."""
-    return Subfield(ambient, [])

@@ -299,3 +299,39 @@ def test_stated_stratum_data_that_agrees_is_accepted(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["groups"], dict(STRATUM, kind=3))
     assert code == 1 and out == ""
     assert err == "schema error: kind must be a string, not 3\n"
+
+
+UNRAMIFIED_STRATUM = {"tower": {"base_q": 3, "levels": [{"f": 2, "e": 1, "twist": [1]}]},
+                      "beta": {"field": 1, "digits": [[-1, [0, 1]]], "prec": None},
+                      "order": {"m": 2, "d": 1, "e_A": 2}}
+
+
+def test_order_must_be_pure(capsys, monkeypatch):
+    # e_A / e(E/F) = 2 does not divide N / [E:F] = 1
+    code, out, err = run(capsys, monkeypatch, ["groups"], UNRAMIFIED_STRATUM)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error [order_not_pure]:")
+    pure = dict(UNRAMIFIED_STRATUM, order=dict(UNRAMIFIED_STRATUM["order"], e_A=1))
+    code, out, _ = run(capsys, monkeypatch, ["groups"], pure)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("count,code", [(256, 0), (257, 2)])
+def test_element_digit_count_is_capped(capsys, monkeypatch, count, code):
+    element = {"field": 1, "digits": [[v, [1]] for v in range(count)], "prec": None}
+    got, out, err = run(capsys, monkeypatch, ["expand"],
+                        {"tower": TOWER, "element": element})
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("domain error [too_many_digits]:")
+
+
+def test_datum_digit_count_is_capped_over_all_chunks(capsys, monkeypatch):
+    yu = datum(capsys, monkeypatch, STRATUM)
+    chunks = [dict(c, digits=c["digits"] + [[v, [1]] for v in range(100, 229)])
+              for c in yu["chunks"]]
+    assert all(len(c["digits"]) <= 256 for c in chunks)
+    assert sum(len(c["digits"]) for c in chunks) > 256
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, "chunks": chunks})
+    assert code == 2 and out == ""
+    assert err.startswith("domain error [too_many_digits]:")

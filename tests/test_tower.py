@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from strata_kit.errors import DomainError, PrecisionError
 from strata_kit.tower import (DEFAULT_PREC, INF, TameElement, apply_embedding,
                               base_field, coerce, embeddings, extend,
-                              prime_subfield, splitting_field, sr,
-                              subfield_generated, tower_subfield, whole_field)
+                              splitting_field, sr, subfield_generated,
+                              tower_subfield, whole_field)
 
 
 def mono(E, v, a=0):
@@ -135,7 +135,7 @@ def test_embeddings_respect_uniformizer_relation():
     t_img = L.from_base_t_power(1)
     for s in embeddings(E):
         img = apply_embedding(s, E.uniformizer())
-        tw = TameElement(L, {0: s.residue_image(E.twist)}, INF)
+        tw = apply_embedding(s, TameElement(E, {0: E.twist}, INF))
         assert ((img ** 4) * tw).equals(t_img)
 
 
@@ -146,7 +146,8 @@ def test_identity_like_embedding_first(towers):
 
 def test_embeddings_are_distinct(E_ram2):
     pi = E_ram2.uniformizer()
-    images = [apply_embedding(s, pi).freeze(8) for s in embeddings(E_ram2)]
+    images = [tuple(sorted(apply_embedding(s, pi).digits.items()))
+              for s in embeddings(E_ram2)]
     assert len(set(images)) == len(images)
 
 
@@ -160,7 +161,7 @@ def test_subfield_invariants_two_level_tower():
     assert whole.signature() == (4, 2, 2)
     lower = tower_subfield(U, E)
     assert lower.signature() == (2, 1, 2)
-    assert prime_subfield(E).signature() == (1, 1, 1)
+    assert subfield_generated([], E).signature() == (1, 1, 1)
 
 
 def test_subfield_generated_and_contains(E_ram2, F3):
@@ -274,6 +275,25 @@ def test_only_tower_module_walks_parent_pointers():
     assert readers == []
 
 
+def test_only_tower_module_embeds_elements():
+    """Images of elements are computed in ``tower`` alone; every other
+    module reads them as ``Subfield.restriction_keys``."""
+    import ast
+    import pathlib
+
+    import strata_kit
+    users = []
+    for path in sorted(pathlib.Path(strata_kit.__file__).parent.glob("*.py")):
+        if path.name == "tower.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "apply_embedding"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("apply_embedding", "images")):
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
+
+
 # -- incremental subfields -----------------------------------------------------
 
 def _adjoin_cases(seed, count):
@@ -318,6 +338,54 @@ def test_adjoin_matches_rebuild(seed):
         assert got.restriction_keys == ref.restriction_keys
         assert got.signature() == ref.signature()
     assert raised                       # the precision guard was exercised
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_key_table_matches_embedded_images(seed):
+    """Differential: the key table against images built by apply_embedding,
+    and separating_pairs against ords of image differences."""
+    from strata_kit.minimal import separating_pairs
+
+    def reference_pairs(Ec, small, big, c):
+        images = [apply_embedding(h, c) for h in Ec.homs]
+        out = []
+        for i in range(len(images)):
+            for j in range(i + 1, len(images)):
+                if (small.restriction_keys[i] != small.restriction_keys[j]
+                        or big.restriction_keys[i] == big.restriction_keys[j]):
+                    continue
+                diff = images[i] - images[j]
+                exact_zero = not diff.digits and diff.prec is INF
+                out.append(((i, j), None if exact_zero else diff.ord()))
+        return out
+
+    pairs = zeros = raised = 0
+    for E, _, c in _adjoin_cases(seed, 60):
+        for level in E.levels:
+            small = tower_subfield(level, E)
+            try:
+                Ec = small.adjoin(c)
+            except PrecisionError:
+                continue
+            kL = Ec.splitting.residue
+            for h, row in zip(Ec.homs, Ec.restriction_keys):
+                assert list(row) == [
+                    tuple(sorted((v, kL.dlog(a))
+                                 for v, a in apply_embedding(h, g).digits.items()
+                                 if v < Ec.cut))
+                    for g in Ec.generators]
+            for big in (Ec, whole_field(E)):
+                try:
+                    want = reference_pairs(Ec, small, big, c)
+                except PrecisionError:
+                    raised += 1
+                    with pytest.raises(PrecisionError):
+                        separating_pairs(Ec, small, big)
+                    continue
+                assert separating_pairs(Ec, small, big) == want
+                pairs += len(want)
+                zeros += sum(d is None for _, d in want)
+    assert pairs and zeros and raised    # every branch was exercised
 
 
 def test_adjoin_precision_drop_rechecks_old_generators(E_ram2):
