@@ -23,6 +23,9 @@ from .tower import sr, tower_subfield, embeddings as field_embeddings, splitting
 from . import fuzz as fuzzmod
 from . import serialize as ser
 
+#: Largest working precision that ``--prec`` or ``STRATA_KIT_PREC`` may set.
+MAX_PREC = 4096
+
 SCHEMA_DOC = {
     "schema": ser.SCHEMA,
     "tower": {"base_q": "int (prime power)",
@@ -39,6 +42,19 @@ SCHEMA_DOC = {
     "rationals": "strings 'a/b'",
     "depths": {"value": "a/b", "plus": "bool"},
 }
+
+
+def _prec_setting(text: str) -> int:
+    """The working precision named by ``--prec`` or ``STRATA_KIT_PREC``:
+    an integer from 1 to :data:`MAX_PREC`."""
+    try:
+        prec = int(text)
+    except ValueError:
+        prec = 0
+    if not 1 <= prec <= MAX_PREC:
+        raise SchemaError("--prec / STRATA_KIT_PREC must be an integer from 1 "
+                          f"to {MAX_PREC}, got {text!r}")
+    return prec
 
 
 def _read_doc(args):
@@ -259,9 +275,10 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="strata-kit",
         description="Exact tame local-field and stratum calculus over GF(q)((t)).")
-    parser.add_argument("--prec", type=int,
-                        default=int(os.environ.get("STRATA_KIT_PREC", "64")),
-                        help="default precision for elements without one")
+    parser.add_argument("--prec",
+                        default=os.environ.get("STRATA_KIT_PREC", "64"),
+                        help="default precision for elements without one "
+                             f"(1 to {MAX_PREC})")
     parser.add_argument("--schema", action="store_true",
                         help="print the JSON schema sketch and exit")
     sub = parser.add_subparsers(dest="cmd")
@@ -313,6 +330,7 @@ def main(argv=None) -> int:
     parser, handlers = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.prec = _prec_setting(args.prec)
         if args.schema:
             _emit(SCHEMA_DOC)
             return 0

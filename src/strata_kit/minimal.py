@@ -100,9 +100,13 @@ def is_minimal(c: TameElement, base) -> MinimalityReport:
     if not c.digits:
         raise (DomainError("minimality of zero is undefined") if c.prec is INF
                else PrecisionError("element is zero to precision"))
-    ambient = c.owner
-    base_sub = as_subfield(base, ambient)
-    Ec = base_sub.adjoin(c)
+    base_sub = as_subfield(base, c.owner)
+    return _minimality(c, base_sub, base_sub.adjoin(c))
+
+
+def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityReport:
+    """The three criteria for a nonzero c, given ``Ec = base_sub.adjoin(c)``
+    already built by the caller."""
     in_base = Ec.degree == base_sub.degree
     witnesses = {}
 
@@ -266,6 +270,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
         if not K.contains(c):
             return fail("chunk_not_in_field", f"chunk {i} is not in its declared field")
 
+    gens = []       # gens[i] = E_{i+1}[c_i], reused by the minimality checks
     for i in range(n - 1):
         big, small = fac.fields[i], fac.fields[i + 1]
         if not set(big.stabilizer) <= set(small.stabilizer):
@@ -276,6 +281,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
         if gen.degree != big.degree:
             return fail("field_not_generated",
                         f"E_{i+1}[c_{i}] has degree {gen.degree} != {big.degree}")
+        gens.append(gen)
 
     # the leading chunk sits over the base; last field must contain base
     if not set(fac.fields[-1].stabilizer) <= set(base_sub.stabilizer):
@@ -284,10 +290,13 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
         gen = base_sub.adjoin(fac.chunks[-1])
         if gen.degree != fac.fields[-1].degree:
             return fail("field_not_generated", "base[c_s] does not equal E_s")
+        gens.append(gen)
 
-    for i in range(n):
-        next_base = fac.fields[i + 1] if i + 1 < n else base_sub
-        rep = is_minimal(fac.chunks[i], next_base)
+    for i, c in enumerate(fac.chunks):
+        next_base = as_subfield(fac.fields[i + 1] if i + 1 < n else base_sub,
+                                c.owner)
+        Ec = gens[i] if i < len(gens) else next_base.adjoin(c)
+        rep = _minimality(c, next_base, Ec)
         if not rep.agree():
             return fail("criteria_disagree", f"minimality criteria disagree on chunk {i}")
         if not rep.minimal:
@@ -355,7 +364,7 @@ def is_generic(c: TameElement, levels) -> GenericityReport:
     ge1 = all(d_ord == c_ord for _, d_ord in pairs)
     table = [{"pair": pair, "ord": None if d_ord is None else str(d_ord)}
              for pair, d_ord in pairs]
-    rep = is_minimal(c, Esmall)
+    rep = _minimality(c, Esmall, Ec)
     generates = Ec.degree == Eprime.degree
     minimal_consensus = rep.agree() and rep.minimal
     return GenericityReport(c, Eprime, Esmall, depth, ge1,

@@ -8,6 +8,13 @@ normal forms over the power-series ring, and Gaussian elimination.  The
 symbolic layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
+
+Row operations skip exact zeros (no digits, ``prec is INF``), which changes
+no digit and no precision: an exact zero times anything is an exact zero,
+and x plus or minus an exact zero has x's digits and precision.  Zeros to
+precision (no digits, finite ``prec``) are never skipped, since they lower
+the precision of every entry they touch.  Elements are immutable, so one
+exact zero is shared by all the entries of a matrix or vector.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ def _fp_inverse(mat, p):
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] % p), None)
         if piv is None:
-            raise DomainError("residue basis matrix is singular")
+            raise DomainError("residue basis matrix is singular",
+                              clause="singular_residue_basis")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = pow(aug[col][col], -1, p)
         aug[col] = [x * inv % p for x in aug[col]]
@@ -133,6 +141,11 @@ def _exact_zero(base: TameField) -> TameElement:
     return TameElement(base, {}, INF)
 
 
+def _support(vec):
+    """Indices of the entries of vec that are not exact zeros."""
+    return [u for u, x in enumerate(vec) if x.digits or x.prec is not INF]
+
+
 class Mat:
     """A dense square matrix over the base Laurent-series field."""
 
@@ -145,7 +158,8 @@ class Mat:
 
     @classmethod
     def zero(cls, base: TameField, n: int) -> "Mat":
-        return cls(base, [[_exact_zero(base) for _ in range(n)] for _ in range(n)])
+        zero = _exact_zero(base)
+        return cls(base, [[zero] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, base: TameField, n: int) -> "Mat":
@@ -171,14 +185,17 @@ class Mat:
                                for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other):
-        n = self.n
+        zero = _exact_zero(self.base)
         out = []
-        for i in range(n):
+        for r in self.rows:
+            terms = [(r[j], other.rows[j]) for j in _support(r)]
             row = []
-            for k in range(n):
-                acc = _exact_zero(self.base)
-                for j in range(n):
-                    acc = acc + self.rows[i][j] * other.rows[j][k]
+            for k in range(self.n):
+                acc = zero
+                for a, orow in terms:
+                    b = orow[k]
+                    if b.digits or b.prec is not INF:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return Mat(self.base, out)
@@ -215,7 +232,8 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     E = x.owner
     base = E.base()
     if E.degree * copies > ORACLE_N_CAP:
-        raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}")
+        raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}",
+                          clause="oracle_cap")
     e, f = E.e_abs, E.f_over_base
     dec = _decomposer(E)
     T = E.acc_twist
@@ -267,7 +285,8 @@ class ChainRealized:
         self.period = period
         self.profile = tuple(profile)
         if len(self.profile) != N:
-            raise DomainError("profile length must equal N")
+            raise DomainError("profile length must equal N",
+                              clause="profile_length")
 
     def d(self, j: int, i: int) -> int:
         return -((self.profile[i] - j) // self.period)
@@ -282,7 +301,8 @@ class ChainRealized:
 
 def uniform_chain(N: int, e_A: int) -> ChainRealized:
     if N % e_A != 0:
-        raise DomainError("uniform chain requires e_A | N")
+        raise DomainError("uniform chain requires e_A | N",
+                          clause="period_not_dividing_N")
     block = N // e_A
     return ChainRealized(N, e_A, [i // block for i in range(N)])
 
@@ -303,7 +323,8 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
     vals = [x.rows[i][k].val() for i in range(x.n) for k in range(x.n)]
     vals = [v for v in vals if v is not None]
     if not vals:
-        raise DomainError("v_A of the zero matrix is undefined")
+        raise DomainError("v_A of the zero matrix is undefined",
+                          clause="v_A_of_zero")
 
     def ok(n):
         D = chain.filt_bound(n)
@@ -350,12 +371,13 @@ class MatrixLattice:
     def _canonicalize(self, cols):
         base = self.base
         cols = [list(c) for c in cols if any(x.digits for x in c)]
-        pivots = []       # (row, exponent, column)
+        pivots = []       # (row, exponent)
         pivot_cols = []
+        pivot_ids = set()
         for row in range(self.dim):
             cands = []
             for c in cols:
-                if any(c is pc for pc in pivot_cols):
+                if id(c) in pivot_ids:
                     continue
                 v = c[row].val()
                 if v is not None:
@@ -364,15 +386,16 @@ class MatrixLattice:
                 continue
             v = min(x[0] for x in cands)
             col = next(c for w, c in cands if w == v)
+            sup = _support(col)
             unit = col[row] * base.monomial(-v, base.residue.one)
             inv_unit = unit.inverse()
-            col[:] = [x * inv_unit for x in col]
-            tv = base.monomial(v, base.residue.one)
+            for u in sup:
+                col[u] = col[u] * inv_unit
             for c2 in cols:
                 if c2 is col:
                     continue
                 e2 = c2[row]
-                if any(c2 is pc for pc in pivot_cols):
+                if id(c2) in pivot_ids:
                     high = _high_part(e2, v)
                     if not high.digits:
                         continue
@@ -381,10 +404,11 @@ class MatrixLattice:
                     if e2.val() is None:
                         continue
                     q = e2 * base.monomial(-v, base.residue.one)
-                for u in range(self.dim):
+                for u in sup:
                     c2[u] = c2[u] - col[u] * q
             pivots.append((row, v))
             pivot_cols.append(col)
+            pivot_ids.add(id(col))
         self.cols = pivot_cols
         self.pivots = pivots
 
@@ -406,7 +430,7 @@ class MatrixLattice:
             if e.val() < a:
                 return v    # not reducible: remainder is nonzero
             q = e * base.monomial(-a, base.residue.one)
-            for u in range(self.dim):
+            for u in _support(col):
                 v[u] = v[u] - col[u] * q
         return v
 
@@ -431,9 +455,10 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
     D = chain.filt_bound(n)
     cols = []
     one = base.residue.one
+    zero = _exact_zero(base)
     for i in range(N):
         for k in range(N):
-            vec = [_exact_zero(base) for _ in range(N * N)]
+            vec = [zero] * (N * N)
             vec[i * N + k] = base.monomial(D[i][k], one)
             cols.append(vec)
     return MatrixLattice(base, N * N, cols)
@@ -442,10 +467,9 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
     """q-exponent of the index (L1 : L2) for lattices spanning the same
     space, as the difference of pivot exponent sums."""
-    if L1.rank() != L2.rank():
-        raise DomainError("lattices span different spaces: index undefined")
     if [r for r, _ in L1.pivots] != [r for r, _ in L2.pivots]:
-        raise DomainError("lattices span different spaces: index undefined")
+        raise DomainError("lattices span different spaces: index undefined",
+                          clause="index_undefined")
     return L2.pivot_exponent_sum() - L1.pivot_exponent_sum()
 
 
@@ -457,47 +481,67 @@ def commutant_basis(gens, N: int, base: TameField):
     """An F-basis of the commutant of the given matrices, as flattened
     vectors in F^(N*N), by Gaussian elimination on the bracket equations."""
     dim = N * N
+    zero = _exact_zero(base)
     rows = []
     for G in gens:
         for i in range(N):
             for k in range(N):
-                row = [_exact_zero(base) for _ in range(dim)]
+                row = [zero] * dim
                 for j in range(N):
-                    row[i * N + j] = row[i * N + j] + G.rows[j][k]
-                    row[j * N + k] = row[j * N + k] - G.rows[i][j]
+                    g = G.rows[j][k]
+                    if g.digits or g.prec is not INF:
+                        row[i * N + j] = row[i * N + j] + g
+                    g = G.rows[i][j]
+                    if g.digits or g.prec is not INF:
+                        row[j * N + k] = row[j * N + k] - g
                 rows.append(row)
     pivots = {}
     reduced = []
+    supports = []       # supports[idx] = _support(reduced[idx])
     for row in rows:
         r = row[:]
         for col, idx in pivots.items():
             c = r[col]
             if c.digits:
-                for u in range(dim):
-                    r[u] = r[u] - c * reduced[idx][u]
-        nz = [(r[u].val(), u) for u in range(dim) if r[u].val() is not None]
+                prow = reduced[idx]
+                for u in supports[idx]:
+                    r[u] = r[u] - c * prow[u]
+        sup = _support(r)
+        nz = [(r[u].val(), u) for u in sup if r[u].digits]
         if not nz:
             continue
         _, j = min(nz)
         inv = r[j].inverse()
-        r = [x * inv for x in r]
-        for idx in range(len(reduced)):
-            c = reduced[idx][j]
+        for u in sup:
+            r[u] = r[u] * inv
+        for idx, prow in enumerate(reduced):
+            c = prow[j]
             if c.digits:
-                for u in range(dim):
-                    reduced[idx][u] = reduced[idx][u] - c * r[u]
+                for u in sup:
+                    prow[u] = prow[u] - c * r[u]
+                supports[idx] = _support(prow)
         pivots[j] = len(reduced)
         reduced.append(r)
+        supports.append(sup)
     basis = []
     for free in range(dim):
         if free in pivots:
             continue
-        vec = [_exact_zero(base) for _ in range(dim)]
+        vec = [zero] * dim
         vec[free] = base.one()
         for col, idx in pivots.items():
             vec[col] = -reduced[idx][free]
         basis.append(vec)
     return basis
+
+
+def _scale(vec, factors):
+    """The entrywise product of vec and factors.  Exact zeros of vec are
+    kept as they are: an exact zero times anything is an exact zero."""
+    out = list(vec)
+    for u in _support(vec):
+        out[u] = vec[u] * factors[u]
+    return out
 
 
 def _min_val(col):
@@ -516,44 +560,43 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     D = chain.filt_bound(n)
     basis = commutant_basis(gens, N, base)
     one = base.residue.one
+    down = [base.monomial(-D[u // N][u % N], one) for u in range(dim)]
+    up = [base.monomial(D[u // N][u % N], one) for u in range(dim)]
     cols = []
     for vec in basis:
-        scaled = [vec[u] * base.monomial(-D[u // N][u % N], one)
-                  for u in range(dim)]
+        scaled = _scale(vec, down)
         mv = _min_val(scaled)
         if mv is None:
-            raise DomainError("zero commutant basis vector")
-        cols.append([x * base.monomial(-mv, one) for x in scaled])
+            raise DomainError("zero commutant basis vector",
+                              clause="zero_commutant_vector")
+        cols.append(_scale(scaled, [base.monomial(-mv, one)] * dim))
     kF = base.residue
+    zero = _exact_zero(base)
     while True:
         res_cols = [[c[u].digits.get(0, kF.zero) for u in range(dim)]
                     for c in cols]
         lam = _fq_kernel_vector(res_cols, kF)
         if lam is None:
             break
-        comb = [_exact_zero(base) for _ in range(dim)]
+        comb = [zero] * dim
         last = None
         for i, l in enumerate(lam):
             if l.is_zero():
                 continue
             last = i
             scal = TameElement(base, {0: l}, INF)
-            for u in range(dim):
+            for u in _support(cols[i]):
                 comb[u] = comb[u] + cols[i][u] * scal
-        for u in range(dim):
-            v = comb[u].val()
+        for x in comb:
+            v = x.val()
             if v is not None and v < 1:
                 raise PrecisionError("saturation step failed to divide by t")
-            comb[u] = comb[u] * base.monomial(-1, one)
+        comb = _scale(comb, [base.monomial(-1, one)] * dim)
         mv = _min_val(comb)
         if mv is None:
             raise PrecisionError("saturation produced a zero column")
-        cols[last] = [x * base.monomial(-mv, one) for x in comb]
-    out = []
-    for c in cols:
-        out.append([c[u] * base.monomial(D[u // N][u % N], one)
-                    for u in range(dim)])
-    return MatrixLattice(base, dim, out)
+        cols[last] = _scale(comb, [base.monomial(-mv, one)] * dim)
+    return MatrixLattice(base, dim, [_scale(c, up) for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +612,8 @@ def absolute_trace(u) -> int:
         acc = acc + residue.frobenius(u, i)
     coords = list(acc.coords) + [0] * (k.f - len(acc.coords))
     if any(coords[1:]):
-        raise DomainError("absolute trace left the prime field (bug)")
+        raise DomainError("absolute trace left the prime field (bug)",
+                          clause="trace_not_in_prime_field")
     return coords[0] % k.p
 
 

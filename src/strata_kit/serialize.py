@@ -154,11 +154,16 @@ def stratum_from_json(obj, default_prec=None) -> StratumSkeleton:
     ospec = obj.get("order", {})
     if not isinstance(ospec, dict):
         raise SchemaError("order must be an object")
-    order = OrderSkeleton(m=_int(ospec.get("m", E.degree), "order m"),
-                          d=_int(ospec.get("d", 1), "order d"),
-                          e_A=_int(ospec.get("e_A", E.e_abs), "order e_A"),
-                          pure_over=E,
-                          b_maximal=_bool(ospec, "b_maximal", True))
+    m = _int(ospec.get("m", E.degree), "order m")
+    d = _int(ospec.get("d", 1), "order d")
+    e_A = _int(ospec.get("e_A", E.e_abs), "order e_A")
+    b_maximal = _bool(ospec, "b_maximal", True)
+    if d > 1:
+        # nothing realizes M_m(D) for a division algebra D != F: the oracle
+        # covers M_N(F) only, so a d > 1 answer could not be checked
+        raise DomainError(f"order d = {d}: only split orders (d = 1) are "
+                          "supported", clause="non_split_order")
+    order = OrderSkeleton(m=m, d=d, e_A=e_A, pure_over=E, b_maximal=b_maximal)
     st = make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
     if "n" in obj and _int(obj["n"], "n") != st.n:
         raise DomainError(f"stated n = {obj['n']} disagrees with the derived "

@@ -335,3 +335,34 @@ def test_datum_digit_count_is_capped_over_all_chunks(capsys, monkeypatch):
     code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, "chunks": chunks})
     assert code == 2 and out == ""
     assert err.startswith("domain error [too_many_digits]:")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "100000000"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_bad_precision_setting_is_schema_error(capsys, monkeypatch, source, value):
+    argv = ["expand"]
+    if source == "flag":
+        argv = ["--prec", value] + argv
+    else:
+        monkeypatch.setenv("STRATA_KIT_PREC", value)
+    code, out, err = run(capsys, monkeypatch, argv, {"tower": TOWER, "element": ELT})
+    assert code == 1 and out == ""
+    assert err == ("schema error: --prec / STRATA_KIT_PREC must be an integer "
+                   f"from 1 to 4096, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["1", "4096"])
+def test_precision_setting_within_cap(capsys, monkeypatch, value):
+    doc_in = {"tower": TOWER, "element": {"field": 1, "digits": [[-1, [1]]]}}
+    code, out, _ = run(capsys, monkeypatch, ["--prec", value, "expand"], doc_in)
+    assert code == 0
+    assert json.loads(out)["element"]["prec"] == int(value)
+
+
+@pytest.mark.parametrize("cmd", ["groups", "stratum2yu"])
+def test_non_split_order_is_refused(capsys, monkeypatch, cmd):
+    # M_2(D) with D of index 2: no d > 1 answer is checked by the oracle
+    doc = dict(STRATUM, order=dict(STRATUM["order"], d=2))
+    code, out, err = run(capsys, monkeypatch, [cmd], doc)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error [non_split_order]:")

@@ -5,8 +5,8 @@ import pytest
 from strata_kit.errors import DomainError
 from strata_kit.minimal import (Factorization, check_factorization,
                                 howe_factorize, is_generic, is_minimal)
-from strata_kit.tower import (INF, base_field, extend, sr, subfield_generated,
-                              tower_subfield)
+from strata_kit.tower import (INF, Subfield, base_field, extend, sr,
+                              subfield_generated, tower_subfield)
 
 
 def mono(E, v, a=0):
@@ -184,3 +184,25 @@ def test_generic_vacuous_when_levels_equal(E_ram2, F3):
     base = tower_subfield(F3, E_ram2)
     rep = is_generic(mono(E_ram2, -2), (base, base))
     assert rep.ge1
+
+
+def test_certification_builds_base_of_c_once(monkeypatch, E_ram2, F3):
+    """is_generic and check_factorization hand the base[c] they built to the
+    minimality criteria; criterion 2 still adjoins sr(c) on its own."""
+    calls = []
+    adjoin = Subfield.adjoin
+
+    def counting(self, x):
+        calls.append(x)
+        return adjoin(self, x)
+
+    monkeypatch.setattr(Subfield, "adjoin", counting)
+    rep = is_generic(mono(E_ram2, -1), (E_ram2, F3))
+    assert rep.verdict and rep.equivalence_holds()
+    assert len(calls) == 2          # base[c] and base[sr(c)]
+    fac = howe_factorize(mono(E_ram2, -4) + mono(E_ram2, -1), F3)
+    calls.clear()
+    assert check_factorization(fac).ok
+    # chunk 0: E_1[c_0] and E_1[sr(c_0)]; chunk 1: F[c_1] and F[sr(c_1)];
+    # the top field F[beta]
+    assert len(calls) == 5

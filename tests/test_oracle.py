@@ -202,3 +202,131 @@ def test_decomposer_lives_on_its_field():
     # a dropped tower takes its decomposer with it, so no later tower can
     # be handed a decomposer built for another field
     assert live_fields() <= before
+
+
+def test_every_oracle_domain_error_names_a_clause():
+    import ast
+    import inspect
+
+    from strata_kit import oracle
+    tree = ast.parse(inspect.getsource(oracle))
+    missing = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "DomainError"
+               and not any(k.arg == "clause" for k in node.keywords)]
+    assert missing == []
+
+
+# -- exact zeros: the sparse row operations against the dense loops ---------
+
+def _dense_hermite(base, dim, cols):
+    """Pivots and pivot columns of MatrixLattice by the dense loops: every
+    row operation runs over all dim entries."""
+    one = base.residue.one
+    cols = [list(c) for c in cols if any(x.digits for x in c)]
+    pivots, done = [], []
+    for row in range(dim):
+        cands = [(c[row].val(), i) for i, c in enumerate(cols)
+                 if c[row].digits and all(c is not d for d in done)]
+        if not cands:
+            continue
+        v, i = min(cands)
+        col = cols[i]
+        inv = (col[row] * base.monomial(-v, one)).inverse()
+        col[:] = [x * inv for x in col]
+        for c2 in cols:
+            e2 = c2[row]
+            if any(c2 is d for d in done):
+                e2 = TameElement(base, {w: a for w, a in e2.digits.items()
+                                        if w >= v}, e2.prec)
+            if c2 is not col and e2.digits:
+                q = e2 * base.monomial(-v, one)
+                c2[:] = [x - y * q for x, y in zip(c2, col)]
+        pivots.append((row, v))
+        done.append(col)
+    return pivots, done
+
+
+def _dense_commutant(gens, N, base):
+    """commutant_basis by the dense loops."""
+    dim, z = N * N, TameElement(base, {}, INF)
+    rows = []
+    for G in gens:
+        for i in range(N):
+            for k in range(N):
+                row = [z] * dim
+                for j in range(N):
+                    row[i * N + j] = row[i * N + j] + G.rows[j][k]
+                    row[j * N + k] = row[j * N + k] - G.rows[i][j]
+                rows.append(row)
+    piv, red = {}, []
+    for r in rows:
+        for col, idx in piv.items():
+            if r[col].digits:
+                r = [x - r[col] * y for x, y in zip(r, red[idx])]
+        nz = [(x.val(), u) for u, x in enumerate(r) if x.digits]
+        if not nz:
+            continue
+        j = min(nz)[1]
+        inv = r[j].inverse()
+        r = [x * inv for x in r]
+        red = [[x - p[j] * y for x, y in zip(p, r)] if p[j].digits else p
+               for p in red]
+        piv[j] = len(red)
+        red.append(r)
+    return [[-red[piv[u]][free] if u in piv else base.one() if u == free else z
+             for u in range(dim)] for free in range(dim) if free not in piv]
+
+
+def _entries(vecs):
+    return [[(sorted((v, a.coords) for v, a in x.digits.items()), x.prec)
+             for x in vec] for vec in vecs]
+
+
+def _inexact_reps(F):
+    """Pairs (regular_rep(x), regular_rep(pi)) over F for inexact x: the
+    entries of the first include zeros to precision (no digits, finite
+    prec)."""
+    out = []
+    for E in (extend(F, 1, 2, 1), extend(F, 2, 1, 1), extend(F, 1, 4, 1)):
+        for prec in (2, 5):
+            x = TameElement(E, {-1: E.residue.one, 0: E.residue.gen_power(1)}, prec)
+            out.append((regular_rep(x), regular_rep(E.uniformizer())))
+    return out
+
+
+def test_sparse_hermite_form_matches_dense_loops():
+    import random
+    F = base_field(3)
+    z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
+    rng = random.Random(11)
+    cases = [R.rows for R, _ in _inexact_reps(F)]
+    for _ in range(40):
+        dim = rng.randrange(2, 5)
+        cases.append([[rng.choice([z, z, lost, mono(F, rng.randrange(-1, 3), 1),
+                                   TameElement(F, {0: F.residue.one,
+                                                   2: F.residue.one}, 6)])
+                       for _ in range(dim)] for _ in range(rng.randrange(1, 5))])
+    for cols in cases:
+        L = MatrixLattice(F, len(cols[0]), cols)
+        pivots, want = _dense_hermite(F, len(cols[0]), cols)
+        assert L.pivots == pivots
+        assert _entries(L.cols) == _entries(want)
+
+
+def test_sparse_commutant_matches_dense_loops():
+    F = base_field(3)
+    for R, P in _inexact_reps(F):
+        for gens in ([R], [R, P]):
+            got = commutant_basis(gens, R.n, F)
+            assert _entries(got) == _entries(_dense_commutant(gens, R.n, F))
+
+
+def test_sparse_product_matches_dense_loops():
+    F = base_field(3)
+    z = TameElement(F, {}, INF)
+    for R, P in _inexact_reps(F):
+        for A, B in ((R, P), (P, R), (R, R)):
+            want = [[sum((A.rows[i][j] * B.rows[j][k] for j in range(A.n)), z)
+                     for k in range(A.n)] for i in range(A.n)]
+            assert _entries((A @ B).rows) == _entries(want)
