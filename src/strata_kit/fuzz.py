@@ -100,9 +100,8 @@ def generating_monomial(rng: random.Random, level: TameField,
 
 
 def random_beta(rng: random.Random, E: TameField):
-    """A sum of generating monomials along a nested level chain with
-    strictly decreasing negative ords; returns (beta, intended_levels,
-    intended_chunks) with levels from F[beta] = E downwards."""
+    """A sum of generating monomials along a nested level chain from
+    F[beta] = E downwards, with strictly decreasing negative ords."""
     levels = E.levels
     for _ in range(40):
         s = rng.randint(0, min(MAX_CHUNKS - 1, len(levels) - 1))
@@ -131,7 +130,7 @@ def random_beta(rng: random.Random, E: TameField):
         beta = chunks[0]
         for c in chunks[1:]:
             beta = beta + c
-        return beta, fields, chunks
+        return beta
     raise DomainError("fuzzer failed to assemble a beta for this tower")
 
 
@@ -143,8 +142,7 @@ def random_stratum(rng: random.Random, q: int | None = None) -> StratumSkeleton:
         if E.degree == 1:
             return random_depth_zero(rng, q=E.q)
         try:
-            beta, _, _ = random_beta(rng, E)
-            return make_stratum(standard_order(E), beta)
+            return make_stratum(standard_order(E), random_beta(rng, E))
         except DomainError:
             continue
     raise DomainError("fuzzer failed to build a stratum")

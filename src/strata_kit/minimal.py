@@ -131,7 +131,9 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
                           "residue_degree": res_deg}
 
     # --- criterion 2: sr generates the same field --------------------------
-    Esr = base_sub.adjoin(sr(c))
+    lead = sr(c)
+    # an exact monomial is its own sr, so base[sr(c)] is base[c]
+    Esr = Ec if c.prec is INF and lead.digits == c.digits else base_sub.adjoin(lead)
     crit2 = Esr.degree == Ec.degree
     witnesses["crit2"] = {"deg_sr": Esr.degree, "deg_c": Ec.degree}
 
@@ -158,6 +160,7 @@ class Factorization:
     ``chunks[i]`` is c_i and ``fields[i]`` is E_i; index 0 is the shallowest
     correction (largest field E_0 = base[beta]) and index s the leading
     chunk (smallest field), so ord(c_0) > ... > ord(c_s) = ord(beta).
+    :attr:`levels` is the field chain E_0 > ... > E_s, ending at the base.
     """
     beta: TameElement
     base: TameField
@@ -168,6 +171,18 @@ class Factorization:
     @property
     def s(self) -> int:
         return len(self.chunks) - 1
+
+    @property
+    def levels(self) -> tuple:
+        """``fields``, followed by the base when E_s is bigger than it.
+
+        Chunk i lies in ``levels[i]`` and, unless it is central (no level
+        below it), generates ``levels[i]`` over ``levels[i + 1]``.
+        """
+        base_sub = tower_subfield(self.base, self.beta.owner)
+        if self.fields[-1].degree > base_sub.degree:
+            return (*self.fields, base_sub)
+        return tuple(self.fields)
 
     def partial_tail(self, i: int) -> TameElement:
         """beta_i = sum_{j >= i} c_j."""
@@ -270,9 +285,10 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
         if not K.contains(c):
             return fail("chunk_not_in_field", f"chunk {i} is not in its declared field")
 
+    levels = fac.levels
     gens = []       # gens[i] = E_{i+1}[c_i], reused by the minimality checks
-    for i in range(n - 1):
-        big, small = fac.fields[i], fac.fields[i + 1]
+    for i in range(len(levels) - 1):
+        big, small = levels[i], levels[i + 1]
         if not set(big.stabilizer) <= set(small.stabilizer):
             return fail("field_not_nested", f"E_{i+1} is not contained in E_{i}")
         if small.degree >= big.degree:
@@ -282,19 +298,12 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
             return fail("field_not_generated",
                         f"E_{i+1}[c_{i}] has degree {gen.degree} != {big.degree}")
         gens.append(gen)
-
-    # the leading chunk sits over the base; last field must contain base
     if not set(fac.fields[-1].stabilizer) <= set(base_sub.stabilizer):
         return fail("field_not_nested", "E_s does not contain the base")
-    if n >= 1 and fac.fields[-1].degree > base_sub.degree:
-        gen = base_sub.adjoin(fac.chunks[-1])
-        if gen.degree != fac.fields[-1].degree:
-            return fail("field_not_generated", "base[c_s] does not equal E_s")
-        gens.append(gen)
 
     for i, c in enumerate(fac.chunks):
-        next_base = as_subfield(fac.fields[i + 1] if i + 1 < n else base_sub,
-                                c.owner)
+        # a central chunk has no level below it: its own field is the base
+        next_base = as_subfield(levels[min(i + 1, len(levels) - 1)], c.owner)
         Ec = gens[i] if i < len(gens) else next_base.adjoin(c)
         rep = _minimality(c, next_base, Ec)
         if not rep.agree():

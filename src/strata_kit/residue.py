@@ -35,17 +35,6 @@ from .errors import DomainError
 SIZE_CAP = 2 ** 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division (n <= 2^16 here)."""
     out = []
@@ -152,12 +141,13 @@ class FqField:
     __slots__ = ("p", "f", "q", "modulus", "generator", "_pow", "_dlog", "zero", "one")
 
     def __init__(self, p: int, f: int):
-        if not _is_prime(p):
-            raise DomainError(f"p = {p} is not prime")
         if f < 1:
             raise DomainError(f"f = {f} must be >= 1")
-        if f >= SIZE_CAP.bit_length() or p ** f > SIZE_CAP:    # p >= 2 bounds f
+        # the cap comes first so that trial division only sees p <= 2^16
+        if f >= SIZE_CAP.bit_length() or p ** f > SIZE_CAP:
             raise DomainError(f"GF({p}^{f}) exceeds the size cap {SIZE_CAP}")
+        if _prime_factors(p) != [p]:    # [] for p < 2
+            raise DomainError(f"p = {p} is not prime")
         q = p ** f
         self.p = p
         self.f = f

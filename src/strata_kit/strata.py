@@ -193,11 +193,13 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
     fac = stratum.fac
     order = stratum.order
     e_A = order.e_A
+    levels = fac.levels
     stages = []
     for i in range(len(fac.chunks)):
         beta_i = fac.partial_tail(i)
-        # k0 of beta_i: -infinity when the tail is central, else e_A*ord(c_i)
-        if i == len(fac.chunks) - 1 and fac.fields[i].degree == 1:
+        # k0 of beta_i: -infinity when chunk i has no level below it (the
+        # tail is central), else e_A*ord(c_i)
+        if i + 1 == len(levels):
             k0_i = None
         else:
             scaled = fac.chunks[i].ord() * e_A
@@ -346,15 +348,6 @@ def _normalize(factors):
     return kept
 
 
-def _stratum_levels(stages):
-    """Level field degrees for a defining sequence: fields E_0..E_s, with a
-    final base level (degree 1) appended when E_s is not already the base."""
-    degs = [st.level_field.degree for st in stages]
-    if not degs or degs[-1] != 1:
-        degs.append(1)
-    return tuple(degs)
-
-
 def presentation_secherre(stratum: StratumSkeleton):
     """The three concrete product presentations attached to a simple
     stratum with maximal centralizer-level order: H1 at the half_plus
@@ -364,7 +357,7 @@ def presentation_secherre(stratum: StratumSkeleton):
     if not order.b_maximal:
         raise DomainError("presentations require a maximal centralizer order")
     stages = defining_sequence(stratum)
-    degs = _stratum_levels(stages)
+    degs = tuple(K.degree for K in stratum.fac.levels)
     top = len(degs) - 1
     h1 = [(i, depth_of_index(st.r, order, "half_plus"))
           for i, st in enumerate(stages)]

@@ -363,10 +363,10 @@ class Embedding:
     """An F-embedding of a tower node E into a splitting field L.
 
     Determined by ``frob_exp`` j (residue action a -> embed(a)^(q^j)) and
-    ``mu`` (the image of the top uniformizer is mu * pi_L).  The compatible
-    uniformizer relations at every level follow from the single constraint
-    mu^e_abs = twist_L / tau_j(acc_twist_E), which is enforced on
-    construction.
+    ``mu_dlog``, the discrete log of mu (the image of the top uniformizer
+    is mu * pi_L).  The compatible uniformizer relations at every level
+    follow from the single constraint mu^e_abs = twist_L / tau_j(acc_twist_E),
+    which the enumeration of embeddings solves.
 
     Both parts act on discrete logs mod |k_L^*|: a digit a at valuation v
     maps to the digit with dlog  dlog(a) * res_scale + v * mu_dlog, where
@@ -374,16 +374,15 @@ class Embedding:
     Frobenius power q^j.
     """
 
-    __slots__ = ("source", "target", "frob_exp", "mu", "mu_dlog", "res_scale")
+    __slots__ = ("source", "target", "frob_exp", "mu_dlog", "res_scale")
 
-    def __init__(self, source: TameField, target: TameField, frob_exp: int, mu: FqElem):
+    def __init__(self, source: TameField, target: TameField, frob_exp: int, mu_dlog: int):
         self.source = source
         self.target = target
         self.frob_exp = frob_exp
-        self.mu = mu
+        self.mu_dlog = mu_dlog
         kE, kL = source.residue, target.residue
         order = kL.q - 1
-        self.mu_dlog = kL.dlog(mu)
         frob = pow(kL.p, (source.base_f * frob_exp) % kL.f, order)
         self.res_scale = (order // (kE.q - 1)) * frob % order
 
@@ -413,7 +412,7 @@ def _splitting_data(E: TameField):
         return E._splitting
     base = E.base()
     if E is base:
-        E._splitting = (E, [Embedding(E, E, 0, E.residue.one)])
+        E._splitting = (E, [Embedding(E, E, 0, 0)])
         return E._splitting
     Q = base.q
     fe, e = E.f_over_base, E.e_abs
@@ -433,7 +432,8 @@ def _splitting_data(E: TameField):
 
 
 def _enumerate_embeddings(E: TameField, L: TameField):
-    """All (frob_exp, mu) embedding parameters, or None when L is too small."""
+    """All (frob_exp, mu_dlog) embedding parameters, or None when L is too
+    small."""
     kL = L.residue
     ML = kL.q - 1
     e = E.e_abs
@@ -452,7 +452,7 @@ def _enumerate_embeddings(E: TameField, L: TameField):
         if len(sols) != e:
             return None
         for x in sols:
-            homs.append(Embedding(E, L, j, kL.gen_power(x)))
+            homs.append(Embedding(E, L, j, x))
     if len(homs) != E.degree:
         return None
     return homs

@@ -19,7 +19,7 @@ from .minimal import is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
                      defining_sequence, k0, make_stratum, presentation_secherre,
                      presentation_yu, v_order)
-from .tower import TameElement, TameField, tower_subfield
+from .tower import TameElement, TameField
 
 
 @dataclass
@@ -58,25 +58,20 @@ def _jump_depths(stages, n: int, e_A: int) -> list:
     return [Fraction(st.r, e_A) for st in stages[1:]] + [Fraction(n, e_A)]
 
 
-def _datum_degrees(fac) -> tuple:
-    """Tower degrees of a datum: the chunk fields' degrees, ending at the base."""
-    degrees = tuple(f.degree for f in fac.fields)
-    return degrees if degrees[-1] == 1 else degrees + (1,)
-
-
 def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     """Stratum -> tower datum.
 
-    The tower is the chunk field chain, extended by the base field when the
-    last chunk is not already central; depths are the normalized jumps
-    r_{i+1}/e_A capped by n/e_A.  Postconditions (on by default): every
-    chunk is generic for its pair of neighbouring fields, and the three
-    product presentations agree across the translation.
+    The tower is the factorization's level chain (the chunk fields, then
+    the base when the last chunk is not already central); depths are the
+    normalized jumps r_{i+1}/e_A capped by n/e_A.  Postconditions (on by
+    default): every chunk with a level below it is generic for that pair
+    of neighbouring levels, and the three product presentations agree
+    across the translation.
     """
     fac = stratum.fac
     order = stratum.order
     depths = _jump_depths(defining_sequence(stratum), stratum.n, order.e_A)
-    degrees = _datum_degrees(fac)
+    degrees = tuple(K.degree for K in fac.levels)
     chunks = list(fac.chunks)
     trivial_top = len(degrees) > len(fac.fields)
     if trivial_top:
@@ -95,14 +90,9 @@ def _check_genericity(stratum: StratumSkeleton, yu: YuSkeleton):
     """Every realizing chunk must be generic for the pair (its field, the
     next smaller field), at its stated depth."""
     fac = stratum.fac
-    ambient = stratum.beta.owner
-    for i, c in enumerate(fac.chunks):
-        big = fac.fields[i]
-        small = (fac.fields[i + 1] if i + 1 < len(fac.fields)
-                 else tower_subfield(ambient.base(), ambient))
-        if big.degree == 1:
-            continue    # central chunk: nothing to certify
-        rep = is_generic(c, (big, small))
+    levels = fac.levels
+    for i, (big, small) in enumerate(zip(levels, levels[1:])):
+        rep = is_generic(fac.chunks[i], (big, small))
         if not rep.verdict:
             raise DomainError(f"chunk {i} fails genericity for its field pair",
                               clause="chunk_not_generic")
@@ -142,7 +132,7 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     if derived != stated:
         raise DomainError(f"stated depths {stated} disagree with derived {derived}",
                           clause="depth_mismatch")
-    degrees = _datum_degrees(st.fac)
+    degrees = tuple(K.degree for K in st.fac.levels)
     if tuple(yu.tower_degrees) != degrees:
         raise DomainError(f"stated tower degrees {list(yu.tower_degrees)} disagree "
                           f"with derived {list(degrees)}",

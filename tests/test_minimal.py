@@ -188,7 +188,8 @@ def test_generic_vacuous_when_levels_equal(E_ram2, F3):
 
 def test_certification_builds_base_of_c_once(monkeypatch, E_ram2, F3):
     """is_generic and check_factorization hand the base[c] they built to the
-    minimality criteria; criterion 2 still adjoins sr(c) on its own."""
+    minimality criteria; criterion 2 reuses it for an exact monomial c,
+    which is its own sr(c), and adjoins sr(c) on its own otherwise."""
     calls = []
     adjoin = Subfield.adjoin
 
@@ -199,10 +200,15 @@ def test_certification_builds_base_of_c_once(monkeypatch, E_ram2, F3):
     monkeypatch.setattr(Subfield, "adjoin", counting)
     rep = is_generic(mono(E_ram2, -1), (E_ram2, F3))
     assert rep.verdict and rep.equivalence_holds()
-    assert len(calls) == 2          # base[c] and base[sr(c)]
+    assert len(calls) == 1          # base[c], which is base[sr(c)]
     fac = howe_factorize(mono(E_ram2, -4) + mono(E_ram2, -1), F3)
     calls.clear()
     assert check_factorization(fac).ok
-    # chunk 0: E_1[c_0] and E_1[sr(c_0)]; chunk 1: F[c_1] and F[sr(c_1)];
-    # the top field F[beta]
-    assert len(calls) == 5
+    # chunk 0: E_1[c_0]; chunk 1: F[c_1]; the top field F[beta]
+    assert len(calls) == 3
+    c = mono(E_ram2, -1) + mono(E_ram2, 0)
+    calls.clear()
+    rep = is_generic(c, (E_ram2, F3))
+    assert rep.verdict and rep.equivalence_holds()
+    assert len(calls) == 2          # base[c] and base[sr(c)]
+    assert calls[1].digits == sr(c).digits

@@ -87,6 +87,15 @@ def test_size_cap():
     for f in (17, 10 ** 9):              # rejected without computing 2^f
         with pytest.raises(DomainError):
             make_field(2, f)
+    for p in (2 ** 61 - 1, 2 * (2 ** 61 - 1)):     # rejected before trial division
+        with pytest.raises(DomainError, match="size cap"):
+            make_field(p, 1)
+
+
+def test_p_must_be_prime():
+    for p in (-3, 0, 1, 4, 65535):
+        with pytest.raises(DomainError, match="not prime"):
+            make_field(p, 1)
 
 
 def _reference_tables(p, f):
