@@ -118,7 +118,9 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
     if v_frac.denominator != 1:
         raise DomainError("valuation of c is not integral in base[c] (inconsistency)")
     v = int(v_frac)
-    unit_part = (c ** e_rel) * (base_sub.uniformizer().inverse() ** v)
+    # lead(c^e) = lead(c)^e, and only the leading term of the unit part is read
+    lead_c = c.truncate(min(c.digits) + 1)
+    unit_part = (lead_c ** e_rel) * (base_sub.uniformizer().inverse() ** v)
     if not unit_part.digits:
         raise PrecisionError("unit part of c^e is zero to precision")
     lead_v, r0 = unit_part.leading()
@@ -166,11 +168,11 @@ class Factorization:
     base: TameField
     chunks: list
     fields: list
-    degenerate: bool = False
 
     @property
-    def s(self) -> int:
-        return len(self.chunks) - 1
+    def degenerate(self) -> bool:
+        """Whether beta is central: no level below E_0."""
+        return len(self.levels) == 1
 
     @property
     def levels(self) -> tuple:
@@ -233,8 +235,7 @@ def howe_factorize(beta: TameElement, base: TameField) -> Factorization:
             total = total.truncate(beta.prec)
         chunks.append(total)
         fields.append(kfield)
-    fac = Factorization(beta, base, chunks, fields,
-                        degenerate=(fields[0].degree == base_sub.degree))
+    fac = Factorization(beta, base, chunks, fields)
     report = check_factorization(fac)
     if not report.ok:
         raise DomainError(f"factorization failed self-certification: {report.clause}",

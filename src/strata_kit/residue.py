@@ -362,14 +362,6 @@ class FqElem:
     def __repr__(self):
         return f"{list(self.coords)}@{self.owner!r}"
 
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero has no multiplicative order")
-        fld = self.owner
-        d = fld.dlog(self)
-        from math import gcd
-        return (fld.q - 1) // gcd(d, fld.q - 1)
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, f: int, /) -> FqField:

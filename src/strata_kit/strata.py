@@ -7,7 +7,8 @@ oracle only realizes d = 1), and whether the centralizer-level order is
 maximal.  On top of that this module computes:
 
 - valuations of field elements relative to the order (v_order),
-- the critical exponents k_F / k0 through the chunk factorization,
+- the critical exponent k0 of each tail of the chunk factorization (one
+  helper, _tail_k0, decides it from Factorization.levels),
 - defining sequences of simple strata with their jump indices,
 - the four index <-> depth correspondences between radical powers and
   Moy-Prasad-style depths (depth_of_index is the one place that decides
@@ -86,34 +87,25 @@ def v_order(x: TameElement, order: OrderSkeleton) -> int:
     return int(v)
 
 
-def k_F(beta: TameElement, fac: Factorization | None = None):
-    """Critical exponent over the base: None encodes -infinity (central
-    beta); otherwise the valuation, in F[beta], of the first chunk of the
-    factorization (which is v of beta itself when beta is minimal)."""
-    base = beta.owner.base()
-    if fac is None:
-        fac = howe_factorize(beta, base)
-    if fac.degenerate:
+def _tail_k0(fac: Factorization, i: int, order: OrderSkeleton):
+    """k0 of the tail beta_i = sum_{j >= i} c_j at the order: None encodes
+    -infinity when chunk i has no level below it (the tail is central),
+    otherwise e_A * ord(c_i)."""
+    if i + 1 == len(fac.levels):
         return None
-    v = fac.chunks[0].ord() * fac.fields[0].e_over_base
-    if v.denominator != 1:
-        raise DomainError("k_F is not integral (inconsistency)")
-    return int(v)
+    scaled = fac.chunks[i].ord() * order.e_A
+    if scaled.denominator != 1:
+        raise DomainError("jump index is not integral at the order",
+                          clause="jump_not_integral")
+    return int(scaled)
 
 
 def k0(beta: TameElement, order: OrderSkeleton, fac: Factorization | None = None):
-    """Order-level critical exponent: e_A * k_F(beta) / e(F[beta]/F), with
-    None encoding -infinity for central beta."""
-    base = beta.owner.base()
+    """Order-level critical exponent of beta, with None encoding -infinity
+    for central beta."""
     if fac is None:
-        fac = howe_factorize(beta, base)
-    kf = k_F(beta, fac)
-    if kf is None:
-        return None
-    scaled = Fraction(order.e_A * kf, fac.fields[0].e_over_base)
-    if scaled.denominator != 1:
-        raise DomainError("k0 is not integral (inconsistency)")
-    return int(scaled)
+        fac = howe_factorize(beta, beta.owner.base())
+    return _tail_k0(fac, 0, order)
 
 
 @dataclass
@@ -125,11 +117,10 @@ class StratumSkeleton:
     r: int
     beta: TameElement
     fac: Factorization
-    kind: str = field(default="", compare=False)
+    kind: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self.kind:
-            self.kind = classify_stratum(self)
+        self.kind = classify_stratum(self)
 
 
 def classify_stratum(st: StratumSkeleton) -> str:
@@ -172,11 +163,9 @@ def make_stratum(order: OrderSkeleton, beta: TameElement,
 
 @dataclass
 class DefiningStage:
-    """One member [order, n, r_i, beta_i] of a defining sequence."""
-    order: OrderSkeleton
-    n: int
+    """One member of a defining sequence: the jump r_i, the field E_i of
+    the tail beta_i and k0(beta_i); order and n are the stratum's."""
     r: int
-    beta: TameElement
     level_field: Subfield
     k0_value: int | None   # None encodes -infinity
 
@@ -192,24 +181,10 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
                           clause="not_simple")
     fac = stratum.fac
     order = stratum.order
-    e_A = order.e_A
-    levels = fac.levels
     stages = []
     for i in range(len(fac.chunks)):
-        beta_i = fac.partial_tail(i)
-        # k0 of beta_i: -infinity when chunk i has no level below it (the
-        # tail is central), else e_A*ord(c_i)
-        if i + 1 == len(levels):
-            k0_i = None
-        else:
-            scaled = fac.chunks[i].ord() * e_A
-            if scaled.denominator != 1:
-                raise DomainError("jump index is not integral at the order",
-                                  clause="jump_not_integral")
-            k0_i = int(scaled)
         r_i = stratum.r if i == 0 else -stages[-1].k0_value
-        stages.append(DefiningStage(order, stratum.n, r_i, beta_i,
-                                    fac.fields[i], k0_i))
+        stages.append(DefiningStage(r_i, fac.fields[i], _tail_k0(fac, i, order)))
     # strictness and the bound by n
     rs = [st.r for st in stages]
     for i in range(1, len(rs)):

@@ -386,9 +386,6 @@ class Embedding:
         frob = pow(kL.p, (source.base_f * frob_exp) % kL.f, order)
         self.res_scale = (order // (kE.q - 1)) * frob % order
 
-    def is_identity_like(self) -> bool:
-        return self.frob_exp == 0 and self.mu_dlog == 0
-
     def to_json(self):
         return {"frob_exp": self.frob_exp, "root_choice": self.mu_dlog}
 
@@ -686,11 +683,6 @@ def monomial_degree(x: TameElement) -> int:
 def subfield_generated(S, ambient: TameField) -> Subfield:
     """The subfield of the ambient field generated by the elements of S."""
     return Subfield(ambient, list(S))
-
-
-def whole_field(ambient: TameField) -> Subfield:
-    """The ambient field itself, as a Subfield (cached on the field)."""
-    return tower_subfield(ambient, ambient)
 
 
 def tower_subfield(level: TameField, ambient: TameField) -> Subfield:

@@ -36,12 +36,12 @@ from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice,
 from strata_kit.strata import (STAB_MARKER, FiltDepth, GroupPresentation,
                                OrderSkeleton, defining_sequence,
                                depth_of_index, index_card, index_of_depth, k0,
-                               k_F, presentation_secherre, presentation_yu,
+                               presentation_secherre, presentation_yu,
                                standard_order, v_order)
 from strata_kit.strata import compare_presentations
 from strata_kit.tower import (INF, base_field, embeddings, extend,
                               apply_embedding, sr, subfield_generated,
-                              tower_subfield, whole_field)
+                              tower_subfield)
 from strata_kit.translate import roundtrip_check, secherre_to_yu
 
 
@@ -196,8 +196,7 @@ def test_criterion_3_ten_mutation_classes():
     def variant(chunks=None, fields=None, beta2=None):
         return Factorization(beta2 if beta2 is not None else beta, F,
                              chunks if chunks is not None else list(fac.chunks),
-                             fields if fields is not None else list(fac.fields),
-                             fac.degenerate)
+                             fields if fields is not None else list(fac.fields))
 
     class _BadTails(Factorization):
         def partial_tail(self, i):
@@ -210,11 +209,11 @@ def test_criterion_3_ten_mutation_classes():
     q_c0 = mono(Q, -2)                 # lies in the middle field already
     q_c1 = mono(Q, -4, 1)              # generates the middle field
     bad_gen = Factorization(q_c0 + q_c1, F, [q_c0, q_c1],
-                            [whole_field(Q), mid], False)
+                            [tower_subfield(Q, Q), mid])
 
     # merged non-minimal chunk
     whole_r = subfield_generated([E.uniformizer()], E)
-    bad_min = Factorization(beta, F, [beta], [whole_r], False)
+    bad_min = Factorization(beta, F, [beta], [whole_r])
 
     # tampered top-field stabilizer (defensive clause): inside the quartic
     # ambient the quadratic subfield keeps 2 of the 4 embeddings, so
@@ -224,12 +223,12 @@ def test_criterion_3_ten_mutation_classes():
     assert len(facU.fields[0].stabilizer) == 2
     fake_top = copy.copy(facU.fields[0])
     fake_top.stabilizer = facU.fields[0].stabilizer[:1]
-    bad_top = Factorization(g, F, list(facU.chunks), [fake_top], False)
+    bad_top = Factorization(g, F, list(facU.chunks), [fake_top])
 
     cases = [
         ("empty_chunk", variant(chunks=[E.zero(INF), fac.chunks[1]])),
         ("empty_chunk", Factorization(beta, F, list(fac.chunks),
-                                      [fac.fields[0]], False)),
+                                      [fac.fields[0]])),
         ("sum_mismatch", variant(beta2=beta + E.one())),
         ("ord_not_decreasing", variant(chunks=[fac.chunks[1], fac.chunks[0]])),
         ("chunk_not_in_field", variant(fields=[base_sub, base_sub])),
@@ -237,7 +236,7 @@ def test_criterion_3_ten_mutation_classes():
         ("field_not_generated", bad_gen),
         ("chunk_not_minimal", bad_min),
         ("jump_mismatch", _BadTails(beta, F, list(fac.chunks),
-                                    list(fac.fields), fac.degenerate)),
+                                    list(fac.fields))),
         ("top_field_mismatch", bad_top),
     ]
     assert len(cases) == 10
@@ -293,16 +292,12 @@ def test_criterion_4_valuation_and_k0_scaling():
             fac = howe_factorize(beta, base)
             if fac.degenerate:
                 continue
-            kf = k_F(beta, fac)
             c0 = fac.chunks[0]
-            e_rel = fac.fields[0].e_over_base
             for copies in (1, 2):
                 e_A = copies * E.e_abs
                 order = OrderSkeleton(m=E.degree * copies, d=1, e_A=e_A,
                                       pure_over=E)
                 kk = k0(beta, order, fac)
-                # scaling law: k0 = e_A * k_F / e(F[beta]/F), exactly
-                assert kk * e_rel == e_A * kf
                 chain = interleaved_chain(E, copies)
                 assert v_A_direct(regular_rep(c0, copies), chain) == kk
                 assert v_A_direct(regular_rep(beta, copies), chain) == \
@@ -432,6 +427,12 @@ def fuzzed_strata():
               else random_stratum(rng))
         out.append(st)
     return out
+
+
+def test_k0_is_the_first_stage_k0(fuzzed_strata):
+    for st in fuzzed_strata:
+        assert st.kind == "simple"
+        assert k0(st.beta, st.order, st.fac) == defining_sequence(st)[0].k0_value
 
 
 def test_criterion_6_presentations_equal(fuzzed_strata):

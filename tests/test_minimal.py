@@ -32,6 +32,32 @@ def test_base_elements_minimal_by_convention(E_ram2, F3):
     assert rep.in_base and rep.minimal
 
 
+def test_criterion_1_witnesses_from_the_leading_term(towers):
+    # lead(c^e) = lead(c)^e: criterion 1 raises only c's leading term, and
+    # its witnesses match those read off the full power of a multi-digit c
+    checked = 0
+    for E in towers:
+        if E.degree == 1:
+            continue
+        for base in dict.fromkeys((E.base(), E.parent)):
+            base_sub = tower_subfield(base, E)
+            for c in (mono(E, -3, 1) + mono(E, -2) + mono(E, 1, 1),
+                      mono(E, -1) + mono(E, 0, 1) + mono(E, 2),
+                      mono(E, -2, 1) + mono(E, -1, 1)):
+                Ec = base_sub.adjoin(c)
+                e_rel = Ec.e_over_base // base_sub.e_over_base
+                v = int(c.ord() * Ec.e_over_base)
+                unit = (c ** e_rel) * (base_sub.uniformizer().inverse() ** v)
+                lead_v, r0 = unit.leading()
+                assert lead_v == 0
+                want = {"v": v, "e_rel": e_rel,
+                        "f_rel": Ec.f_over_base // base_sub.f_over_base,
+                        "residue_degree": base_sub.residue_degree_of(r0)}
+                assert is_minimal(c, base).witnesses["crit1"] == want
+                checked += 1
+    assert checked == 45
+
+
 def test_unramified_generator_minimal():
     F = base_field(3)
     U = extend(F, 2, 1, 1)
@@ -53,7 +79,7 @@ def test_criteria_agree_never_raises_on_towers(towers):
 def test_factorize_running_example(E_ram2, F3):
     beta = mono(E_ram2, -4) + mono(E_ram2, -1)      # t^-2 + pi^-1
     fac = howe_factorize(beta, F3)
-    assert fac.s == 1 and not fac.degenerate
+    assert len(fac.chunks) == 2 and not fac.degenerate
     assert [list(c.digits) for c in fac.chunks] == [[-1], [-4]]
     assert [K.degree for K in fac.fields] == [2, 1]
     jumps = fac.depth_jumps()
@@ -63,7 +89,7 @@ def test_factorize_running_example(E_ram2, F3):
 
 def test_factorize_minimal_is_single_chunk(E_ram2, F3):
     fac = howe_factorize(mono(E_ram2, -1), F3)
-    assert fac.s == 0 and len(fac.chunks) == 1
+    assert len(fac.chunks) == 1
     assert check_factorization(fac).ok
 
 
@@ -73,6 +99,19 @@ def test_factorize_central_is_degenerate(E_ram2, F3):
     assert check_factorization(fac).ok
 
 
+def test_centrality_is_read_from_the_level_chain(E_ram2, F3):
+    # no stored flag can disagree with the chain E_0 > ... > base
+    fac = howe_factorize(mono(E_ram2, -4) + mono(E_ram2, -1), F3)
+    args = (fac.beta, F3, list(fac.chunks), list(fac.fields))
+    with pytest.raises(TypeError):
+        Factorization(*args, True)
+    with pytest.raises(TypeError):
+        Factorization(*args, degenerate=True)
+    with pytest.raises(AttributeError):
+        fac.degenerate = True
+    assert len(fac.levels) == 2 and not fac.degenerate
+
+
 def test_mutation_classes_rejected(E_ram2, F3):
     beta = mono(E_ram2, -4) + mono(E_ram2, -1)
     fac = howe_factorize(beta, F3)
@@ -80,13 +119,12 @@ def test_mutation_classes_rejected(E_ram2, F3):
     whole = fac.fields[0]
     base_sub = fac.fields[1]
 
-    def variant(chunks=None, fields=None, beta2=None, degenerate=None):
+    def variant(chunks=None, fields=None, beta2=None):
         return Factorization(
             beta2 if beta2 is not None else beta,
             F3,
             chunks if chunks is not None else list(fac.chunks),
-            fields if fields is not None else list(fac.fields),
-            fac.degenerate if degenerate is None else degenerate)
+            fields if fields is not None else list(fac.fields))
 
     cases = {
         "empty_chunk": variant(chunks=[amb.zero(INF), fac.chunks[1]]),
@@ -104,7 +142,7 @@ def test_mutation_classes_rejected(E_ram2, F3):
             return tail + mono(amb, -6) if i == 1 else tail
 
     cases["jump_mismatch"] = _BadTails(beta, F3, list(fac.chunks),
-                                       list(fac.fields), fac.degenerate)
+                                       list(fac.fields))
     for clause, bad in cases.items():
         rep = check_factorization(bad)
         assert not rep.ok and rep.clause == clause, (clause, rep.clause, rep.message)
@@ -113,7 +151,7 @@ def test_mutation_classes_rejected(E_ram2, F3):
 def test_mutation_length_mismatch(E_ram2, F3):
     beta = mono(E_ram2, -4) + mono(E_ram2, -1)
     fac = howe_factorize(beta, F3)
-    bad = Factorization(beta, F3, list(fac.chunks), [fac.fields[0]], False)
+    bad = Factorization(beta, F3, list(fac.chunks), [fac.fields[0]])
     rep = check_factorization(bad)
     assert not rep.ok and rep.clause == "empty_chunk"
 
@@ -125,7 +163,7 @@ def test_mutation_chunk_not_minimal(F3):
     E = extend(F3, 1, 2, 1)
     beta = mono(E, -4) + mono(E, -1)
     whole = subfield_generated([E.uniformizer()], E)
-    bad = Factorization(beta, F3, [beta], [whole], False)
+    bad = Factorization(beta, F3, [beta], [whole])
     rep = check_factorization(bad)
     assert not rep.ok and rep.clause == "chunk_not_minimal"
 
@@ -138,10 +176,10 @@ def test_mutation_field_not_generated(F3):
     whole = fac.fields[0]
     # claim a central extra chunk field that the chunk cannot generate
     mid = tower_subfield(E.parent, E)
-    bad = Factorization(beta, F3, [fac.chunks[0]], [fac.fields[0]], False)
+    bad = Factorization(beta, F3, [fac.chunks[0]], [fac.fields[0]])
     bad2 = Factorization(beta + mono(E, -4), F3,
                          [fac.chunks[0], mono(E, -4)],
-                         [whole, mid], False)
+                         [whole, mid])
     rep = check_factorization(bad2)
     assert not rep.ok and rep.clause in ("field_not_generated",
                                          "chunk_not_minimal",
@@ -155,7 +193,7 @@ def test_mutation_top_field_mismatch(F3):
     fac = howe_factorize(g, F3)
     base_sub = tower_subfield(F3, E)
     # claim the top field is the base although beta generates E
-    bad = Factorization(g, F3, list(fac.chunks), [base_sub], False)
+    bad = Factorization(g, F3, list(fac.chunks), [base_sub])
     rep = check_factorization(bad)
     assert not rep.ok and rep.clause in ("chunk_not_in_field",
                                          "top_field_mismatch")
@@ -164,18 +202,16 @@ def test_mutation_top_field_mismatch(F3):
 # -- genericity --------------------------------------------------------------
 
 def test_generic_uniformizer(E_ram2, F3):
-    from strata_kit.tower import whole_field
     rep = is_generic(mono(E_ram2, -1),
-                     (whole_field(E_ram2), tower_subfield(F3, E_ram2)))
+                     (tower_subfield(E_ram2, E_ram2), tower_subfield(F3, E_ram2)))
     assert rep.verdict and rep.ge1
     assert rep.depth * 2 == 1
     assert rep.equivalence_holds()
 
 
 def test_not_generic_central(E_ram2, F3):
-    from strata_kit.tower import whole_field
     rep = is_generic(mono(E_ram2, -2),
-                     (whole_field(E_ram2), tower_subfield(F3, E_ram2)))
+                     (tower_subfield(E_ram2, E_ram2), tower_subfield(F3, E_ram2)))
     assert not rep.verdict                  # minimal but does not generate
     assert rep.equivalence_holds()
 

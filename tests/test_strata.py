@@ -7,9 +7,10 @@ import pytest
 
 from strata_kit.errors import DomainError
 from strata_kit.strata import (MODES, FiltDepth, GroupPresentation,
-                               OrderSkeleton, compare_presentations,
+                               OrderSkeleton, StratumSkeleton,
+                               compare_presentations,
                                defining_sequence, depth_of_index, index_card,
-                               index_of_depth, k0, k_F, make_stratum,
+                               index_of_depth, k0, make_stratum,
                                presentation_secherre, presentation_yu,
                                standard_order, v_order)
 from strata_kit.tower import base_field, extend
@@ -54,9 +55,8 @@ def test_v_order(running):
 
 def test_k_F_and_k0(running):
     _, E, beta, order = running
-    assert k_F(beta) == -1
     assert k0(beta, order) == -1
-    assert k_F(mono(E, -2)) is None             # central: -infinity
+    assert k0(mono(E, -2), order) is None       # central: -infinity
     assert k0(mono(E, -1), order) == -1         # minimal: e_A * ord
 
 
@@ -66,6 +66,8 @@ def test_stratum_and_kind(running):
     assert (st.n, st.r, st.kind) == (4, 0, "simple")
     st_pure = make_stratum(order, beta, r=2)
     assert st_pure.kind == "pure"               # r = 2 >= -k0 = 1
+    with pytest.raises(TypeError):              # the kind is always derived
+        StratumSkeleton(order, 4, 2, beta, st_pure.fac, "simple")
     st_null = make_stratum(order, beta, r=4)
     assert st_null.kind == "null"
 
