@@ -15,6 +15,12 @@ and x plus or minus an exact zero has x's digits and precision.  Zeros to
 precision (no digits, finite ``prec``) are never skipped, since they lower
 the precision of every entry they touch.  Elements are immutable, so one
 exact zero is shared by all the entries of a matrix or vector.
+
+Row operations shift by powers of t instead of multiplying by them:
+``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
+``x.prec + k`` (INF stays INF).  Those are exactly the digits and the
+precision of x times the exact monomial t^k, so a shift changes no digit
+and no precision either; an exact zero is returned as it is.
 """
 
 from __future__ import annotations
@@ -347,6 +353,14 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
 # lattices over the power-series ring
 # ---------------------------------------------------------------------------
 
+def _t_shift(x: TameElement, k: int) -> TameElement:
+    """x * t^k: x's digits at valuations v + k, precision ``x.prec + k``."""
+    if x.prec is INF and not x.digits:
+        return x
+    return TameElement(x.owner, {v + k: a for v, a in x.digits.items()},
+                       x.prec + k)
+
+
 def _high_part(x: TameElement, cut: int) -> TameElement:
     """The digits of x at valuations >= cut (keeping x's precision)."""
     return TameElement(x.owner, {v: a for v, a in x.digits.items() if v >= cut},
@@ -369,41 +383,30 @@ class MatrixLattice:
         self._canonicalize(cols)
 
     def _canonicalize(self, cols):
-        base = self.base
         cols = [list(c) for c in cols if any(x.digits for x in c)]
         pivots = []       # (row, exponent)
         pivot_cols = []
         pivot_ids = set()
         for row in range(self.dim):
-            cands = []
-            for c in cols:
-                if id(c) in pivot_ids:
-                    continue
-                v = c[row].val()
-                if v is not None:
-                    cands.append((v, c))
+            live = [c for c in cols if c[row].digits]
+            cands = [(c[row].val(), c) for c in live if id(c) not in pivot_ids]
             if not cands:
                 continue
             v = min(x[0] for x in cands)
             col = next(c for w, c in cands if w == v)
             sup = _support(col)
-            unit = col[row] * base.monomial(-v, base.residue.one)
-            inv_unit = unit.inverse()
+            inv_unit = _t_shift(col[row], -v).inverse()
             for u in sup:
                 col[u] = col[u] * inv_unit
-            for c2 in cols:
+            for c2 in live:
                 if c2 is col:
                     continue
                 e2 = c2[row]
                 if id(c2) in pivot_ids:
-                    high = _high_part(e2, v)
-                    if not high.digits:
+                    e2 = _high_part(e2, v)
+                    if not e2.digits:
                         continue
-                    q = high * base.monomial(-v, base.residue.one)
-                else:
-                    if e2.val() is None:
-                        continue
-                    q = e2 * base.monomial(-v, base.residue.one)
+                q = _t_shift(e2, -v)
                 for u in sup:
                     c2[u] = c2[u] - col[u] * q
             pivots.append((row, v))
@@ -421,7 +424,6 @@ class MatrixLattice:
     def reduce_vector(self, vec):
         """Remainder of vec after greedy reduction by the canonical columns
         with series-ring coefficients; zero remainder certifies membership."""
-        base = self.base
         v = list(vec)
         for (row, a), col in zip(self.pivots, self.cols):
             e = v[row]
@@ -429,7 +431,7 @@ class MatrixLattice:
                 continue
             if e.val() < a:
                 return v    # not reducible: remainder is nonzero
-            q = e * base.monomial(-a, base.residue.one)
+            q = _t_shift(e, -a)
             for u in _support(col):
                 v[u] = v[u] - col[u] * q
         return v
@@ -530,18 +532,11 @@ def commutant_basis(gens, N: int, base: TameField):
         vec = [zero] * dim
         vec[free] = base.one()
         for col, idx in pivots.items():
-            vec[col] = -reduced[idx][free]
+            x = reduced[idx][free]
+            if x.digits or x.prec is not INF:
+                vec[col] = -x
         basis.append(vec)
     return basis
-
-
-def _scale(vec, factors):
-    """The entrywise product of vec and factors.  Exact zeros of vec are
-    kept as they are: an exact zero times anything is an exact zero."""
-    out = list(vec)
-    for u in _support(vec):
-        out[u] = vec[u] * factors[u]
-    return out
 
 
 def _min_val(col):
@@ -557,19 +552,16 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     be divided by t and still lies in the commutant span."""
     N = chain.N
     dim = N * N
-    D = chain.filt_bound(n)
+    D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     basis = commutant_basis(gens, N, base)
-    one = base.residue.one
-    down = [base.monomial(-D[u // N][u % N], one) for u in range(dim)]
-    up = [base.monomial(D[u // N][u % N], one) for u in range(dim)]
     cols = []
     for vec in basis:
-        scaled = _scale(vec, down)
+        scaled = [_t_shift(x, -d) for x, d in zip(vec, D)]
         mv = _min_val(scaled)
         if mv is None:
             raise DomainError("zero commutant basis vector",
                               clause="zero_commutant_vector")
-        cols.append(_scale(scaled, [base.monomial(-mv, one)] * dim))
+        cols.append([_t_shift(x, -mv) for x in scaled])
     kF = base.residue
     zero = _exact_zero(base)
     while True:
@@ -591,12 +583,13 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
             v = x.val()
             if v is not None and v < 1:
                 raise PrecisionError("saturation step failed to divide by t")
-        comb = _scale(comb, [base.monomial(-1, one)] * dim)
+        comb = [_t_shift(x, -1) for x in comb]
         mv = _min_val(comb)
         if mv is None:
             raise PrecisionError("saturation produced a zero column")
-        cols[last] = _scale(comb, [base.monomial(-mv, one)] * dim)
-    return MatrixLattice(base, dim, [_scale(c, up) for c in cols])
+        cols[last] = [_t_shift(x, -mv) for x in comb]
+    return MatrixLattice(base, dim, [[_t_shift(x, d) for x, d in zip(c, D)]
+                                     for c in cols])
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,11 @@ class TameField:
             self.acc_twist = self.residue.one
         else:
             if e_rel < 1 or f_rel < 1:
-                raise DomainError("relative degrees must be >= 1")
+                raise DomainError("relative degrees must be >= 1",
+                                  clause="bad_relative_degree")
             if e_rel % p == 0:
-                raise DomainError(f"wild ramification: p = {p} divides e_rel = {e_rel}")
+                raise DomainError(f"wild ramification: p = {p} divides e_rel = {e_rel}",
+                                  clause="wild_ramification")
             self.f_over_base = parent.f_over_base * f_rel
             self.e_abs = parent.e_abs * e_rel
             self.residue = make_field(p, base_f * self.f_over_base)
@@ -83,7 +85,8 @@ class TameField:
             if twist.owner is not self.residue:
                 twist = residue.embed(twist, self.residue)
             if twist.is_zero():
-                raise DomainError("twist must be a nonzero residue element")
+                raise DomainError("twist must be a nonzero residue element",
+                                  clause="zero_twist")
             self.twist = twist
             # pi^e_abs * acc_twist = t, accumulated down the tower
             self.acc_twist = (twist ** parent.e_abs) * residue.embed(parent.acc_twist, self.residue)
@@ -121,7 +124,8 @@ class TameField:
     def monomial(self, v: int, coeff: FqElem) -> "TameElement":
         """The exact element coeff * pi^v."""
         if coeff.owner is not self.residue:
-            raise DomainError("monomial coefficient must lie in the residue field")
+            raise DomainError("monomial coefficient must lie in the residue field",
+                              clause="coefficient_not_residue")
         if coeff.is_zero():
             return TameElement(self, {}, INF)
         return TameElement(self, {v: coeff}, INF)
@@ -139,16 +143,19 @@ class TameField:
 def base_field(q: int) -> TameField:
     """The base field GF(q)((t)), q = p^f0 <= residue.SIZE_CAP."""
     if q > residue.SIZE_CAP:
-        raise DomainError(f"q = {q} exceeds the residue size cap {residue.SIZE_CAP}")
+        raise DomainError(f"q = {q} exceeds the residue size cap {residue.SIZE_CAP}",
+                          clause="size_cap")
     if q < 2:
-        raise DomainError(f"q = {q} is not a prime power")
+        raise DomainError(f"q = {q} is not a prime power",
+                          clause="not_prime_power")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     f0, m = 0, q
     while m % p == 0:
         m //= p
         f0 += 1
     if m != 1:
-        raise DomainError(f"q = {q} is not a prime power")
+        raise DomainError(f"q = {q} is not a prime power",
+                          clause="not_prime_power")
     return TameField(None, p, f0, 1, 1, None)
 
 
@@ -194,14 +201,16 @@ class TameElement:
         """Valuation normalized to the base field: val / e_abs."""
         if not self.digits:
             if self.prec is INF:
-                raise DomainError("ord of exact zero is undefined (+infinity)")
+                raise DomainError("ord of exact zero is undefined (+infinity)",
+                                  clause="ord_of_zero")
             raise PrecisionError("ord of a zero-to-precision element is uncertain")
         return Fraction(min(self.digits), self.owner.e_abs)
 
     def leading(self):
         """(valuation, digit) of the leading term."""
         if not self.digits:
-            raise DomainError("zero element has no leading term")
+            raise DomainError("zero element has no leading term",
+                              clause="leading_of_zero")
         v = min(self.digits)
         return v, self.digits[v]
 
@@ -209,7 +218,8 @@ class TameElement:
 
     def _check(self, other):
         if self.owner is not other.owner:
-            raise DomainError("owner mismatch: coerce elements to a common field first")
+            raise DomainError("owner mismatch: coerce elements to a common field first",
+                              clause="owner_mismatch")
 
     def __add__(self, other):
         self._check(other)
@@ -224,7 +234,13 @@ class TameElement:
         return TameElement(self.owner, {v: -a for v, a in self.digits.items()}, self.prec)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        prec = min(self.prec, other.prec)
+        digits = dict(self.digits)
+        for v, a in other.digits.items():
+            s = digits.get(v)
+            digits[v] = -a if s is None else s - a
+        return TameElement(self.owner, digits, prec)
 
     def _val_lower_bound(self):
         return min(self.digits) if self.digits else self.prec
@@ -253,7 +269,7 @@ class TameElement:
         """
         if not self.digits:
             if self.prec is INF:
-                raise DomainError("division by exact zero")
+                raise DomainError("division by exact zero", clause="division_by_zero")
             raise PrecisionError("division by an element that is zero to precision")
         v, a = self.leading()
         lead_inv = TameElement(self.owner, {-v: a.inverse()}, INF)
@@ -334,7 +350,8 @@ def coerce(x: TameElement, target: TameField) -> TameElement:
     if x.owner is target:
         return x
     if not x.owner.is_ancestor_of(target):
-        raise DomainError("coerce target is not a descendant of the element's field")
+        raise DomainError("coerce target is not a descendant of the element's field",
+                          clause="not_a_descendant")
     for level in target.levels[len(x.owner.levels):]:
         digits = {}
         for v, a in x.digits.items():
@@ -349,7 +366,7 @@ def sr(c: TameElement) -> TameElement:
     c * s^-1 in 1 + (maximal ideal)."""
     if not c.digits:
         if c.prec is INF:
-            raise DomainError("sr of zero is undefined")
+            raise DomainError("sr of zero is undefined", clause="sr_of_zero")
         raise PrecisionError("sr of a zero-to-precision element is uncertain")
     v, a = c.leading()
     return TameElement(c.owner, {v: a}, INF)
@@ -416,7 +433,8 @@ def _splitting_data(E: TameField):
     fp = fe
     while True:
         if base.p ** (base.base_f * fp) > residue.SIZE_CAP:
-            raise DomainError("splitting field exceeds the residue size cap")
+            raise DomainError("splitting field exceeds the residue size cap",
+                              clause="size_cap")
         if (Q ** fp - 1) % e == 0:
             kL = make_field(base.p, base.base_f * fp)
             twist_L = residue.embed(E.acc_twist, kL)
@@ -472,7 +490,8 @@ def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
         if x.owner.is_ancestor_of(sigma.source):
             x = coerce(x, sigma.source)
         else:
-            raise DomainError("element is not owned by the embedding's source")
+            raise DomainError("element is not owned by the embedding's source",
+                              clause="not_in_source")
     gen_power = sigma.target.residue.gen_power
     return TameElement(sigma.target, {v: gen_power(d) for v, d in _image_key(sigma, x)},
                        x.prec)
@@ -568,7 +587,8 @@ class Subfield:
     def contains(self, x: TameElement) -> bool:
         if x.owner is not self.ambient:
             if not x.owner.is_ancestor_of(self.ambient):
-                raise DomainError("element does not live in the ambient field")
+                raise DomainError("element does not live in the ambient field",
+                                  clause="not_in_ambient")
             x = coerce(x, self.ambient)
         ref = _image_key(self.homs[self.stabilizer[0]], x)
         return all(_image_key(self.homs[i], x) == ref for i in self.stabilizer[1:])
@@ -691,7 +711,8 @@ def tower_subfield(level: TameField, ambient: TameField) -> Subfield:
     K = ambient._subfields.get(level)
     if K is None:
         if not level.is_ancestor_of(ambient):
-            raise DomainError("level is not an ancestor of the ambient field")
+            raise DomainError("level is not an ancestor of the ambient field",
+                              clause="not_an_ancestor")
         K = Subfield(ambient, [level.residue_gen_elem(), level.uniformizer()])
         ambient._subfields[level] = K
     return K

@@ -19,7 +19,7 @@ from .minimal import is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
                      defining_sequence, k0, make_stratum, presentation_secherre,
                      presentation_yu, v_order)
-from .tower import TameElement, TameField
+from .tower import TameElement, TameField, sr
 
 
 @dataclass
@@ -153,12 +153,11 @@ class RoundtripReport:
 
 
 def _unit_equivalent(c1: TameElement, c2: TameElement) -> bool:
-    """Whether c2 = c1 * (1 + positive-valuation), i.e. ord(c2/c1 - 1) > 0."""
-    ratio = c2 / c1
-    diff = ratio - ratio.owner.one()
-    if not diff.digits:
-        return True     # equal within precision
-    return diff.ord() > 0
+    """Whether c2 = c1 * (1 + positive-valuation), i.e. ord(c2/c1 - 1) > 0.
+    That holds exactly when c1 and c2 have the same leading term, since
+    lead(c2/c1) = lead(c2)/lead(c1); so only the standard representatives
+    are compared, and no series is inverted."""
+    return sr(c1).equals(sr(c2))
 
 
 def roundtrip_check(stratum: StratumSkeleton) -> RoundtripReport:

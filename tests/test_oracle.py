@@ -205,15 +205,18 @@ def test_decomposer_lives_on_its_field():
 
 
 def test_every_oracle_domain_error_names_a_clause():
+    """In oracle.py and in tower.py, whose arithmetic the oracle runs on."""
     import ast
     import inspect
 
-    from strata_kit import oracle
-    tree = ast.parse(inspect.getsource(oracle))
-    missing = [node.lineno for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", None) == "DomainError"
-               and not any(k.arg == "clause" for k in node.keywords)]
+    from strata_kit import oracle, tower
+    missing = []
+    for module in (oracle, tower):
+        tree = ast.parse(inspect.getsource(module))
+        missing += [(module.__name__, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "DomainError"
+                    and not any(k.arg == "clause" for k in node.keywords)]
     assert missing == []
 
 
@@ -330,3 +333,76 @@ def test_sparse_product_matches_dense_loops():
             want = [[sum((A.rows[i][j] * B.rows[j][k] for j in range(A.n)), z)
                      for k in range(A.n)] for i in range(A.n)]
             assert _entries((A @ B).rows) == _entries(want)
+
+
+def _dense_centralizer(basis, chain, n, base):
+    """Pivots and pivot columns of intersect_with_centralizer by the dense
+    loops, from a commutant basis: every scaling is a product by a monic
+    monomial t^k, over all dim entries."""
+    from strata_kit.oracle import _fq_kernel_vector
+    N, kF = chain.N, base.residue
+    dim, z = N * N, TameElement(base, {}, INF)
+    D = [d for row in chain.filt_bound(n) for d in row]
+
+    def scale(vec, ks):
+        return [x * base.monomial(k, kF.one) for x, k in zip(vec, ks)]
+
+    def min_val(vec):
+        return min(x.val() for x in vec if x.digits)
+
+    cols = []
+    for vec in basis:
+        vec = scale(vec, [-d for d in D])
+        cols.append(scale(vec, [-min_val(vec)] * dim))
+    while True:
+        lam = _fq_kernel_vector([[c[u].digits.get(0, kF.zero) for u in range(dim)]
+                                 for c in cols], kF)
+        if lam is None:
+            break
+        comb = [z] * dim
+        for l, c in zip(lam, cols):
+            comb = [a + x * TameElement(base, {0: l}, INF) for a, x in zip(comb, c)]
+        comb = scale(comb, [-1] * dim)
+        last = max(i for i, l in enumerate(lam) if not l.is_zero())
+        cols[last] = scale(comb, [-min_val(comb)] * dim)
+    return _dense_hermite(base, dim, [scale(c, D) for c in cols])
+
+
+def test_centralizer_intersection_matches_dense_loops():
+    menu = ((3, 1, 2, 1), (3, 2, 1, 1), (3, 3, 1, 1), (5, 1, 2, 1),
+            (5, 1, 3, 2), (5, 1, 4, 2), (9, 1, 2, 1), (9, 2, 1, 1))
+    checked = 0
+    for q, f, e, twist in menu:
+        E = extend(base_field(q), f, e, twist)
+        F = E.base()
+        for copies in (1, 2):
+            if E.degree * copies > 6:
+                continue
+            gens = [regular_rep(g, copies)
+                    for g in (E.uniformizer(), E.residue_gen_elem())]
+            chain = chain_from_field(E, copies)
+            basis = _dense_commutant(gens, chain.N, F)
+            for n in range(chain.period):
+                L = intersect_with_centralizer(gens, chain, n, F)
+                pivots, want = _dense_centralizer(basis, chain, n, F)
+                assert L.pivots == pivots
+                assert _entries(L.cols) == _entries(want)
+                checked += 1
+    assert checked == 28
+
+
+# -- shifts: products by monic powers of t -----------------------------------
+
+def test_t_shift_is_the_monomial_product():
+    from strata_kit.oracle import _t_shift
+    for q in (3, 5, 9):
+        F = base_field(q)
+        one, g = F.residue.one, F.residue.gen_power(1)
+        for x in (TameElement(F, {-1: one, 0: g, 2: one}, INF),    # exact
+                  TameElement(F, {-2: g, 1: one}, 4),               # inexact
+                  TameElement(F, {}, 3), TameElement(F, {}, -1),   # zero to prec
+                  TameElement(F, {}, INF)):                         # exact zero
+            for k in range(-3, 4):
+                got, want = _t_shift(x, k), x * F.monomial(k, one)
+                assert _entries([[got]]) == _entries([[want]])
+                assert (got.prec is INF) == (want.prec is INF)

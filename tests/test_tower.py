@@ -61,6 +61,37 @@ def test_mul_prec_rule():
     assert (x * y).prec == 6
 
 
+def test_sub_is_add_of_negation(towers):
+    import random
+    rng = random.Random(13)
+
+    def state(x):
+        return sorted((v, a.coords) for v, a in x.digits.items()), x.prec
+
+    def draw(E, keep=None):
+        digits = {v: E.residue.gen_power(rng.randrange(E.residue.q - 1))
+                  for v in rng.sample(range(-3, 6), rng.randrange(4))}
+        if keep is not None:    # share some of keep's digits, so they cancel
+            digits.update((v, a) for v, a in keep.digits.items()
+                          if rng.random() < 0.6)
+        return TameElement(E, digits, rng.choice([INF, INF, rng.randrange(-2, 8)]))
+
+    cancelled = 0
+    for E in towers:
+        for _ in range(40):
+            x = draw(E)
+            y = rng.choice([draw(E), draw(E, keep=x), x])
+            got, want = x - y, x + (-y)
+            assert state(got) == state(want)
+            assert (got.prec is INF) == (want.prec is INF)
+            cancelled += len(got.digits) < len(set(x.digits) | set(y.digits))
+    assert cancelled > 100
+    F, E = towers[0], towers[1]
+    with pytest.raises(DomainError) as err:
+        E.one() - F.one()
+    assert err.value.clause == "owner_mismatch"
+
+
 def test_inverse_and_division(E_ram2):
     x = mono(E_ram2, -1) + mono(E_ram2, 2, 1)
     y = x.inverse()

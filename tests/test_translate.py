@@ -88,3 +88,36 @@ def test_factchar_frozen_values(running_stratum):
 def test_factchar_respects_bound(running_stratum):
     with pytest.raises(DomainError):
         factchar_indices(running_stratum, t=5)
+
+
+def test_unit_equivalence_reads_the_leading_terms():
+    """_unit_equivalent agrees with ord(c2/c1 - 1) > 0 computed in full."""
+    import random
+
+    from strata_kit.tower import INF, TameElement
+    from strata_kit.translate import _unit_equivalent
+
+    def by_division(c1, c2):
+        diff = c2 / c1 - c1.owner.one()
+        return not diff.digits or diff.ord() > 0
+
+    rng = random.Random(5)
+    verdicts = set()
+    for E in (base_field(3), extend(base_field(5), 1, 2, 1),
+              extend(base_field(3), 2, 1, 1)):
+        n = E.residue.q - 1
+
+        def draw():
+            v = rng.randrange(-3, 3)
+            digits = {w: E.residue.gen_power(rng.randrange(n))
+                      for w in range(v, v + rng.randrange(1, 4))}
+            return TameElement(E, digits, rng.choice([INF, v + 1, v + 5]))
+
+        for _ in range(60):
+            c1 = draw()
+            c2 = rng.choice([draw(), c1 * (E.one() + mono(E, rng.randrange(1, 3), 1)),
+                             TameElement(E, c1.digits, c1.prec)])
+            want = by_division(c1, c2)
+            assert _unit_equivalent(c1, c2) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
