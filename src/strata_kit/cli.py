@@ -148,7 +148,7 @@ def cmd_generic(args):
     rep = is_generic(x, (tower_subfield(big, E), tower_subfield(small, E)))
     out = {"schema": ser.SCHEMA,
            "ge1": rep.ge1,
-           "generic": rep.verdict,
+           "generic": rep.ge1,
            "depth": ser.rational_str(rep.depth),
            "minimal": rep.minimal_consensus,
            "generates": rep.generates,
@@ -268,7 +268,8 @@ def cmd_verify(args):
     _emit({"schema": ser.SCHEMA, "suite": args.suite, "cases": cases,
            "failures": failures[:10], "failure_count": len(failures)})
     if failures:
-        raise DomainError(f"suite {args.suite} failed {len(failures)} cases")
+        raise DomainError(f"suite {args.suite} failed {len(failures)} cases",
+                          clause="suite_failed")
 
 
 def build_parser():

@@ -131,7 +131,8 @@ def random_beta(rng: random.Random, E: TameField):
         for c in chunks[1:]:
             beta = beta + c
         return beta
-    raise DomainError("fuzzer failed to assemble a beta for this tower")
+    raise DomainError("fuzzer failed to assemble a beta for this tower",
+                      clause="fuzz_beta_exhausted")
 
 
 def random_stratum(rng: random.Random, q: int | None = None) -> StratumSkeleton:
@@ -145,7 +146,7 @@ def random_stratum(rng: random.Random, q: int | None = None) -> StratumSkeleton:
             return make_stratum(standard_order(E), random_beta(rng, E))
         except DomainError:
             continue
-    raise DomainError("fuzzer failed to build a stratum")
+    raise DomainError("fuzzer failed to build a stratum", clause="fuzz_stratum_exhausted")
 
 
 def random_depth_zero(rng: random.Random, q: int | None = None) -> StratumSkeleton:

@@ -30,11 +30,13 @@ def as_subfield(base, ambient: TameField) -> Subfield:
     """Normalize a base given as a tower field into a Subfield of ambient."""
     if isinstance(base, Subfield):
         if base.ambient is not ambient:
-            raise DomainError("base subfield lives in a different ambient field")
+            raise DomainError("base subfield lives in a different ambient field",
+                              clause="ambient_mismatch")
         return base
     if isinstance(base, TameField):
         return tower_subfield(base, ambient)
-    raise DomainError(f"unsupported base type {type(base).__name__}")
+    raise DomainError(f"unsupported base type {type(base).__name__}",
+                      clause="unsupported_base")
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +72,6 @@ def separating_pairs(Ec: Subfield, small: Subfield, big: Subfield):
 @dataclass
 class MinimalityReport:
     """Outcome of the three independent minimality criteria."""
-    element: TameElement
-    base: Subfield
     in_base: bool
     crit1_classical: bool
     crit2_sr_generates: bool
@@ -98,7 +98,8 @@ class MinimalityReport:
 def is_minimal(c: TameElement, base) -> MinimalityReport:
     """Evaluate all three minimality criteria of c relative to base[c]/base."""
     if not c.digits:
-        raise (DomainError("minimality of zero is undefined") if c.prec is INF
+        raise (DomainError("minimality of zero is undefined",
+                           clause="minimality_of_zero") if c.prec is INF
                else PrecisionError("element is zero to precision"))
     base_sub = as_subfield(base, c.owner)
     return _minimality(c, base_sub, base_sub.adjoin(c))
@@ -112,11 +113,13 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
 
     # --- criterion 1: classical numerical test -----------------------------
     if Ec.e_over_base % base_sub.e_over_base != 0:
-        raise DomainError("inconsistent ramification between base and base[c]")
+        raise DomainError("inconsistent ramification between base and base[c]",
+                          clause="ramification_inconsistent")
     e_rel = Ec.e_over_base // base_sub.e_over_base
     v_frac = c.ord() * Ec.e_over_base
     if v_frac.denominator != 1:
-        raise DomainError("valuation of c is not integral in base[c] (inconsistency)")
+        raise DomainError("valuation of c is not integral in base[c] (inconsistency)",
+                          clause="valuation_not_integral")
     v = int(v_frac)
     # lead(c^e) = lead(c)^e, and only the leading term of the unit part is read
     lead_c = c.truncate(min(c.digits) + 1)
@@ -125,7 +128,8 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
         raise PrecisionError("unit part of c^e is zero to precision")
     lead_v, r0 = unit_part.leading()
     if lead_v != 0:
-        raise DomainError("unit part of c^e does not have valuation 0 (inconsistency)")
+        raise DomainError("unit part of c^e does not have valuation 0 (inconsistency)",
+                          clause="unit_part_valuation")
     f_rel = Ec.f_over_base // base_sub.f_over_base
     res_deg = base_sub.residue_degree_of(r0)
     crit1 = (gcd(v, e_rel) == 1) and (res_deg == f_rel)
@@ -148,7 +152,7 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
     crit3 = not violations
     if violations:
         witnesses["crit3_violations"] = violations
-    return MinimalityReport(c, base_sub, in_base, crit1, crit2, crit3, witnesses)
+    return MinimalityReport(in_base, crit1, crit2, crit3, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +211,13 @@ def howe_factorize(beta: TameElement, base: TameField) -> Factorization:
     certified by :func:`check_factorization` before being returned.
     """
     if not beta.digits:
-        raise (DomainError("cannot factor zero") if beta.prec is INF
+        raise (DomainError("cannot factor zero",
+                           clause="factor_of_zero") if beta.prec is INF
                else PrecisionError("beta is zero to precision"))
     ambient = beta.owner
     if not base.is_ancestor_of(ambient):
-        raise DomainError("base is not an ancestor of beta's field")
+        raise DomainError("base is not an ancestor of beta's field",
+                          clause="not_an_ancestor")
     base_sub = tower_subfield(base, ambient)
     K = base_sub
     groups = []          # scan order: deepest chunk first
@@ -338,18 +344,10 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
 @dataclass
 class GenericityReport:
     """GE1-style genericity of c for a Levi step E'/E, with cross-checks."""
-    element: TameElement
-    level_big: Subfield      # E'
-    level_small: Subfield    # E
     depth: Fraction          # r = -ord(c)
     ge1: bool
     minimal_consensus: bool
     generates: bool
-    pair_table: list
-
-    @property
-    def verdict(self) -> bool:
-        return self.ge1
 
     def equivalence_holds(self) -> bool:
         """Genericity must coincide with (minimality AND generation)."""
@@ -364,18 +362,15 @@ def is_generic(c: TameElement, levels) -> GenericityReport:
     Eprime = as_subfield(Eprime, ambient)
     Esmall = as_subfield(Esmall, ambient)
     if not set(Eprime.stabilizer) <= set(Esmall.stabilizer):
-        raise DomainError("levels are not nested (E must sit inside E')")
+        raise DomainError("levels are not nested (E must sit inside E')",
+                          clause="levels_not_nested")
     if not Eprime.contains(c):
-        raise DomainError("element does not lie in the bigger level E'")
+        raise DomainError("element does not lie in the bigger level E'",
+                          clause="not_in_level")
     c_ord = c.ord()
-    depth = -c_ord
     Ec = Esmall.adjoin(c)
-    pairs = separating_pairs(Ec, Esmall, Eprime)
-    ge1 = all(d_ord == c_ord for _, d_ord in pairs)
-    table = [{"pair": pair, "ord": None if d_ord is None else str(d_ord)}
-             for pair, d_ord in pairs]
+    ge1 = all(d_ord == c_ord for _, d_ord in separating_pairs(Ec, Esmall, Eprime))
     rep = _minimality(c, Esmall, Ec)
-    generates = Ec.degree == Eprime.degree
-    minimal_consensus = rep.agree() and rep.minimal
-    return GenericityReport(c, Eprime, Esmall, depth, ge1,
-                            minimal_consensus, generates, table)
+    return GenericityReport(depth=-c_ord, ge1=ge1,
+                            minimal_consensus=rep.agree() and rep.minimal,
+                            generates=Ec.degree == Eprime.degree)

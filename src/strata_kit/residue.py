@@ -142,12 +142,13 @@ class FqField:
 
     def __init__(self, p: int, f: int):
         if f < 1:
-            raise DomainError(f"f = {f} must be >= 1")
+            raise DomainError(f"f = {f} must be >= 1", clause="nonpositive_degree")
         # the cap comes first so that trial division only sees p <= 2^16
         if f >= SIZE_CAP.bit_length() or p ** f > SIZE_CAP:
-            raise DomainError(f"GF({p}^{f}) exceeds the size cap {SIZE_CAP}")
+            raise DomainError(f"GF({p}^{f}) exceeds the size cap {SIZE_CAP}",
+                              clause="size_cap")
         if _prime_factors(p) != [p]:    # [] for p < 2
-            raise DomainError(f"p = {p} is not prime")
+            raise DomainError(f"p = {p} is not prime", clause="not_prime")
         q = p ** f
         self.p = p
         self.f = f
@@ -173,7 +174,8 @@ class FqField:
             m = tail + (1,)
             if _is_irreducible(m, p):
                 return m
-        raise DomainError("no irreducible polynomial found (unreachable)")
+        raise DomainError("no irreducible polynomial found (unreachable)",
+                          clause="no_irreducible")
 
     def _mul_coords(self, a, b):
         prod = _poly_mod(_poly_mul(_trim(a), _trim(b), self.p), self.modulus, self.p)
@@ -192,7 +194,8 @@ class FqField:
                     break
             if ok:
                 return coords
-        raise DomainError("no multiplicative generator found (unreachable)")
+        raise DomainError("no multiplicative generator found (unreachable)",
+                          clause="no_generator")
 
     def _one_coords(self):
         return tuple([1] + [0] * (self.f - 1))
@@ -260,7 +263,8 @@ class FqField:
             hi, lo = divmod(low_img[lo] + high_img[hi], pack_split)
             n = low_idx[lo] + high_idx[hi]
         if n != 1:
-            raise DomainError("generator does not have full order (unreachable)")
+            raise DomainError("generator does not have full order (unreachable)",
+                              clause="generator_order")
         self._pow = powers
         self._dlog = dict(zip(powers, range(q - 1)))
 
@@ -269,7 +273,8 @@ class FqField:
     def elem(self, coords) -> "FqElem":
         coords = tuple(int(c) % self.p for c in coords)
         if len(coords) != self.f:
-            raise DomainError(f"coords length {len(coords)} != f = {self.f}")
+            raise DomainError(f"coords length {len(coords)} != f = {self.f}",
+                              clause="coords_length")
         return FqElem(self, coords)
 
     def from_int(self, n: int) -> "FqElem":
@@ -282,7 +287,7 @@ class FqField:
 
     def dlog(self, a: "FqElem") -> int:
         if not any(a.coords):
-            raise DomainError("discrete log of zero")
+            raise DomainError("discrete log of zero", clause="log_of_zero")
         return self._dlog[a.coords]
 
     def elements(self):
@@ -309,7 +314,8 @@ class FqElem:
 
     def _check(self, other):
         if self.owner is not other.owner:
-            raise DomainError("owner mismatch in residue-field arithmetic")
+            raise DomainError("owner mismatch in residue-field arithmetic",
+                              clause="owner_mismatch")
 
     def __add__(self, other):
         self._check(other)
@@ -335,7 +341,8 @@ class FqElem:
     def __truediv__(self, other):
         self._check(other)
         if other.is_zero():
-            raise DomainError("division by zero in residue field")
+            raise DomainError("division by zero in residue field",
+                              clause="division_by_zero")
         if self.is_zero():
             return self.owner.zero
         fld = self.owner
@@ -348,7 +355,8 @@ class FqElem:
         fld = self.owner
         if self.is_zero():
             if e < 0:
-                raise DomainError("division by zero in residue field")
+                raise DomainError("division by zero in residue field",
+                                  clause="division_by_zero")
             return fld.zero if e else fld.one
         return fld.gen_power(fld.dlog(self) * e)
 
@@ -385,9 +393,11 @@ def embed(a: FqElem, target: FqField) -> FqElem:
     source generator to target_generator ** ((p^ft - 1)/(p^fo - 1))."""
     src = a.owner
     if src.p != target.p:
-        raise DomainError("cannot embed between different characteristics")
+        raise DomainError("cannot embed between different characteristics",
+                          clause="characteristic_mismatch")
     if target.f % src.f != 0:
-        raise DomainError(f"degree {src.f} does not divide {target.f}")
+        raise DomainError(f"degree {src.f} does not divide {target.f}",
+                          clause="degree_not_dividing")
     if src.f == target.f:
         return FqElem(target, a.coords)
     if a.is_zero():

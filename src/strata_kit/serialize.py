@@ -127,8 +127,8 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
     prec = obj.get("prec")
     if prec is None:
         prec = INF if default_prec is None else default_prec
-    elif isinstance(prec, bool) or not isinstance(prec, (int, float)):
-        raise SchemaError(f"prec must be an integer or null, not {prec!r}")
+    else:
+        prec = _int(prec, "prec")
     return TameElement(owner, digits, prec)
 
 

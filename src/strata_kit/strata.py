@@ -12,10 +12,14 @@ maximal.  On top of that this module computes:
 - defining sequences of simple strata with their jump indices,
 - the four index <-> depth correspondences between radical powers and
   Moy-Prasad-style depths (depth_of_index is the one place that decides
-  which depth an index names), and
+  which depth an index names, and _first_index the one place that decides
+  which index a depth names: the least m with m/e_A >= r for r, with
+  m/e_A > r for r+), and
 - the concrete group presentations of both constructions, each a list of
   (level, depth) windows with a depth a FiltDepth or STAB_MARKER, in a
-  normal form that makes equality decidable.
+  normal form that makes equality decidable: the shallowest window per
+  level, minus every window that a window at a higher level with a depth
+  no deeper contains, so that depths deepen strictly with the level.
 """
 
 from __future__ import annotations
@@ -44,14 +48,17 @@ class OrderSkeleton:
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1 or self.e_A < 1:
-            raise DomainError("order parameters must be positive")
+            raise DomainError("order parameters must be positive",
+                              clause="nonpositive_order_parameter")
         if self.e_A % self.d != 0:
-            raise DomainError("e_A must be a multiple of the symbolic d")
+            raise DomainError("e_A must be a multiple of the symbolic d",
+                              clause="d_not_dividing_e_A")
         e_field = self.pure_over.e_abs
         if self.e_A % e_field != 0:
-            raise DomainError("e(E/F) must divide e_A for an E-pure order")
+            raise DomainError("e(E/F) must divide e_A for an E-pure order",
+                              clause="e_not_dividing_e_A")
         if self.N % self.pure_over.degree != 0:
-            raise DomainError("[E:F] must divide N = m*d")
+            raise DomainError("[E:F] must divide N = m*d", clause="degree_not_dividing_N")
         if self.N % self.e_A != 0:
             raise DomainError(f"the period e_A = {self.e_A} of a principal order "
                               f"must divide N = m*d = {self.N}",
@@ -79,11 +86,12 @@ def v_order(x: TameElement, order: OrderSkeleton) -> int:
     """Order-valuation of a field element: e_A * ord(x), which must land in
     the integers (otherwise the order/field pairing is inconsistent)."""
     if not x.digits:
-        raise DomainError("v_order of zero is undefined")
+        raise DomainError("v_order of zero is undefined", clause="v_order_of_zero")
     v = x.ord() * order.e_A
     if v.denominator != 1:
         raise DomainError(
-            f"e_A * ord(x) = {v} is not an integer: inconsistent order/field pairing")
+            f"e_A * ord(x) = {v} is not an integer: inconsistent order/field pairing",
+            clause="v_order_not_integral")
     return int(v)
 
 
@@ -125,7 +133,7 @@ class StratumSkeleton:
 
 def classify_stratum(st: StratumSkeleton) -> str:
     if st.n < st.r:
-        raise DomainError("stratum requires n >= r")
+        raise DomainError("stratum requires n >= r", clause="n_below_r")
     if st.r < 0:
         raise DomainError(f"stratum requires r >= 0, not {st.r}", clause="negative_r")
     v = v_order(st.beta, st.order)
@@ -134,7 +142,7 @@ def classify_stratum(st: StratumSkeleton) -> str:
     if st.n == st.r:
         return "null"
     if v != -st.n:
-        raise DomainError("pure stratum requires v_order(beta) = -n")
+        raise DomainError("pure stratum requires v_order(beta) = -n", clause="bad_n")
     kk = k0(st.beta, st.order, st.fac)
     if kk is None or st.r < -kk:
         return "simple"
@@ -147,17 +155,21 @@ def make_stratum(order: OrderSkeleton, beta: TameElement,
     stratum n = 0 for a unit of the base ring)."""
     E = order.pure_over
     if beta.owner is not E:
-        raise DomainError("beta must be owned by the order's pure field")
+        raise DomainError("beta must be owned by the order's pure field",
+                          clause="owner_mismatch")
     fac = howe_factorize(beta, E.base())
     if fac.fields[0].degree != E.degree:
         raise DomainError("order is not pure over F[beta] "
-                          f"(degree {fac.fields[0].degree} != {E.degree})")
+                          f"(degree {fac.fields[0].degree} != {E.degree})",
+                          clause="order_not_pure_over_beta")
     v = v_order(beta, order)
     n = max(0, -v)
     if v > 0:
-        raise DomainError("beta must have non-positive order valuation")
+        raise DomainError("beta must have non-positive order valuation",
+                          clause="positive_valuation")
     if n == 0 and not fac.degenerate:
-        raise DomainError("depth-zero strata require a central unit beta")
+        raise DomainError("depth-zero strata require a central unit beta",
+                          clause="depth_zero_not_central")
     return StratumSkeleton(order, n, r, beta, fac)
 
 
@@ -213,7 +225,10 @@ class FiltDepth:
         return f"{self.value}{'+' if self.plus else ''}"
 
 
-MODES = ("plain", "plus", "half", "half_plus")
+#: mode -> (scale, plus): the index n names the depth n/(scale e_A), as r
+#: or as r+.
+MODES = {"plain": (1, False), "plus": (1, True),
+         "half": (2, False), "half_plus": (2, True)}
 
 
 def depth_of_index(n: int, order: OrderSkeleton, mode: str = "plain") -> FiltDepth:
@@ -222,37 +237,31 @@ def depth_of_index(n: int, order: OrderSkeleton, mode: str = "plain") -> FiltDep
     half P^floor((n+1)/2) <-> n/(2 e_A); half_plus P^(floor(n/2)+1) <->
     (n/(2 e_A))+."""
     if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}")
-    e_A = order.e_A
-    if mode == "plain":
-        return FiltDepth(Fraction(n, e_A), False)
-    if mode == "plus":
-        return FiltDepth(Fraction(n, e_A), True)
-    if mode == "half":
-        return FiltDepth(Fraction(n, 2 * e_A), False)
-    return FiltDepth(Fraction(n, 2 * e_A), True)
+        raise DomainError(f"unknown mode {mode!r}", clause="unknown_mode")
+    scale, plus = MODES[mode]
+    return FiltDepth(Fraction(n, scale * order.e_A), plus)
+
+
+def _first_index(depth: FiltDepth, e_A: int) -> int:
+    """The least m with m/e_A >= r for the depth r, and with m/e_A > r for
+    r+: the radical power U^m that the depth names."""
+    x = depth.value * e_A
+    return floor(x) + 1 if depth.plus else ceil(x)
 
 
 def index_of_depth(depth: FiltDepth, order: OrderSkeleton, mode: str = "plain") -> int:
     """Inverse of depth_of_index; raises when the depth is not attained
-    (the integrality gate n = depth * e_A, resp. 2 e_A)."""
+    (the integrality gate n = depth * e_A, resp. 2 e_A).  The mode, not
+    depth.plus, says whether the depth is read as r or r+."""
     if mode not in MODES:
-        raise DomainError(f"unknown mode {mode!r}")
-    e_A = order.e_A
-    scale = e_A if mode in ("plain", "plus") else 2 * e_A
-    n = depth.value * scale
+        raise DomainError(f"unknown mode {mode!r}", clause="unknown_mode")
+    scale, plus = MODES[mode]
+    n = depth.value * scale * order.e_A
     if n.denominator != 1:
         raise DomainError(
             f"depth {depth.value} is not attained: {n} fails the integrality gate",
             clause="depth_not_attained")
-    n = int(n)
-    if mode == "plain":
-        return n
-    if mode == "plus":
-        return n + 1
-    if mode == "half":
-        return (n + 1) // 2
-    return n // 2 + 1
+    return _first_index(FiltDepth(depth.value, plus), order.e_A)
 
 
 # ---------------------------------------------------------------------------
@@ -268,21 +277,13 @@ def _depth_sort_key(d):
     return (0,) if d == STAB_MARKER else (1, d)
 
 
-def _dominates(l1, d1, l2, d2) -> bool:
-    """Whether factor (l1, d1) contains factor (l2, d2): a higher (or equal)
-    level with a shallower (or equal) depth absorbs the other factor."""
-    if l1 < l2:
-        return False
-    return _depth_sort_key(d1) <= _depth_sort_key(d2)
-
-
 @dataclass
 class GroupPresentation:
     """A product of per-level filtration subgroups, plus its normal form.
 
     ``factors`` is the raw list of (level, depth) windows, each depth a
-    FiltDepth or STAB_MARKER; the normal form drops every window dominated
-    by another and sorts by level.
+    FiltDepth or STAB_MARKER; the normal form drops every window contained
+    in another and sorts by level.
     """
     label: str
     tower_degrees: tuple      # [E_i : F] per level, level 0 = biggest field
@@ -312,15 +313,12 @@ def _normalize(factors):
     for lvl, dep in factors:
         if lvl not in best or _depth_sort_key(dep) < _depth_sort_key(best[lvl]):
             best[lvl] = dep
-    items = sorted(best.items())
-    # cross-level absorption
+    # a window at a higher level with a depth no deeper contains this one
     kept = []
-    for lvl, dep in items:
-        if any(_dominates(l2, d2, lvl, dep) for l2, d2 in items
-               if (l2, d2) != (lvl, dep)):
-            continue
-        kept.append((lvl, dep))
-    return kept
+    for lvl in sorted(best, reverse=True):
+        if not kept or _depth_sort_key(best[lvl]) < _depth_sort_key(kept[-1][1]):
+            kept.append((lvl, best[lvl]))
+    return kept[::-1]
 
 
 def presentation_secherre(stratum: StratumSkeleton):
@@ -330,7 +328,8 @@ def presentation_secherre(stratum: StratumSkeleton):
     level 0, and Jhat with the stabilizer at level 0."""
     order = stratum.order
     if not order.b_maximal:
-        raise DomainError("presentations require a maximal centralizer order")
+        raise DomainError("presentations require a maximal centralizer order",
+                          clause="order_not_maximal")
     stages = defining_sequence(stratum)
     degs = tuple(K.degree for K in stratum.fac.levels)
     top = len(degs) - 1
@@ -375,25 +374,15 @@ def compare_presentations(a: GroupPresentation, b: GroupPresentation):
     return True, {}
 
 
-def _jump_count(lo: FiltDepth, hi: FiltDepth, e_A: int) -> int:
-    """Number of filtration jumps n/e_A in the window [lo, hi)."""
-    lo_n = ceil(lo.value * e_A)
-    if lo.plus and lo.value * e_A == lo_n:
-        lo_n += 1
-    hi_n = floor(hi.value * e_A)
-    if not hi.plus and hi.value * e_A == hi_n:
-        hi_n -= 1
-    return max(0, hi_n - lo_n + 1)
-
-
 def _effective_depth(nf, level):
-    """Shallowest window covering a tower slice: min depth over factors at
-    this level or deeper in the tower (higher level index)."""
-    cands = [dep for lvl, dep in nf if lvl >= level]
-    if not cands:
-        raise DomainError("presentation has no factor covering a tower slice",
-                          clause="uncovered_slice")
-    return min(cands, key=_depth_sort_key)
+    """Shallowest window covering a tower slice.  Depths deepen with the
+    level in the normal form, so it is the first window at this level or
+    deeper in the tower (higher level index)."""
+    for lvl, dep in nf:
+        if lvl >= level:
+            return dep
+    raise DomainError("presentation has no factor covering a tower slice",
+                      clause="uncovered_slice")
 
 
 def index_card(num: GroupPresentation, den: GroupPresentation):
@@ -401,7 +390,8 @@ def index_card(num: GroupPresentation, den: GroupPresentation):
     Lie-lattice digit counts: each tower slice contributes its dimension
     per jump times the number of jumps in its effective depth window."""
     if num.tower_degrees != den.tower_degrees or num.e_A != den.e_A:
-        raise DomainError("presentations live over different data")
+        raise DomainError("presentations live over different data",
+                          clause="presentation_data_mismatch")
     e_A, N = num.e_A, num.N
     total = 0
     degs = num.tower_degrees
@@ -423,5 +413,5 @@ def index_card(num: GroupPresentation, den: GroupPresentation):
         if step % e_A != 0:
             raise DomainError("per-jump dimension is not integral",
                               clause="dimension_gate")
-        total += (step // e_A) * _jump_count(dn, dd, e_A)
+        total += (step // e_A) * (_first_index(dd, e_A) - _first_index(dn, e_A))
     return total

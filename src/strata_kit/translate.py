@@ -42,15 +42,19 @@ class YuSkeleton:
             raise DomainError(f"d must be non-negative, not {self.d}",
                               clause="negative_d")
         if len(self.depths) != self.d + 1 or len(self.tower_degrees) != self.d + 1:
-            raise DomainError("tower/depth lengths must equal d + 1")
+            raise DomainError("tower/depth lengths must equal d + 1",
+                              clause="datum_length")
         if self.tower_degrees[-1] != 1:
-            raise DomainError("the tower must terminate at the base field")
+            raise DomainError("the tower must terminate at the base field",
+                              clause="tower_not_at_base")
         body = self.depths[:-1] if self.trivial_top else self.depths
         for a, b in zip(body, body[1:]):
             if not a < b:
-                raise DomainError("depths must be strictly increasing")
+                raise DomainError("depths must be strictly increasing",
+                                  clause="depths_not_increasing")
         if self.trivial_top and self.depths[-1] != self.depths[-2]:
-            raise DomainError("a trivial final step must repeat the last depth")
+            raise DomainError("a trivial final step must repeat the last depth",
+                              clause="trivial_top_depth")
 
 
 def _jump_depths(stages, n: int, e_A: int) -> list:
@@ -93,7 +97,7 @@ def _check_genericity(stratum: StratumSkeleton, yu: YuSkeleton):
     levels = fac.levels
     for i, (big, small) in enumerate(zip(levels, levels[1:])):
         rep = is_generic(fac.chunks[i], (big, small))
-        if not rep.verdict:
+        if not rep.ge1:
             raise DomainError(f"chunk {i} fails genericity for its field pair",
                               clause="chunk_not_generic")
         if not rep.equivalence_holds():
@@ -119,7 +123,7 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     and depth-zero flag."""
     real = [c for c in yu.chunks if c is not None]
     if not real:
-        raise DomainError("datum carries no realizing chunks")
+        raise DomainError("datum carries no realizing chunks", clause="no_chunks")
     E = real[0].owner
     # the standard order of E, at the datum's period e_A
     order = OrderSkeleton(m=E.degree, d=1, e_A=yu.e_A, pure_over=E)
@@ -194,7 +198,8 @@ def factchar_indices(stratum: StratumSkeleton, t: int = 0) -> CharacterIndexTabl
     kk = k0(stratum.beta, order, stratum.fac)
     bound = -kk if kk is not None else stratum.n + 1
     if not (0 <= t < max(bound, 1)):
-        raise DomainError(f"truncation level t={t} outside [0, {bound})")
+        raise DomainError(f"truncation level t={t} outside [0, {bound})",
+                          clause="truncation_out_of_range")
     rows = []
     for i, c in enumerate(stratum.fac.chunks):
         vA = v_order(c, order)

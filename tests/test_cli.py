@@ -138,12 +138,21 @@ def test_prec_env(capsys, monkeypatch):
     {"tower": {"base_q": 3, "levels": [{"f": "x", "e": 2}]}, "element": ELT},
     {"tower": TOWER, "element": {"field": 1, "digits": [[-1, ["a"]]], "prec": None}},
     {"tower": TOWER, "element": {"field": True, "digits": [[-1, [1]]], "prec": None}},
+    *({"tower": TOWER, "element": {"field": 1, "digits": [[-1, [1]]], "prec": prec}}
+      for prec in (float("nan"), float("-inf"), float("inf"), 2.5)),
 ])
 def test_malformed_values_are_schema_errors(capsys, monkeypatch, doc):
     code, out, err = run(capsys, monkeypatch, ["expand"], doc)
     assert code == 1 and out == ""
     assert err.startswith("schema error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_integral_float_prec_reads_as_int(capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, ["expand"],
+                       {"tower": TOWER,
+                        "element": {"field": 1, "digits": [[-1, [1]]], "prec": 3.0}})
+    assert code == 0 and json.loads(out)["element"]["prec"] == 3
 
 
 def test_huge_base_q_is_domain_error(capsys, monkeypatch):

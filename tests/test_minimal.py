@@ -204,7 +204,7 @@ def test_mutation_top_field_mismatch(F3):
 def test_generic_uniformizer(E_ram2, F3):
     rep = is_generic(mono(E_ram2, -1),
                      (tower_subfield(E_ram2, E_ram2), tower_subfield(F3, E_ram2)))
-    assert rep.verdict and rep.ge1
+    assert rep.ge1
     assert rep.depth * 2 == 1
     assert rep.equivalence_holds()
 
@@ -212,7 +212,7 @@ def test_generic_uniformizer(E_ram2, F3):
 def test_not_generic_central(E_ram2, F3):
     rep = is_generic(mono(E_ram2, -2),
                      (tower_subfield(E_ram2, E_ram2), tower_subfield(F3, E_ram2)))
-    assert not rep.verdict                  # minimal but does not generate
+    assert not rep.ge1                      # minimal but does not generate
     assert rep.equivalence_holds()
 
 
@@ -235,7 +235,7 @@ def test_certification_builds_base_of_c_once(monkeypatch, E_ram2, F3):
 
     monkeypatch.setattr(Subfield, "adjoin", counting)
     rep = is_generic(mono(E_ram2, -1), (E_ram2, F3))
-    assert rep.verdict and rep.equivalence_holds()
+    assert rep.ge1 and rep.equivalence_holds()
     assert len(calls) == 1          # base[c], which is base[sr(c)]
     fac = howe_factorize(mono(E_ram2, -4) + mono(E_ram2, -1), F3)
     calls.clear()
@@ -245,6 +245,6 @@ def test_certification_builds_base_of_c_once(monkeypatch, E_ram2, F3):
     c = mono(E_ram2, -1) + mono(E_ram2, 0)
     calls.clear()
     rep = is_generic(c, (E_ram2, F3))
-    assert rep.verdict and rep.equivalence_holds()
+    assert rep.ge1 and rep.equivalence_holds()
     assert len(calls) == 2          # base[c] and base[sr(c)]
     assert calls[1].digits == sr(c).digits

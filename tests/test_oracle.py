@@ -205,15 +205,18 @@ def test_decomposer_lives_on_its_field():
 
 
 def test_every_oracle_domain_error_names_a_clause():
-    """In oracle.py and in tower.py, whose arithmetic the oracle runs on."""
+    """In oracle.py, in tower.py, whose arithmetic the oracle runs on, and in
+    every other module of the package."""
     import ast
-    import inspect
+    from pathlib import Path
 
-    from strata_kit import oracle, tower
+    import strata_kit
+    paths = sorted(Path(strata_kit.__file__).parent.glob("*.py"))
+    assert {"oracle.py", "tower.py", "strata.py"} <= {p.name for p in paths}
     missing = []
-    for module in (oracle, tower):
-        tree = ast.parse(inspect.getsource(module))
-        missing += [(module.__name__, node.lineno) for node in ast.walk(tree)
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        missing += [(path.name, node.lineno) for node in ast.walk(tree)
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "DomainError"
                     and not any(k.arg == "clause" for k in node.keywords)]

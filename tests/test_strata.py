@@ -1,13 +1,17 @@
 """Order/stratum skeletons, critical exponents, index/depth conversion,
 and group presentations."""
 
+import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
 from strata_kit.errors import DomainError
-from strata_kit.strata import (MODES, FiltDepth, GroupPresentation,
-                               OrderSkeleton, StratumSkeleton,
+from strata_kit.strata import (MODES, STAB_MARKER, FiltDepth,
+                               GroupPresentation, OrderSkeleton,
+                               StratumSkeleton, _depth_sort_key,
+                               _effective_depth, _first_index, _normalize,
                                compare_presentations,
                                defining_sequence, depth_of_index, index_card,
                                index_of_depth, k0, make_stratum,
@@ -89,6 +93,7 @@ def test_defining_sequence_requires_simple(running):
 
 def test_depth_index_modes(running):
     _, _, _, order = running           # e_A = 2
+    assert tuple(MODES) == ("plain", "plus", "half", "half_plus")
     assert depth_of_index(3, order, "plain") == FiltDepth(Fraction(3, 2), False)
     assert depth_of_index(3, order, "plus") == FiltDepth(Fraction(3, 2), True)
     assert depth_of_index(3, order, "half") == FiltDepth(Fraction(3, 4), False)
@@ -181,3 +186,119 @@ def test_yu_presentations_match(running):
     for a, b in ((h1, kp), (j, kc), (jhat, kk)):
         same, diff = compare_presentations(a, b)
         assert same, diff
+
+
+# -- the depth-to-index and containment rules against dense references -------
+
+def _dense_normalize(factors):
+    """Normal form by the all-pairs rule: drop every window that another
+    window at a higher or equal level and no deeper depth contains."""
+    best = {}
+    for lvl, dep in factors:
+        if lvl not in best or _depth_sort_key(dep) < _depth_sort_key(best[lvl]):
+            best[lvl] = dep
+    items = sorted(best.items())
+    return [(lvl, dep) for lvl, dep in items
+            if not any(l2 >= lvl and _depth_sort_key(d2) <= _depth_sort_key(dep)
+                       for l2, d2 in items if (l2, d2) != (lvl, dep))]
+
+
+def _dense_effective_depth(nf, level):
+    """Minimum depth over every window at this level or above, or None."""
+    cands = [dep for lvl, dep in nf if lvl >= level]
+    return min(cands, key=_depth_sort_key) if cands else None
+
+
+def _dense_jump_count(lo, hi, e_A):
+    """Jumps n/e_A in [lo, hi) by ceil/floor corrections at each end."""
+    lo_n = ceil(lo.value * e_A)
+    if lo.plus and lo.value * e_A == lo_n:
+        lo_n += 1
+    hi_n = floor(hi.value * e_A)
+    if not hi.plus and hi.value * e_A == hi_n:
+        hi_n -= 1
+    return max(0, hi_n - lo_n + 1)
+
+
+def _near(depth, e_A):
+    """Indices from two below to two above int(r e_A) for the depth r; the
+    least index at or above the depth is among them."""
+    x = int(depth.value * e_A)
+    return range(x - 2, x + 3)
+
+
+def _scan_first_index(depth, e_A):
+    """Least m whose depth m/e_A is at least ``depth``."""
+    ms = _near(depth, e_A)
+    assert FiltDepth(Fraction(ms[0], e_A)) < depth
+    return next(m for m in ms if FiltDepth(Fraction(m, e_A)) >= depth)
+
+
+def _random_depth(rng):
+    return FiltDepth(Fraction(rng.randrange(-30, 60), rng.randint(1, 12)),
+                     rng.random() < 0.5)
+
+
+def _random_windows(rng):
+    return [(rng.randrange(4),
+             STAB_MARKER if rng.random() < 0.15 else
+             FiltDepth(Fraction(rng.randrange(12), rng.choice((1, 2, 4))),
+                       rng.random() < 0.5))
+            for _ in range(rng.randint(1, 7))]
+
+
+def test_normal_form_matches_all_pairs_rule():
+    rng = random.Random(20141)
+    for _ in range(3000):
+        factors = _random_windows(rng)
+        nf = _normalize(factors)
+        assert nf == _dense_normalize(factors), factors
+        keys = [_depth_sort_key(dep) for _, dep in nf]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        for level in range(5):
+            want = _dense_effective_depth(nf, level)
+            if want is None:
+                with pytest.raises(DomainError) as exc:
+                    _effective_depth(nf, level)
+                assert exc.value.clause == "uncovered_slice"
+            else:
+                assert _effective_depth(nf, level) == want
+
+
+def test_first_index_is_least_index_at_the_depth():
+    rng = random.Random(7919)
+    for _ in range(3000):
+        depth, e_A = _random_depth(rng), rng.choice((1, 2, 3, 4, 6))
+        assert _first_index(depth, e_A) == _scan_first_index(depth, e_A), (depth, e_A)
+
+
+def test_index_of_depth_reads_the_mode_not_the_depth_flag():
+    F = base_field(3)
+    for e_A in (1, 2, 3, 4, 6):
+        order = OrderSkeleton(m=e_A, d=1, e_A=e_A, pure_over=F)
+        for mode, (scale, plus) in MODES.items():
+            for a in range(-12, 30):
+                value = Fraction(a, scale * e_A)
+                want = _scan_first_index(FiltDepth(value, plus), e_A)
+                for flag in (False, True):
+                    assert index_of_depth(FiltDepth(value, flag), order, mode) == want
+                assert depth_of_index(a, order, mode) == FiltDepth(value, plus)
+                with pytest.raises(DomainError) as exc:
+                    index_of_depth(FiltDepth(Fraction(2 * a + 1, 2 * scale * e_A)),
+                                   order, mode)
+                assert exc.value.clause == "depth_not_attained"
+
+
+def test_index_card_slices_count_the_jumps_in_each_window():
+    rng = random.Random(1)
+    for _ in range(3000):
+        lo, hi = sorted((_random_depth(rng), _random_depth(rng)))
+        e_A = rng.choice((1, 2, 3, 4, 6))
+        ms = range(_near(lo, e_A)[0], _near(hi, e_A)[-1] + 1)
+        count = sum(lo <= FiltDepth(Fraction(m, e_A)) < hi for m in ms)
+        assert _dense_jump_count(lo, hi, e_A) == count, (lo, hi, e_A)
+        assert _first_index(hi, e_A) - _first_index(lo, e_A) == count, (lo, hi, e_A)
+        # one slice of dimension N^2 = e_A^2, so e_A digits per jump
+        num = GroupPresentation("num", (1,), e_A, e_A, [(0, lo)])
+        den = GroupPresentation("den", (1,), e_A, e_A, [(0, hi)])
+        assert index_card(num, den) == e_A * count
