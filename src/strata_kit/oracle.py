@@ -3,9 +3,9 @@
 Everything here is deliberately independent of the symbolic stratum
 calculus: field elements become honest matrices via the regular
 representation, hereditary data becomes explicit diagonal lattice chains,
-and all filtration questions are answered by valuation bounds, Hermite
-normal forms over the power-series ring, and Gaussian elimination.  The
-symbolic layer is tested against these answers.
+and all filtration questions are answered by valuation bounds, and by
+Hermite normal forms and kernels over the power-series ring.  The symbolic
+layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
@@ -21,6 +21,13 @@ Row operations shift by powers of t instead of multiplying by them:
 ``x.prec + k`` (INF stays INF).  Those are exactly the digits and the
 precision of x times the exact monomial t^k, so a shift changes no digit
 and no precision either; an exact zero is returned as it is.
+
+A centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
+X -> ([X, G])_G on the radical power P^n, taken by one column-echelon pass
+(``intersect_with_centralizer``).  Each pivot is the entry of least
+valuation in its row, so every quotient by it lies in o_F and every column
+operation is unimodular: the kernel comes out saturated, with no separate
+saturation step.
 """
 
 from __future__ import annotations
@@ -54,46 +61,6 @@ def _fp_inverse(mat, p):
                 c = aug[r][col]
                 aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def _fq_kernel_vector(cols, k):
-    """A nonzero GF(q)-vector lam with sum lam_i * cols[i] = 0, or None.
-
-    ``cols`` is a list of equal-length lists of FqElem over the field k.
-    """
-    r = len(cols)
-    if r == 0:
-        return None
-    dim = len(cols[0])
-    # row-reduce the dim x r matrix, tracking pivot columns
-    rows = [[cols[i][u] for i in range(r)] for u in range(dim)]
-    pivots = {}
-    reduced = []
-    for row in rows:
-        row = row[:]
-        for col, idx in pivots.items():
-            c = row[col]
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, reduced[idx])]
-        j = next((i for i in range(r) if not row[i].is_zero()), None)
-        if j is None:
-            continue
-        inv = row[j].inverse()
-        row = [a * inv for a in row]
-        for idx in range(len(reduced)):
-            c = reduced[idx][j]
-            if not c.is_zero():
-                reduced[idx] = [a - c * b for a, b in zip(reduced[idx], row)]
-        pivots[j] = len(reduced)
-        reduced.append(row)
-        if len(pivots) == r:
-            return None
-    free = next(i for i in range(r) if i not in pivots)
-    lam = [k.zero for _ in range(r)]
-    lam[free] = k.one
-    for col, idx in pivots.items():
-        lam[col] = -reduced[idx][free]
-    return lam
 
 
 class _ResidueDecomposer:
@@ -147,6 +114,13 @@ def _exact_zero(base: TameField) -> TameElement:
     return TameElement(base, {}, INF)
 
 
+def _check_size(n: int, m: int):
+    """Raise unless a size-n matrix meets a size-m matrix or chain."""
+    if n != m:
+        raise DomainError(f"size {n} does not match size {m}",
+                          clause="shape_mismatch")
+
+
 def _support(vec):
     """Indices of the entries of vec that are not exact zeros."""
     return [u for u, x in enumerate(vec) if x.digits or x.prec is not INF]
@@ -183,14 +157,17 @@ class Mat:
         return m
 
     def __add__(self, other):
+        _check_size(self.n, other.n)
         return Mat(self.base, [[a + b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
+        _check_size(self.n, other.n)
         return Mat(self.base, [[a - b for a, b in zip(r1, r2)]
                                for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other):
+        _check_size(self.n, other.n)
         zero = _exact_zero(self.base)
         out = []
         for r in self.rows:
@@ -326,6 +303,7 @@ def chain_from_field(E: TameField, copies: int = 1) -> ChainRealized:
 
 def v_A_direct(x: Mat, chain: ChainRealized) -> int:
     """max n with x L_j inside L_{j+n} for all j, by membership scan."""
+    _check_size(x.n, chain.N)
     vals = [x.rows[i][k].val() for i in range(x.n) for k in range(x.n)]
     vals = [v for v in vals if v is not None]
     if not vals:
@@ -476,120 +454,61 @@ def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commutants and centralizer intersections
+# centralizer intersections
 # ---------------------------------------------------------------------------
-
-def commutant_basis(gens, N: int, base: TameField):
-    """An F-basis of the commutant of the given matrices, as flattened
-    vectors in F^(N*N), by Gaussian elimination on the bracket equations."""
-    dim = N * N
-    zero = _exact_zero(base)
-    rows = []
-    for G in gens:
-        for i in range(N):
-            for k in range(N):
-                row = [zero] * dim
-                for j in range(N):
-                    g = G.rows[j][k]
-                    if g.digits or g.prec is not INF:
-                        row[i * N + j] = row[i * N + j] + g
-                    g = G.rows[i][j]
-                    if g.digits or g.prec is not INF:
-                        row[j * N + k] = row[j * N + k] - g
-                rows.append(row)
-    pivots = {}
-    reduced = []
-    supports = []       # supports[idx] = _support(reduced[idx])
-    for row in rows:
-        r = row[:]
-        for col, idx in pivots.items():
-            c = r[col]
-            if c.digits:
-                prow = reduced[idx]
-                for u in supports[idx]:
-                    r[u] = r[u] - c * prow[u]
-        sup = _support(r)
-        nz = [(r[u].val(), u) for u in sup if r[u].digits]
-        if not nz:
-            continue
-        _, j = min(nz)
-        inv = r[j].inverse()
-        for u in sup:
-            r[u] = r[u] * inv
-        for idx, prow in enumerate(reduced):
-            c = prow[j]
-            if c.digits:
-                for u in sup:
-                    prow[u] = prow[u] - c * r[u]
-                supports[idx] = _support(prow)
-        pivots[j] = len(reduced)
-        reduced.append(r)
-        supports.append(sup)
-    basis = []
-    for free in range(dim):
-        if free in pivots:
-            continue
-        vec = [zero] * dim
-        vec[free] = base.one()
-        for col, idx in pivots.items():
-            x = reduced[idx][free]
-            if x.digits or x.prec is not INF:
-                vec[col] = -x
-        basis.append(vec)
-    return basis
-
-
-def _min_val(col):
-    vals = [x.val() for x in col if x.val() is not None]
-    return min(vals) if vals else None
-
 
 def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                                base: TameField) -> MatrixLattice:
     """The o_F-lattice (commutant of gens) intersect (n-th radical power),
-    by scaling the commutant basis into the unit lattice and saturating:
-    while the reductions mod t are dependent, a dependent combination can
-    be divided by t and still lies in the commutant span."""
+    as the kernel of X -> ([X, G])_G on the radical power.
+
+    Column u holds the brackets of t^D(u) e_u with every generator, stacked,
+    above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
+    o_F-basis of the graph of the bracket map.  One pass over the bracket
+    rows takes a live entry (one with digits) of least valuation v as the
+    row's pivot, clears the row from the other live columns and drops the
+    pivot column.  Since v is least, every quotient
+    ``_t_shift(e, -v) * unit^-1`` lies in o_F, so each step is unimodular;
+    a kernel element has no part along a dropped column, so the remaining
+    columns' lower parts span the kernel over o_F, saturated."""
     N = chain.N
     dim = N * N
+    for G in gens:
+        _check_size(G.n, N)
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
-    basis = commutant_basis(gens, N, base)
-    cols = []
-    for vec in basis:
-        scaled = [_t_shift(x, -d) for x, d in zip(vec, D)]
-        mv = _min_val(scaled)
-        if mv is None:
-            raise DomainError("zero commutant basis vector",
-                              clause="zero_commutant_vector")
-        cols.append([_t_shift(x, -mv) for x in scaled])
-    kF = base.residue
+    top = len(gens) * dim
     zero = _exact_zero(base)
-    while True:
-        res_cols = [[c[u].digits.get(0, kF.zero) for u in range(dim)]
-                    for c in cols]
-        lam = _fq_kernel_vector(res_cols, kF)
-        if lam is None:
-            break
-        comb = [zero] * dim
-        last = None
-        for i, l in enumerate(lam):
-            if l.is_zero():
-                continue
-            last = i
-            scal = TameElement(base, {0: l}, INF)
-            for u in _support(cols[i]):
-                comb[u] = comb[u] + cols[i][u] * scal
-        for x in comb:
-            v = x.val()
-            if v is not None and v < 1:
-                raise PrecisionError("saturation step failed to divide by t")
-        comb = [_t_shift(x, -1) for x in comb]
-        mv = _min_val(comb)
-        if mv is None:
-            raise PrecisionError("saturation produced a zero column")
-        cols[last] = [_t_shift(x, -mv) for x in comb]
-    return MatrixLattice(base, dim, [[_t_shift(x, d) for x, d in zip(c, D)]
-                                     for c in cols])
+    cols = []
+    for u, d in enumerate(D):
+        i, j = divmod(u, N)
+        col = [zero] * (top + dim)
+        for off, G in zip(range(0, top, dim), gens):
+            # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k),
+            # -t^d G[k][i] at (k, j)
+            for k in range(N):
+                g = G.rows[j][k]
+                if g.digits or g.prec is not INF:
+                    col[off + i * N + k] = col[off + i * N + k] + _t_shift(g, d)
+                g = G.rows[k][i]
+                if g.digits or g.prec is not INF:
+                    col[off + k * N + j] = col[off + k * N + j] - _t_shift(g, d)
+        col[top + u] = base.monomial(d, base.residue.one)
+        cols.append(col)
+    for r in range(top):
+        live = [c for c in cols if c[r].digits]
+        if not live:
+            continue
+        col = min(live, key=lambda c: c[r].val())
+        v = col[r].val()
+        inv_unit = _t_shift(col[r], -v).inverse()
+        sup = _support(col)
+        for c2 in live:
+            if c2 is not col:
+                q = _t_shift(c2[r], -v) * inv_unit
+                for u in sup:
+                    c2[u] = c2[u] - col[u] * q
+        cols = [c for c in cols if c is not col]
+    return MatrixLattice(base, dim, [c[top:] for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +547,7 @@ def psi_witness(delta: Mat, chain: ChainRealized, m: int):
     base = delta.base
     kF = base.residue
     N = delta.n
+    _check_size(N, chain.N)
     D = chain.filt_bound(m)
     for i in range(N):
         for k in range(N):

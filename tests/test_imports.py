@@ -1,4 +1,5 @@
-"""Package hygiene: every name a module imports is used in that module."""
+"""Package hygiene: every name a module imports is used in that module, and
+every private helper is named somewhere in the package besides its def."""
 
 import ast
 import pathlib
@@ -25,3 +26,38 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported_names(tree) if name not in used]
     assert unused == []
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_defs(tree):
+    """(name, lineno) for every _private top-level function or class and
+    every _private method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and is_private(item.name):
+                    yield item.name, item.lineno
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and is_private(node.name)):
+            yield node.name, node.lineno
+
+
+def test_no_orphaned_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in pathlib.Path(strata_kit.__file__).parent.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    orphans = [f"{file}:{line} {name}" for file, tree in sorted(trees.items())
+               for name, line in private_defs(tree) if name not in named]
+    assert orphans == []

@@ -1,11 +1,12 @@
 """Matrix/lattice oracle: regular representation, chains, Hermite forms,
-commutants, and the trace-pairing character."""
+centralizer lattices as kernels of the bracket map, and the trace-pairing
+character."""
 
 import pytest
 
 from strata_kit.errors import DomainError
 from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice, block_diag,
-                               chain_from_field, commutant_basis, eval_psi_c,
+                               chain_from_field, eval_psi_c,
                                filt_lattice, intersect_with_centralizer,
                                lattice_index, psi_witness, regular_rep,
                                uniform_chain, v_A_direct)
@@ -116,28 +117,23 @@ def test_hermite_canonical_form_is_stable():
     assert [v for _, v in L1.pivots] == [0, 2]
 
 
-def test_commutant_of_field_is_the_field(towers):
-    for E in towers:
-        if not 1 < E.degree <= 4:
-            continue
-        gens = [regular_rep(mono(E, -1, 1))]
-        if E.f_over_base > 1:
-            gens.append(regular_rep(
-                TameElement(E, {0: E.residue.gen_power(1)}, INF)))
-        B = commutant_basis(gens, E.degree, E.base())
-        # commutant of a generating set of E inside End_F(E) is E itself
-        gen_field = E.degree
-        from strata_kit.tower import subfield_generated
-        gdeg = subfield_generated(
-            [mono(E, -1, 1)] + ([TameElement(E, {0: E.residue.gen_power(1)}, INF)]
-                                if E.f_over_base > 1 else []), E).degree
-        if gdeg == E.degree:
-            assert len(B) == E.degree
+def test_centralizer_of_a_field_is_the_field(towers):
+    # the commutant of E inside End_F(E) is E itself: rank [E:F] at n = 0
+    fields = [E for E in towers if 1 < E.degree <= 6]
+    assert len(fields) == 10
+    for E in fields:
+        gens = [regular_rep(g) for g in (E.uniformizer(), E.residue_gen_elem())]
+        L = intersect_with_centralizer(gens, chain_from_field(E), 0, E.base())
+        assert L.rank() == E.degree
 
 
-def test_commutant_of_nothing_is_everything():
+def test_centralizer_of_nothing_is_the_radical_power():
     F = base_field(3)
-    assert len(commutant_basis([], 3, F)) == 9
+    for N, e_A in ((3, 1), (3, 3), (4, 2)):
+        chain = uniform_chain(N, e_A)
+        for n in range(-1, e_A + 2):
+            L = intersect_with_centralizer([], chain, n, F)
+            assert L.same_as(filt_lattice(chain, n, F))
 
 
 def test_intersect_with_centralizer_field_filtration(E_ram2):
@@ -178,6 +174,25 @@ def test_oracle_cap():
     E8 = extend(extend(F, 2, 1, 1), 1, 4, 1)
     with pytest.raises(DomainError):
         regular_rep(E8.uniformizer(), copies=2)     # 16 > cap
+
+
+def test_size_mismatches_are_domain_errors():
+    F = base_field(3)
+    E = extend(F, 1, 2, 1)              # pi^2 = t
+    R2, R4 = regular_rep(E.uniformizer()), regular_rep(E.uniformizer(), 2)
+    C2, C4 = chain_from_field(E), chain_from_field(E, 2)
+    probes = [lambda: v_A_direct(R2, C4), lambda: v_A_direct(R4, C2),
+              lambda: intersect_with_centralizer([R4], C2, 0, F),
+              lambda: intersect_with_centralizer([R2], C4, 0, F),
+              lambda: intersect_with_centralizer([R2, R4], C2, 0, F),
+              lambda: psi_witness(R4, C2, -1), lambda: psi_witness(R2, C4, -1)]
+    for A, B in ((R2, R4), (R4, R2)):
+        probes += [lambda A=A, B=B: A @ B, lambda A=A, B=B: A + B,
+                   lambda A=A, B=B: A - B]
+    for probe in probes:
+        with pytest.raises(DomainError) as err:
+            probe()
+        assert err.value.clause == "shape_mismatch"
 
 
 def test_decomposer_lives_on_its_field():
@@ -254,7 +269,8 @@ def _dense_hermite(base, dim, cols):
 
 
 def _dense_commutant(gens, N, base):
-    """commutant_basis by the dense loops."""
+    """An F-basis of the commutant of gens, as flattened vectors, by
+    Gauss-Jordan elimination on the bracket equations over F."""
     dim, z = N * N, TameElement(base, {}, INF)
     rows = []
     for G in gens:
@@ -320,14 +336,6 @@ def test_sparse_hermite_form_matches_dense_loops():
         assert _entries(L.cols) == _entries(want)
 
 
-def test_sparse_commutant_matches_dense_loops():
-    F = base_field(3)
-    for R, P in _inexact_reps(F):
-        for gens in ([R], [R, P]):
-            got = commutant_basis(gens, R.n, F)
-            assert _entries(got) == _entries(_dense_commutant(gens, R.n, F))
-
-
 def test_sparse_product_matches_dense_loops():
     F = base_field(3)
     z = TameElement(F, {}, INF)
@@ -338,11 +346,36 @@ def test_sparse_product_matches_dense_loops():
             assert _entries((A @ B).rows) == _entries(want)
 
 
+def _dense_fq_kernel(cols, k):
+    """A nonzero GF(q)-vector lam with sum lam_i * cols[i] = 0, or None: the
+    first free column of the reduced row echelon form of the matrix with
+    columns ``cols``, by the dense loops."""
+    r = len(cols)
+    piv, red = {}, []
+    for row in ([c[u] for c in cols] for u in range(len(cols[0]) if cols else 0)):
+        for j, idx in piv.items():
+            row = [a - row[j] * b for a, b in zip(row, red[idx])]
+        j = next((i for i, a in enumerate(row) if not a.is_zero()), None)
+        if j is None:
+            continue
+        inv = row[j].inverse()
+        row = [a * inv for a in row]
+        red = [[a - p[j] * b for a, b in zip(p, row)] for p in red]
+        piv[j] = len(red)
+        red.append(row)
+    free = next((i for i in range(r) if i not in piv), None)
+    if free is None:
+        return None
+    return [-red[piv[i]][free] if i in piv else k.one if i == free else k.zero
+            for i in range(r)]
+
+
 def _dense_centralizer(basis, chain, n, base):
-    """Pivots and pivot columns of intersect_with_centralizer by the dense
-    loops, from a commutant basis: every scaling is a product by a monic
-    monomial t^k, over all dim entries."""
-    from strata_kit.oracle import _fq_kernel_vector
+    """Pivots and pivot columns of C intersect P^n by the earlier algorithm
+    and the dense loops: scale a commutant basis into the unit lattice, then
+    saturate (while the reductions mod t are dependent, divide a dependent
+    combination by t).  Every scaling is a product by a monic monomial t^k,
+    over all dim entries."""
     N, kF = chain.N, base.residue
     dim, z = N * N, TameElement(base, {}, INF)
     D = [d for row in chain.filt_bound(n) for d in row]
@@ -358,8 +391,8 @@ def _dense_centralizer(basis, chain, n, base):
         vec = scale(vec, [-d for d in D])
         cols.append(scale(vec, [-min_val(vec)] * dim))
     while True:
-        lam = _fq_kernel_vector([[c[u].digits.get(0, kF.zero) for u in range(dim)]
-                                 for c in cols], kF)
+        lam = _dense_fq_kernel([[c[u].digits.get(0, kF.zero) for u in range(dim)]
+                                for c in cols], kF)
         if lam is None:
             break
         comb = [z] * dim
@@ -392,6 +425,47 @@ def test_centralizer_intersection_matches_dense_loops():
                 assert _entries(L.cols) == _entries(want)
                 checked += 1
     assert checked == 28
+
+
+def _pairs(cols, want):
+    """(entry, reference entry) for every entry of the pivot columns."""
+    return [(x, y) for c1, c2 in zip(cols, want) for x, y in zip(c1, c2)]
+
+
+def test_centralizer_of_random_exact_generators_matches_dense_loops():
+    """Random generators test the pivot rule: a kernel pass that pivots on
+    the largest valuation still agrees with the reference on regular
+    representations, but not on these."""
+    import random
+    F = base_field(3)
+    z = TameElement(F, {}, INF)
+    rng = random.Random(15)
+    for _ in range(200):
+        N = rng.choice((2, 3))
+        chain = uniform_chain(N, rng.choice((1, N)))
+        gens = [Mat(F, [[mono(F, rng.randrange(-2, 3), rng.randrange(2))
+                         if rng.random() < 0.5 else z for _ in range(N)]
+                        for _ in range(N)]) for _ in range(rng.randrange(1, 3))]
+        n = rng.randrange(-1, chain.period + 1)
+        L = intersect_with_centralizer(gens, chain, n, F)
+        pivots, want = _dense_centralizer(_dense_commutant(gens, N, F),
+                                          chain, n, F)
+        assert L.pivots == pivots
+        assert all(x.equals(y) for x, y in _pairs(L.cols, want))
+
+
+def test_centralizer_of_inexact_generators_keeps_precision():
+    F = base_field(3)
+    for R, P in _inexact_reps(F):
+        for gens in ([R], [R, P]):
+            basis = _dense_commutant(gens, R.n, F)
+            for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
+                for n in range(-1, chain.period + 1):
+                    L = intersect_with_centralizer(gens, chain, n, F)
+                    pivots, want = _dense_centralizer(basis, chain, n, F)
+                    assert L.pivots == pivots
+                    assert all(x.equals(y) and x.prec >= y.prec
+                               for x, y in _pairs(L.cols, want))
 
 
 # -- shifts: products by monic powers of t -----------------------------------
