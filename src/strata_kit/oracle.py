@@ -9,12 +9,17 @@ layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
-Row operations skip exact zeros (no digits, ``prec is INF``), which changes
-no digit and no precision: an exact zero times anything is an exact zero,
-and x plus or minus an exact zero has x's digits and precision.  Zeros to
-precision (no digits, finite ``prec``) are never skipped, since they lower
-the precision of every entry they touch.  Elements are immutable, so one
-exact zero is shared by all the entries of a matrix or vector.
+Lattice columns are sparse while they are reduced: a column is a dict
+{row: entry} that stores every entry except exact zeros (no digits,
+``prec is INF``), and a row operation runs over the entries of the pivot
+column that are stored.  Leaving exact zeros out changes no digit and no
+precision: an exact zero times anything is an exact zero, and x plus or
+minus an exact zero has x's digits and precision.  Zeros to precision (no
+digits, finite ``prec``) are stored, since they lower the precision of
+every entry they touch.  An entry that cancels to an exact zero is dropped
+as soon as it appears.  Matrix products and ``reduce_vector`` skip exact
+zeros in the same way, over dense rows.  Elements are immutable, so a dense
+matrix or vector may share one exact zero among its exact-zero entries.
 
 Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
@@ -302,28 +307,39 @@ def chain_from_field(E: TameField, copies: int = 1) -> ChainRealized:
 
 
 def v_A_direct(x: Mat, chain: ChainRealized) -> int:
-    """max n with x L_j inside L_{j+n} for all j, by membership scan."""
+    """max n with x L_j inside L_{j+n} for all j, by membership scan.
+
+    An entry that is zero to precision bounds n only through its unknown
+    digits, so the answer raises ``PrecisionError`` when such an entry's
+    precision is below its ``filt_bound`` at the answer, and when no entry
+    has digits but some entry is inexact."""
     _check_size(x.n, chain.N)
-    vals = [x.rows[i][k].val() for i in range(x.n) for k in range(x.n)]
-    vals = [v for v in vals if v is not None]
-    if not vals:
+    cells = [(i, k, a) for i, row in enumerate(x.rows)
+             for k, a in enumerate(row)]
+    known = [(i, k, a.val()) for i, k, a in cells if a.digits]
+    lost = [(i, k, a.prec) for i, k, a in cells
+            if not a.digits and a.prec is not INF]       # zeros to precision
+    if not known:
+        if lost:
+            raise PrecisionError("v_A of a matrix that is zero to precision "
+                                 "is uncertain")
         raise DomainError("v_A of the zero matrix is undefined",
                           clause="v_A_of_zero")
 
     def ok(n):
         D = chain.filt_bound(n)
-        for i in range(x.n):
-            for k in range(x.n):
-                v = x.rows[i][k].val()
-                if v is not None and v < D[i][k]:
-                    return False
-        return True
+        return all(v >= D[i][k] for i, k, v in known)
 
-    n = chain.period * (min(vals) - 1)
+    n = chain.period * (min(v for _, _, v in known) - 1)
     while not ok(n):
         n -= 1
     while ok(n + 1):
         n += 1
+    if lost:
+        D = chain.filt_bound(n)
+        if any(prec < D[i][k] for i, k, prec in lost):
+            raise PrecisionError(f"v_A = {n} hangs on digits below an "
+                                 "entry's precision")
     return n
 
 
@@ -345,52 +361,103 @@ def _high_part(x: TameElement, cut: int) -> TameElement:
                        x.prec)
 
 
+def _is_monic(x: TameElement, v: int) -> bool:
+    """Whether x, of valuation v, is exactly t^v."""
+    return (x.prec is INF and len(x.digits) == 1
+            and x.digits[v] == x.owner.residue.one)
+
+
+def _row_index(cols, size):
+    """For each row, the set of indices of the sparse columns storing it."""
+    rows = [set() for _ in range(size)]
+    for j, c in enumerate(cols):
+        for u in c:
+            rows[u].add(j)
+    return rows
+
+
+def _clear(c2, j2, col, q, rows):
+    """Clear a row of sparse column c2 (index j2) by pivot column col with
+    quotient q: c2 becomes c2 - col * q, over the entries col stores.
+
+    The one update step of the Hermite form and of the kernel pass of
+    :func:`intersect_with_centralizer`.  A new entry of c2 is added to
+    ``rows`` (row -> indices of the columns storing it); an entry that
+    cancels to an exact zero is dropped from c2 and from ``rows``, and a
+    zero to precision is kept (see the module docstring)."""
+    for u, x in col.items():
+        y = c2.get(u)
+        z = -(x * q) if y is None else y - x * q
+        if z.digits or z.prec is not INF:
+            if y is None:
+                rows[u].add(j2)
+            c2[u] = z
+        elif y is not None:
+            del c2[u]
+            rows[u].discard(j2)
+
+
 class MatrixLattice:
     """A finitely generated o_F-lattice inside F^dim, held as generator
     columns and normalized to a column Hermite form over the series ring:
     pivot entries are monic powers of t, entries in a pivot row of the
     other pivot columns are reduced below the pivot exponent.  The form is
-    computed once, in the constructor: ``cols`` are the pivot columns and
-    ``pivots`` their (row, exponent) pairs."""
+    computed once, in the constructor: ``cols`` are the pivot columns, as
+    dense lists of dim entries, and ``pivots`` their (row, exponent) pairs.
+
+    While the form is computed, each column is a sparse dict {row: entry}
+    that stores every entry except exact zeros; zeros to precision are
+    stored, since they lower the precision of the entries they touch."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        self._canonicalize(cols)
+        self._canonicalize([{u: x for u, x in enumerate(c)
+                             if x.digits or x.prec is not INF} for c in cols])
+
+    @classmethod
+    def _of_stored(cls, base: TameField, dim: int, cols) -> "MatrixLattice":
+        """The lattice spanned by sparse columns {row: entry}, which it
+        takes over."""
+        lattice = cls(base, dim, ())
+        lattice._canonicalize(cols)
+        return lattice
 
     def _canonicalize(self, cols):
-        cols = [list(c) for c in cols if any(x.digits for x in c)]
+        cols = [c for c in cols if any(x.digits for x in c.values())]
+        rows = _row_index(cols, self.dim)
         pivots = []       # (row, exponent)
         pivot_cols = []
-        pivot_ids = set()
+        is_pivot = [False] * len(cols)
         for row in range(self.dim):
-            live = [c for c in cols if c[row].digits]
-            cands = [(c[row].val(), c) for c in live if id(c) not in pivot_ids]
+            live = [(c[row].val(), j) for j in rows[row]
+                    if (c := cols[j])[row].digits]
+            cands = [x for x in live if not is_pivot[x[1]]]
             if not cands:
                 continue
-            v = min(x[0] for x in cands)
-            col = next(c for w, c in cands if w == v)
-            sup = _support(col)
-            inv_unit = _t_shift(col[row], -v).inverse()
-            for u in sup:
-                col[u] = col[u] * inv_unit
-            for c2 in live:
-                if c2 is col:
+            v, jp = min(cands)
+            col = cols[jp]
+            if not _is_monic(col[row], v):
+                inv_unit = _t_shift(col[row], -v).inverse()
+                for u, x in col.items():
+                    col[u] = x * inv_unit
+            for _, j in live:
+                if j == jp:
                     continue
-                e2 = c2[row]
-                if id(c2) in pivot_ids:
+                e2 = cols[j][row]
+                if is_pivot[j]:
                     e2 = _high_part(e2, v)
                     if not e2.digits:
                         continue
-                q = _t_shift(e2, -v)
-                for u in sup:
-                    c2[u] = c2[u] - col[u] * q
+                _clear(cols[j], j, col, _t_shift(e2, -v), rows)
             pivots.append((row, v))
             pivot_cols.append(col)
-            pivot_ids.add(id(col))
-        self.cols = pivot_cols
+            is_pivot[jp] = True
+        zero = _exact_zero(self.base)
+        self.cols = [[c.get(u, zero) for u in range(self.dim)]
+                     for c in pivot_cols]
         self.pivots = pivots
 
     def pivot_exponent_sum(self) -> int:
@@ -433,15 +500,10 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
     (row-major flattening)."""
     N = chain.N
     D = chain.filt_bound(n)
-    cols = []
     one = base.residue.one
-    zero = _exact_zero(base)
-    for i in range(N):
-        for k in range(N):
-            vec = [zero] * (N * N)
-            vec[i * N + k] = base.monomial(D[i][k], one)
-            cols.append(vec)
-    return MatrixLattice(base, N * N, cols)
+    return MatrixLattice._of_stored(
+        base, N * N, [{i * N + k: base.monomial(D[i][k], one)}
+                      for i in range(N) for k in range(N)])
 
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
@@ -464,10 +526,14 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
 
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
-    o_F-basis of the graph of the bracket map.  One pass over the bracket
-    rows takes a live entry (one with digits) of least valuation v as the
-    row's pivot, clears the row from the other live columns and drops the
-    pivot column.  Since v is least, every quotient
+    o_F-basis of the graph of the bracket map.  Each column is a sparse
+    dict {row: entry} that stores every entry except exact zeros, so zeros
+    to precision, which lower the precision of the entries they touch, are
+    stored; a bracket entry that cancels to an exact zero, such as
+    t^d g - t^d g on the diagonal, is not.  One pass over the bracket rows
+    takes a live entry (one with digits) of least valuation v as the row's
+    pivot, clears the row from the other live columns and drops the pivot
+    column.  Since v is least, every quotient
     ``_t_shift(e, -v) * unit^-1`` lies in o_F, so each step is unimodular;
     a kernel element has no part along a dropped column, so the remaining
     columns' lower parts span the kernel over o_F, saturated."""
@@ -477,38 +543,55 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
         _check_size(G.n, N)
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
-    zero = _exact_zero(base)
+    one = base.residue.one
+    # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k), -t^d G[k][i] at
+    # (k, j); each generator's stored entries, by row and negated by column
+    terms = [(off,
+              [[(k, g) for k, g in enumerate(G.rows[j])
+                if g.digits or g.prec is not INF] for j in range(N)],
+              [[(k, -g) for k in range(N)
+                if (g := G.rows[k][i]).digits or g.prec is not INF]
+               for i in range(N)])
+             for off, G in zip(range(0, top, dim), gens)]
     cols = []
     for u, d in enumerate(D):
         i, j = divmod(u, N)
-        col = [zero] * (top + dim)
-        for off, G in zip(range(0, top, dim), gens):
-            # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k),
-            # -t^d G[k][i] at (k, j)
-            for k in range(N):
-                g = G.rows[j][k]
-                if g.digits or g.prec is not INF:
-                    col[off + i * N + k] = col[off + i * N + k] + _t_shift(g, d)
-                g = G.rows[k][i]
-                if g.digits or g.prec is not INF:
-                    col[off + k * N + j] = col[off + k * N + j] - _t_shift(g, d)
-        col[top + u] = base.monomial(d, base.residue.one)
+        col = {top + u: base.monomial(d, one)}
+        for off, by_row, by_col in terms:
+            for k, g in by_row[j]:
+                col[off + i * N + k] = _t_shift(g, d)
+            for k, g in by_col[i]:
+                r = off + k * N + j
+                x = _t_shift(g, d)
+                if r in col:
+                    x = col[r] + x
+                    if not x.digits and x.prec is INF:
+                        del col[r]
+                        continue
+                col[r] = x
         cols.append(col)
+    rows = _row_index(cols, top + dim)
     for r in range(top):
-        live = [c for c in cols if c[r].digits]
+        live = [(c[r].val(), jc) for jc in rows[r]
+                if (c := cols[jc])[r].digits]
         if not live:
             continue
-        col = min(live, key=lambda c: c[r].val())
-        v = col[r].val()
-        inv_unit = _t_shift(col[r], -v).inverse()
-        sup = _support(col)
-        for c2 in live:
-            if c2 is not col:
-                q = _t_shift(c2[r], -v) * inv_unit
-                for u in sup:
-                    c2[u] = c2[u] - col[u] * q
-        cols = [c for c in cols if c is not col]
-    return MatrixLattice(base, dim, [c[top:] for c in cols])
+        v, jp = min(live)
+        col = cols[jp]
+        inv_unit = None if _is_monic(col[r], v) else \
+            _t_shift(col[r], -v).inverse()
+        for u in col:
+            rows[u].discard(jp)
+        cols[jp] = None
+        for _, jc in live:
+            if jc != jp:
+                q = _t_shift(cols[jc][r], -v)
+                if inv_unit is not None:
+                    q = q * inv_unit
+                _clear(cols[jc], jc, col, q, rows)
+    return MatrixLattice._of_stored(
+        base, dim, [{u - top: x for u, x in c.items() if u >= top}
+                    for c in cols if c is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +614,25 @@ def absolute_trace(u) -> int:
 
 def eval_psi_c(c: Mat, y: Mat) -> int:
     """Exponent (mod p) of the standard character at trace(c*y): the
-    absolute trace of the t^0 digit."""
-    z = (c @ y).trace()
-    if z.prec is not INF and z.prec <= 0:
+    absolute trace of the t^0 digit, read as the sum of the digit products
+    c[i][k]_v * y[k][i]_{-v} over the entry pairs.  That digit is certain
+    when every pair's product precision, min(a.prec + val(b),
+    b.prec + val(a)) with val of a zero to precision its prec, is above 0."""
+    _check_size(c.n, y.n)
+    acc = c.base.residue.zero
+    prec = INF
+    for i, row in enumerate(c.rows):
+        for k, a in enumerate(row):
+            b = y.rows[k][i]
+            prec = min(prec, a.prec + (min(b.digits) if b.digits else b.prec),
+                       b.prec + (min(a.digits) if a.digits else a.prec))
+            for v, d in a.digits.items():
+                e = b.digits.get(-v)
+                if e is not None:
+                    acc = acc + d * e
+    if prec <= 0:
         raise PrecisionError("t^0 digit of the trace is below precision")
-    d0 = z.digits.get(0)
-    if d0 is None:
-        return 0
-    return absolute_trace(d0)
+    return absolute_trace(acc)
 
 
 def psi_witness(delta: Mat, chain: ChainRealized, m: int):

@@ -4,9 +4,9 @@ character."""
 
 import pytest
 
-from strata_kit.errors import DomainError
-from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice, block_diag,
-                               chain_from_field, eval_psi_c,
+from strata_kit.errors import DomainError, PrecisionError
+from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice, absolute_trace,
+                               block_diag, chain_from_field, eval_psi_c,
                                filt_lattice, intersect_with_centralizer,
                                lattice_index, psi_witness, regular_rep,
                                uniform_chain, v_A_direct)
@@ -71,6 +71,23 @@ def test_v_A_uniform_chain():
     assert v_A_direct(x, ch) in (-1, 0, 1)
     d = Mat.identity(F, 4)
     assert v_A_direct(d, ch) == 0
+
+
+def test_v_A_direct_raises_when_the_answer_hangs_on_unknown_digits():
+    F = base_field(3)
+    t, z = mono(F, 1), TameElement(F, {}, INF)
+    ch = uniform_chain(2, 1)
+    # an unknown t^0 digit at (0, 1) could make the answer 0
+    with pytest.raises(PrecisionError):
+        v_A_direct(Mat(F, [[t, TameElement(F, {}, 0)], [z, t]]), ch)
+    # known to t^1, that entry cannot lower the answer
+    assert v_A_direct(Mat(F, [[t, TameElement(F, {}, 1)], [z, t]]), ch) == 1
+    assert v_A_direct(Mat(F, [[t, z], [z, t]]), ch) == 1
+    with pytest.raises(PrecisionError):
+        v_A_direct(Mat(F, [[TameElement(F, {}, 3), z], [z, z]]), ch)
+    with pytest.raises(DomainError) as err:
+        v_A_direct(Mat.zero(F, 2), ch)
+    assert err.value.clause == "v_A_of_zero"
 
 
 def test_filt_lattice_indices():
@@ -167,6 +184,48 @@ def test_eval_psi_c_additive(E_ram2):
     y2 = Mat.monomial_entry(F, 2, 1, 0, 1, F.residue.gen_power(1))
     s = (eval_psi_c(c, y1) + eval_psi_c(c, y2)) % F.p
     assert eval_psi_c(c, y1 + y2) == s
+
+
+def _dense_psi(c, y):
+    """eval_psi_c by the dense pairing: the t^0 digit of trace(c @ y)."""
+    z = (c @ y).trace()
+    if z.prec is not INF and z.prec <= 0:
+        raise PrecisionError("t^0 digit of the trace is below precision")
+    return absolute_trace(z.digits[0]) if 0 in z.digits else 0
+
+
+def test_eval_psi_c_matches_the_dense_pairing():
+    import random
+    rng = random.Random(16)
+    seen = {"raise": 0, "zero": 0, "nonzero": 0}
+    for q in (3, 9):
+        F = base_field(q)
+        z = TameElement(F, {}, INF)
+
+        def entry():
+            r = rng.random()
+            if r < 0.3:
+                return z
+            if r < 0.4:
+                return TameElement(F, {}, rng.randrange(-1, 6))   # zero to prec
+            digits = {v: F.residue.gen_power(rng.randrange(q - 1))
+                      for v in rng.sample(range(-3, 3), rng.randrange(1, 3))}
+            return TameElement(F, digits, rng.choice((INF, INF, 3, 5)))
+
+        for _ in range(300):
+            N = rng.randrange(1, 4)
+            c, y = (Mat(F, [[entry() for _ in range(N)] for _ in range(N)])
+                    for _ in range(2))
+            try:
+                want = _dense_psi(c, y)
+            except PrecisionError:
+                with pytest.raises(PrecisionError):
+                    eval_psi_c(c, y)
+                seen["raise"] += 1
+                continue
+            assert eval_psi_c(c, y) == want
+            seen["nonzero" if want else "zero"] += 1
+    assert min(seen.values()) >= 80, seen
 
 
 def test_oracle_cap():
@@ -404,27 +463,64 @@ def _dense_centralizer(basis, chain, n, base):
     return _dense_hermite(base, dim, [scale(c, D) for c in cols])
 
 
+def _check_field_centralizer(E, copies):
+    """The centralizer lattices of E's generators at n over one period
+    against the dense loops; returns the number of n checked."""
+    F = E.base()
+    gens = [regular_rep(g, copies)
+            for g in (E.uniformizer(), E.residue_gen_elem())]
+    chain = chain_from_field(E, copies)
+    basis = _dense_commutant(gens, chain.N, F)
+    for n in range(chain.period):
+        L = intersect_with_centralizer(gens, chain, n, F)
+        pivots, want = _dense_centralizer(basis, chain, n, F)
+        assert L.pivots == pivots
+        assert _entries(L.cols) == _entries(want)
+    return chain.period
+
+
 def test_centralizer_intersection_matches_dense_loops():
     menu = ((3, 1, 2, 1), (3, 2, 1, 1), (3, 3, 1, 1), (5, 1, 2, 1),
             (5, 1, 3, 2), (5, 1, 4, 2), (9, 1, 2, 1), (9, 2, 1, 1))
     checked = 0
     for q, f, e, twist in menu:
         E = extend(base_field(q), f, e, twist)
-        F = E.base()
         for copies in (1, 2):
             if E.degree * copies > 6:
                 continue
-            gens = [regular_rep(g, copies)
-                    for g in (E.uniformizer(), E.residue_gen_elem())]
-            chain = chain_from_field(E, copies)
-            basis = _dense_commutant(gens, chain.N, F)
-            for n in range(chain.period):
-                L = intersect_with_centralizer(gens, chain, n, F)
-                pivots, want = _dense_centralizer(basis, chain, n, F)
-                assert L.pivots == pivots
-                assert _entries(L.cols) == _entries(want)
-                checked += 1
+            checked += _check_field_centralizer(E, copies)
     assert checked == 28
+
+
+def test_centralizer_intersection_matches_dense_loops_on_the_bench_menu():
+    """Three copies and two-level towers, as in the oracle benchmark."""
+    menu = ((3, ((1, 2, 1),), 3), (3, ((2, 1, 1),), 3),
+            (3, ((2, 1, 1), (1, 2, 1)), 1), (3, ((1, 2, 1), (3, 1, 1)), 1),
+            (5, ((2, 3, 1),), 1))
+    checked = 0
+    for q, levels, copies in menu:
+        E = base_field(q)
+        for f, e, twist in levels:
+            E = extend(E, f, e, twist)
+        checked += _check_field_centralizer(E, copies)
+    assert checked == 10
+
+
+def test_scalar_generators_cancel_to_the_radical_power():
+    """Every bracket entry of a scalar c * I cancels during assembly, so its
+    centralizer lattice is the whole radical power."""
+    F = base_field(3)
+    E = extend(F, 1, 2, 1)
+    z = TameElement(F, {}, INF)
+    for c in (F.one() + mono(F, 1, 1), mono(F, -2, 1)):    # a unit, a monomial
+        for chain in (uniform_chain(4, 2), uniform_chain(3, 1),
+                      chain_from_field(E), chain_from_field(E, 2)):
+            N = chain.N
+            scalar = Mat(F, [[c if i == k else z for k in range(N)]
+                             for i in range(N)])
+            for n in range(-1, chain.period + 1):
+                L = intersect_with_centralizer([scalar], chain, n, F)
+                assert L.same_as(filt_lattice(chain, n, F))
 
 
 def _pairs(cols, want):
@@ -466,6 +562,68 @@ def test_centralizer_of_inexact_generators_keeps_precision():
                     assert L.pivots == pivots
                     assert all(x.equals(y) and x.prec >= y.prec
                                for x, y in _pairs(L.cols, want))
+
+
+def _dense_kernel(gens, chain, n, base):
+    """Pivots and pivot columns of intersect_with_centralizer by the same
+    kernel pass over dense columns: every bracket entry and every row
+    operation runs over all top + dim entries, exact zeros included, and
+    every shift is a product by an exact monomial."""
+    N, one = chain.N, base.residue.one
+    dim, z = N * N, TameElement(base, {}, INF)
+    top = len(gens) * dim
+    cols = []
+    for u, d in enumerate(d for row in chain.filt_bound(n) for d in row):
+        i, j = divmod(u, N)
+        t_d = base.monomial(d, one)
+        col = [z] * (top + dim)
+        for off, G in zip(range(0, top, dim), gens):
+            for k in range(N):
+                col[off + i * N + k] = col[off + i * N + k] + G.rows[j][k] * t_d
+                col[off + k * N + j] = col[off + k * N + j] - G.rows[k][i] * t_d
+        col[top + u] = t_d
+        cols.append(col)
+    for r in range(top):
+        live = [c for c in cols if c[r].digits]
+        if not live:
+            continue
+        col = min(live, key=lambda c: c[r].val())
+        v = col[r].val()
+        inv = (col[r] * base.monomial(-v, one)).inverse()
+        for c2 in live:
+            if c2 is not col:
+                q = c2[r] * base.monomial(-v, one) * inv
+                c2[:] = [x - y * q for x, y in zip(c2, col)]
+        cols = [c for c in cols if c is not col]
+    return _dense_hermite(base, dim, [c[top:] for c in cols])
+
+
+def test_sparse_kernel_pass_matches_dense_loops():
+    """Entries equal to the digit and the precision, on generators with
+    zeros to precision: a kernel pass that dropped those zeros would differ
+    here."""
+    import random
+    F = base_field(3)
+    z, one = TameElement(F, {}, INF), F.residue.one
+    rng = random.Random(16)
+    cases = [(gens, chain, n) for R, P in _inexact_reps(F)
+             for gens in ([R], [R, P])
+             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n))
+             for n in range(-1, chain.period + 1)]
+    for _ in range(60):
+        N = rng.choice((2, 3))
+        chain = uniform_chain(N, rng.choice((1, N)))
+        entries = [z, z, TameElement(F, {}, rng.randrange(0, 4)),
+                   mono(F, rng.randrange(-1, 2), 1),
+                   TameElement(F, {0: one, 1: one}, rng.choice((3, 5)))]
+        gens = [Mat(F, [[rng.choice(entries) for _ in range(N)]
+                        for _ in range(N)]) for _ in range(rng.randrange(1, 3))]
+        cases.append((gens, chain, rng.randrange(-1, chain.period + 1)))
+    for gens, chain, n in cases:
+        L = intersect_with_centralizer(gens, chain, n, F)
+        pivots, want = _dense_kernel(gens, chain, n, F)
+        assert L.pivots == pivots
+        assert _entries(L.cols) == _entries(want)
 
 
 # -- shifts: products by monic powers of t -----------------------------------
