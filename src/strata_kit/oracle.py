@@ -4,7 +4,7 @@ Everything here is deliberately independent of the symbolic stratum
 calculus: field elements become honest matrices via the regular
 representation, hereditary data becomes explicit diagonal lattice chains,
 and all filtration questions are answered by valuation bounds, and by
-Hermite normal forms and kernels over the power-series ring.  The symbolic
+column echelon bases and kernels over the power-series ring.  The symbolic
 layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
@@ -17,9 +17,9 @@ precision: an exact zero times anything is an exact zero, and x plus or
 minus an exact zero has x's digits and precision.  Zeros to precision (no
 digits, finite ``prec``) are stored, since they lower the precision of
 every entry they touch.  An entry that cancels to an exact zero is dropped
-as soon as it appears.  Matrix products and ``reduce_vector`` skip exact
-zeros in the same way, over dense rows.  Elements are immutable, so a dense
-matrix or vector may share one exact zero among its exact-zero entries.
+as soon as it appears.  Matrix products skip exact zeros in the same way,
+over dense rows.  Elements are immutable, so a dense matrix or vector may
+share one exact zero among its exact-zero entries.
 
 Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
@@ -27,12 +27,16 @@ Row operations shift by powers of t instead of multiplying by them:
 precision of x times the exact monomial t^k, so a shift changes no digit
 and no precision either; an exact zero is returned as it is.
 
-A centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
-X -> ([X, G])_G on the radical power P^n, taken by one column-echelon pass
-(``intersect_with_centralizer``).  Each pivot is the entry of least
-valuation in its row, so every quotient by it lies in o_F and every column
-operation is unimodular: the kernel comes out saturated, with no separate
-saturation step.
+Every elimination is one fraction-free column-echelon pass (``_echelon``):
+the echelon basis of a ``MatrixLattice`` and the kernel pass of
+``intersect_with_centralizer``; ``contains_vector`` uses its update step.
+Each pivot t^v * u is the entry of least valuation v in its row, and a
+column c with entry e in that row becomes u * c - t^-v * e * pivot column.
+u is a unit of o_F and t^-v * e lies in o_F, so every column operation is
+unimodular and no inverse is taken: exact input gives exact Laurent
+polynomials.  A centralizer lattice C ∩ P^n is the kernel over o_F of the
+bracket map X -> ([X, G])_G on the radical power P^n; it comes out
+saturated, with no separate saturation step.
 """
 
 from __future__ import annotations
@@ -276,15 +280,11 @@ class ChainRealized:
             raise DomainError("profile length must equal N",
                               clause="profile_length")
 
-    def d(self, j: int, i: int) -> int:
-        return -((self.profile[i] - j) // self.period)
-
     def filt_bound(self, n: int):
         """D(i, k) = min valuation of entry (i, k) of a matrix in the n-th
-        radical power, by scanning one full period of the chain."""
-        e = self.period
-        return [[max(self.d(j + n, i) - self.d(j, k) for j in range(e))
-                 for k in range(self.N)] for i in range(self.N)]
+        radical power: ceil((n + c_k - c_i) / period) for profile c."""
+        c, e = self.profile, self.period
+        return [[-((ci - ck - n) // e) for ck in c] for ci in c]
 
 
 def uniform_chain(N: int, e_A: int) -> ChainRealized:
@@ -355,18 +355,6 @@ def _t_shift(x: TameElement, k: int) -> TameElement:
                        x.prec + k)
 
 
-def _high_part(x: TameElement, cut: int) -> TameElement:
-    """The digits of x at valuations >= cut (keeping x's precision)."""
-    return TameElement(x.owner, {v: a for v, a in x.digits.items() if v >= cut},
-                       x.prec)
-
-
-def _is_monic(x: TameElement, v: int) -> bool:
-    """Whether x, of valuation v, is exactly t^v."""
-    return (x.prec is INF and len(x.digits) == 1
-            and x.digits[v] == x.owner.residue.one)
-
-
 def _row_index(cols, size):
     """For each row, the set of indices of the sparse columns storing it."""
     rows = [set() for _ in range(size)]
@@ -376,15 +364,19 @@ def _row_index(cols, size):
     return rows
 
 
-def _clear(c2, j2, col, q, rows):
-    """Clear a row of sparse column c2 (index j2) by pivot column col with
-    quotient q: c2 becomes c2 - col * q, over the entries col stores.
+def _clear(c2, j2, col, unit, q, rows):
+    """Clear a row of sparse column c2 (index j2) by pivot column col, whose
+    pivot entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is
+    t^-v times c2's entry in the pivot row.
 
-    The one update step of the Hermite form and of the kernel pass of
-    :func:`intersect_with_centralizer`.  A new entry of c2 is added to
-    ``rows`` (row -> indices of the columns storing it); an entry that
-    cancels to an exact zero is dropped from c2 and from ``rows``, and a
-    zero to precision is kept (see the module docstring)."""
+    The one update step of the echelon pass and of ``contains_vector``.
+    It takes no inverse: unit is a unit of o_F, so the step is unimodular,
+    and exact entries stay exact.  A new entry of c2 is added to ``rows``
+    (row -> indices of the columns storing it); an entry that cancels to an
+    exact zero is dropped from c2 and from ``rows``, and a zero to
+    precision is kept (see the module docstring)."""
+    for u, y in c2.items():
+        c2[u] = y * unit
     for u, x in col.items():
         y = c2.get(u)
         z = -(x * q) if y is None else y - x * q
@@ -397,15 +389,46 @@ def _clear(c2, j2, col, q, rows):
             rows[u].discard(j2)
 
 
-class MatrixLattice:
-    """A finitely generated o_F-lattice inside F^dim, held as generator
-    columns and normalized to a column Hermite form over the series ring:
-    pivot entries are monic powers of t, entries in a pivot row of the
-    other pivot columns are reduced below the pivot exponent.  The form is
-    computed once, in the constructor: ``cols`` are the pivot columns, as
-    dense lists of dim entries, and ``pivots`` their (row, exponent) pairs.
+def _echelon(cols, size, scanned):
+    """One fraction-free column-echelon pass over rows 0 .. scanned - 1, in
+    order, of the sparse columns ``cols`` of ``size`` rows.
 
-    While the form is computed, each column is a sparse dict {row: entry}
+    Each row's pivot is a live entry (one with digits) of least valuation
+    v among the columns that store the row; this is the one place where
+    the oracle chooses a pivot.  The pivot column leaves ``cols`` (its slot
+    becomes None) and the row index, and clears the row from the other live
+    columns by :func:`_clear`.  Since v is least, every quotient lies in
+    o_F.  Returns the pivot columns with their (row, exponent) pairs; the
+    columns left in ``cols`` have no digits in the scanned rows."""
+    rows = _row_index(cols, size)
+    pivots = []
+    for r in range(scanned):
+        live = [(c[r].val(), j) for j in rows[r] if (c := cols[j])[r].digits]
+        if not live:
+            continue
+        v, jp = min(live)
+        col = cols[jp]
+        cols[jp] = None
+        for u in col:
+            rows[u].discard(jp)
+        unit = _t_shift(col[r], -v)
+        for _, j in live:
+            if j != jp:
+                _clear(cols[j], j, col, unit, _t_shift(cols[j][r], -v), rows)
+        pivots.append(((r, v), col))
+    return pivots
+
+
+class MatrixLattice:
+    """A finitely generated o_F-lattice inside F^dim, held as a column
+    echelon basis over the series ring, computed once, in the constructor,
+    by :func:`_echelon`: ``pivots`` are the (row, exponent) pairs, in row
+    order, and ``cols`` the pivot columns, as dense lists of dim entries.
+    A pivot column's entry in its pivot row is t^v times a unit of o_F, and
+    it has no digits in the rows above.  The basis is not canonical: the
+    pivots are invariants of the lattice, the entries are not.
+
+    While the basis is computed, each column is a sparse dict {row: entry}
     that stores every entry except exact zeros; zeros to precision are
     stored, since they lower the precision of the entries they touch."""
 
@@ -414,51 +437,24 @@ class MatrixLattice:
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        self._canonicalize([{u: x for u, x in enumerate(c)
-                             if x.digits or x.prec is not INF} for c in cols])
+        for c in cols:
+            _check_size(len(c), dim)
+        self._set_basis([{u: c[u] for u in _support(c)} for c in cols])
 
     @classmethod
     def _of_stored(cls, base: TameField, dim: int, cols) -> "MatrixLattice":
         """The lattice spanned by sparse columns {row: entry}, which it
         takes over."""
         lattice = cls(base, dim, ())
-        lattice._canonicalize(cols)
+        lattice._set_basis(cols)
         return lattice
 
-    def _canonicalize(self, cols):
-        cols = [c for c in cols if any(x.digits for x in c.values())]
-        rows = _row_index(cols, self.dim)
-        pivots = []       # (row, exponent)
-        pivot_cols = []
-        is_pivot = [False] * len(cols)
-        for row in range(self.dim):
-            live = [(c[row].val(), j) for j in rows[row]
-                    if (c := cols[j])[row].digits]
-            cands = [x for x in live if not is_pivot[x[1]]]
-            if not cands:
-                continue
-            v, jp = min(cands)
-            col = cols[jp]
-            if not _is_monic(col[row], v):
-                inv_unit = _t_shift(col[row], -v).inverse()
-                for u, x in col.items():
-                    col[u] = x * inv_unit
-            for _, j in live:
-                if j == jp:
-                    continue
-                e2 = cols[j][row]
-                if is_pivot[j]:
-                    e2 = _high_part(e2, v)
-                    if not e2.digits:
-                        continue
-                _clear(cols[j], j, col, _t_shift(e2, -v), rows)
-            pivots.append((row, v))
-            pivot_cols.append(col)
-            is_pivot[jp] = True
+    def _set_basis(self, cols):
+        pivots = _echelon(cols, self.dim, self.dim)
         zero = _exact_zero(self.base)
+        self.pivots = [p for p, _ in pivots]
         self.cols = [[c.get(u, zero) for u in range(self.dim)]
-                     for c in pivot_cols]
-        self.pivots = pivots
+                     for _, c in pivots]
 
     def pivot_exponent_sum(self) -> int:
         return sum(v for _, v in self.pivots)
@@ -466,33 +462,28 @@ class MatrixLattice:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce_vector(self, vec):
-        """Remainder of vec after greedy reduction by the canonical columns
-        with series-ring coefficients; zero remainder certifies membership."""
-        v = list(vec)
-        for (row, a), col in zip(self.pivots, self.cols):
-            e = v[row]
-            if e.val() is None:
-                continue
-            if e.val() < a:
-                return v    # not reducible: remainder is nonzero
-            q = _t_shift(e, -a)
-            for u in _support(col):
-                v[u] = v[u] - col[u] * q
-        return v
-
     def contains_vector(self, vec) -> bool:
-        rem = self.reduce_vector(vec)
-        return all(not x.digits for x in rem)
+        """Whether vec lies in the lattice: clear its pivot rows in order by
+        the pivot columns with :func:`_clear`; it does iff no entry of vec
+        there is below the pivot exponent and no digit is left."""
+        _check_size(len(vec), self.dim)
+        rem = {u: vec[u] for u in _support(vec)}
+        rows = _row_index([rem], self.dim)
+        for (r, v), col in zip(self.pivots, self.cols):
+            e = rem.get(r)
+            if e is None or not e.digits:
+                continue
+            if e.val() < v:
+                return False
+            _clear(rem, 0, {u: col[u] for u in _support(col)},
+                   _t_shift(col[r], -v), _t_shift(e, -v), rows)
+        return all(not x.digits for x in rem.values())
 
     def same_as(self, other: "MatrixLattice") -> bool:
-        if self.pivots != other.pivots:
-            return False
-        for c1, c2 in zip(self.cols, other.cols):
-            for x, y in zip(c1, c2):
-                if not x.equals(y):
-                    return False
-        return True
+        """Equality: with equal pivots the index (other : self) is 1, so
+        self inside other is enough."""
+        return (self.pivots == other.pivots
+                and all(other.contains_vector(c) for c in self.cols))
 
 
 def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice:
@@ -530,13 +521,11 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     dict {row: entry} that stores every entry except exact zeros, so zeros
     to precision, which lower the precision of the entries they touch, are
     stored; a bracket entry that cancels to an exact zero, such as
-    t^d g - t^d g on the diagonal, is not.  One pass over the bracket rows
-    takes a live entry (one with digits) of least valuation v as the row's
-    pivot, clears the row from the other live columns and drops the pivot
-    column.  Since v is least, every quotient
-    ``_t_shift(e, -v) * unit^-1`` lies in o_F, so each step is unimodular;
-    a kernel element has no part along a dropped column, so the remaining
-    columns' lower parts span the kernel over o_F, saturated."""
+    t^d g - t^d g on the diagonal, is not.  One :func:`_echelon` pass over
+    the bracket rows clears each row from all columns but its pivot column,
+    and drops that column.  Each step is unimodular, and a kernel element
+    has no part along a dropped column, so the remaining columns' lower
+    parts span the kernel over o_F, saturated."""
     N = chain.N
     dim = N * N
     for G in gens:
@@ -570,25 +559,7 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                         continue
                 col[r] = x
         cols.append(col)
-    rows = _row_index(cols, top + dim)
-    for r in range(top):
-        live = [(c[r].val(), jc) for jc in rows[r]
-                if (c := cols[jc])[r].digits]
-        if not live:
-            continue
-        v, jp = min(live)
-        col = cols[jp]
-        inv_unit = None if _is_monic(col[r], v) else \
-            _t_shift(col[r], -v).inverse()
-        for u in col:
-            rows[u].discard(jp)
-        cols[jp] = None
-        for _, jc in live:
-            if jc != jp:
-                q = _t_shift(cols[jc][r], -v)
-                if inv_unit is not None:
-                    q = q * inv_unit
-                _clear(cols[jc], jc, col, q, rows)
+    _echelon(cols, top + dim, top)
     return MatrixLattice._of_stored(
         base, dim, [{u - top: x for u, x in c.items() if u >= top}
                     for c in cols if c is not None])

@@ -345,7 +345,7 @@ def test_criterion_5_four_correspondences():
         # periodicity: one full period multiplies by t (index q^(N^2))
         for n in range(0, 13 - e_A):
             assert lattice_index(lats[n], lats[n + e_A]) == N * N
-        # canonical-form equality is independent of the generator set
+        # lattice equality is independent of the generator set
         mixed = [c for c in lats[3].cols]
         extra = [[x + y for x, y in zip(mixed[0], c)] for c in mixed[1:]]
         redundant = MatrixLattice(F, N * N, mixed + extra)

@@ -1,4 +1,4 @@
-"""Matrix/lattice oracle: regular representation, chains, Hermite forms,
+"""Matrix/lattice oracle: regular representation, chains, echelon bases,
 centralizer lattices as kernels of the bracket map, and the trace-pairing
 character."""
 
@@ -63,6 +63,34 @@ def test_v_A_matches_field_valuation(E_ram2):
         assert v_A_direct(regular_rep(x), ch) == v
 
 
+def _scan_filt_bound(chain, n):
+    """filt_bound by scanning one full period of the chain: D(i, k) is the
+    max over j of d(j + n, i) - d(j, k), with d(j, i) = ceil((j - c_i) /
+    period) the exponent of e_i in the j-th lattice."""
+    c, e = chain.profile, chain.period
+
+    def d(j, i):
+        return -((c[i] - j) // e)
+    return [[max(d(j + n, i) - d(j, k) for j in range(e))
+             for k in range(chain.N)] for i in range(chain.N)]
+
+
+def test_filt_bound_matches_the_period_scan(towers):
+    import random
+    rng = random.Random(5)
+    chains = [chain_from_field(E, copies) for E in towers if E.degree <= 6
+              for copies in (1, 2) if E.degree * copies <= 6]
+    chains += [uniform_chain(N, e_A) for N in range(1, 7)
+               for e_A in range(1, N + 1) if N % e_A == 0]
+    for _ in range(1000):
+        N, period = rng.randrange(1, 7), rng.randrange(1, 7)
+        chains.append(ChainRealized(N, period, [rng.randrange(-period, 2 * period)
+                                                for _ in range(N)]))
+    for chain in chains:
+        for n in range(-2 * chain.period, 2 * chain.period + 1):
+            assert chain.filt_bound(n) == _scan_filt_bound(chain, n)
+
+
 def test_v_A_uniform_chain():
     F = base_field(3)
     ch = uniform_chain(4, 2)
@@ -118,7 +146,7 @@ def test_lattice_periodicity():
         assert b.same_as(shifted)
 
 
-def test_hermite_canonical_form_is_stable():
+def test_echelon_form_is_stable():
     F = base_field(3)
     one = F.residue.one
     z = TameElement(F, {}, INF)
@@ -132,6 +160,21 @@ def test_hermite_canonical_form_is_stable():
     L2 = MatrixLattice(F, 2, c2)
     assert L1.same_as(L2)
     assert [v for _, v in L1.pivots] == [0, 2]
+
+
+def test_same_as_and_contains_vector_read_entries_not_only_pivots():
+    F = base_field(3)
+    one, t, z = F.one(), mono(F, 1), TameElement(F, {}, INF)
+    A = MatrixLattice(F, 2, [[one, z], [z, t]])        # span{e0, t e1}
+    B = MatrixLattice(F, 2, [[one, one], [z, t]])      # span{e0 + e1, t e1}
+    assert A.pivots == B.pivots == [(0, 0), (1, 1)]
+    assert not A.same_as(B) and not B.same_as(A)
+    assert A.contains_vector([one, z]) and not B.contains_vector([one, z])
+    unit = one + t                                      # exact, two digits
+    for L in (A, B):
+        scaled = MatrixLattice(F, 2, [[x * unit for x in c] for c in L.cols])
+        assert scaled.same_as(L) and L.same_as(scaled)
+        assert all(x.prec is INF for c in scaled.cols for x in c)
 
 
 def test_centralizer_of_a_field_is_the_field(towers):
@@ -248,6 +291,12 @@ def test_size_mismatches_are_domain_errors():
     for A, B in ((R2, R4), (R4, R2)):
         probes += [lambda A=A, B=B: A @ B, lambda A=A, B=B: A + B,
                    lambda A=A, B=B: A - B]
+    one, z = F.one(), TameElement(F, {}, INF)
+    L = MatrixLattice(F, 2, [[one, z]])
+    probes += [lambda: L.contains_vector([one]),
+               lambda: L.contains_vector([one, z, z]),
+               lambda: MatrixLattice(F, 2, [[one]]),
+               lambda: MatrixLattice(F, 2, [[one, z, z]])]
     for probe in probes:
         with pytest.raises(DomainError) as err:
             probe()
@@ -300,8 +349,10 @@ def test_every_oracle_domain_error_names_a_clause():
 # -- exact zeros: the sparse row operations against the dense loops ---------
 
 def _dense_hermite(base, dim, cols):
-    """Pivots and pivot columns of MatrixLattice by the dense loops: every
-    row operation runs over all dim entries."""
+    """Pivots and pivot columns of the column Hermite form by the dense
+    loops: pivots normalized to monic powers of t by pivot-unit inverses,
+    entries above them reduced, and every row operation over all dim
+    entries.  The reference for MatrixLattice's pivots and lattice."""
     one = base.residue.one
     cols = [list(c) for c in cols if any(x.digits for x in c)]
     pivots, done = [], []
@@ -364,6 +415,23 @@ def _entries(vecs):
              for x in vec] for vec in vecs]
 
 
+def _least_prec(cols):
+    return min((x.prec for c in cols for x in c), default=INF)
+
+
+def _check_lattice(L, pivots, want):
+    """L against a reference basis ``want`` with pivots ``pivots``: equal
+    pivots; L inside the reference lattice by the dense loops alone (L's
+    columns added to the reference leave its pivots, hence its index,
+    unchanged); ``same_as`` in both orders; and no entry of L less precise
+    than the least precise entry of the reference."""
+    assert L.pivots == pivots
+    assert _dense_hermite(L.base, L.dim, want + L.cols)[0] == pivots
+    W = MatrixLattice(L.base, L.dim, want)
+    assert L.same_as(W) and W.same_as(L)
+    assert _least_prec(L.cols) >= _least_prec(want)
+
+
 def _inexact_reps(F):
     """Pairs (regular_rep(x), regular_rep(pi)) over F for inexact x: the
     entries of the first include zeros to precision (no digits, finite
@@ -390,9 +458,7 @@ def test_sparse_hermite_form_matches_dense_loops():
                        for _ in range(dim)] for _ in range(rng.randrange(1, 5))])
     for cols in cases:
         L = MatrixLattice(F, len(cols[0]), cols)
-        pivots, want = _dense_hermite(F, len(cols[0]), cols)
-        assert L.pivots == pivots
-        assert _entries(L.cols) == _entries(want)
+        _check_lattice(L, *_dense_hermite(F, len(cols[0]), cols))
 
 
 def test_sparse_product_matches_dense_loops():
@@ -474,8 +540,8 @@ def _check_field_centralizer(E, copies):
     for n in range(chain.period):
         L = intersect_with_centralizer(gens, chain, n, F)
         pivots, want = _dense_centralizer(basis, chain, n, F)
-        assert L.pivots == pivots
-        assert _entries(L.cols) == _entries(want)
+        _check_lattice(L, pivots, want)
+        assert all(x.prec is INF for c in L.cols for x in c)
     return chain.period
 
 
@@ -523,11 +589,6 @@ def test_scalar_generators_cancel_to_the_radical_power():
                 assert L.same_as(filt_lattice(chain, n, F))
 
 
-def _pairs(cols, want):
-    """(entry, reference entry) for every entry of the pivot columns."""
-    return [(x, y) for c1, c2 in zip(cols, want) for x, y in zip(c1, c2)]
-
-
 def test_centralizer_of_random_exact_generators_matches_dense_loops():
     """Random generators test the pivot rule: a kernel pass that pivots on
     the largest valuation still agrees with the reference on regular
@@ -544,10 +605,9 @@ def test_centralizer_of_random_exact_generators_matches_dense_loops():
                         for _ in range(N)]) for _ in range(rng.randrange(1, 3))]
         n = rng.randrange(-1, chain.period + 1)
         L = intersect_with_centralizer(gens, chain, n, F)
-        pivots, want = _dense_centralizer(_dense_commutant(gens, N, F),
-                                          chain, n, F)
-        assert L.pivots == pivots
-        assert all(x.equals(y) for x, y in _pairs(L.cols, want))
+        _check_lattice(L, *_dense_centralizer(_dense_commutant(gens, N, F),
+                                              chain, n, F))
+        assert all(x.prec is INF for c in L.cols for x in c)
 
 
 def test_centralizer_of_inexact_generators_keeps_precision():
@@ -558,10 +618,7 @@ def test_centralizer_of_inexact_generators_keeps_precision():
             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
                 for n in range(-1, chain.period + 1):
                     L = intersect_with_centralizer(gens, chain, n, F)
-                    pivots, want = _dense_centralizer(basis, chain, n, F)
-                    assert L.pivots == pivots
-                    assert all(x.equals(y) and x.prec >= y.prec
-                               for x, y in _pairs(L.cols, want))
+                    _check_lattice(L, *_dense_centralizer(basis, chain, n, F))
 
 
 def _dense_kernel(gens, chain, n, base):
@@ -599,9 +656,9 @@ def _dense_kernel(gens, chain, n, base):
 
 
 def test_sparse_kernel_pass_matches_dense_loops():
-    """Entries equal to the digit and the precision, on generators with
-    zeros to precision: a kernel pass that dropped those zeros would differ
-    here."""
+    """The lattice of the dense kernel pass, with no entry less precise
+    than the dense pass's least precise one, on generators with zeros to
+    precision: a kernel pass that dropped those zeros would differ here."""
     import random
     F = base_field(3)
     z, one = TameElement(F, {}, INF), F.residue.one
@@ -621,9 +678,7 @@ def test_sparse_kernel_pass_matches_dense_loops():
         cases.append((gens, chain, rng.randrange(-1, chain.period + 1)))
     for gens, chain, n in cases:
         L = intersect_with_centralizer(gens, chain, n, F)
-        pivots, want = _dense_kernel(gens, chain, n, F)
-        assert L.pivots == pivots
-        assert _entries(L.cols) == _entries(want)
+        _check_lattice(L, *_dense_kernel(gens, chain, n, F))
 
 
 # -- shifts: products by monic powers of t -----------------------------------
