@@ -371,12 +371,14 @@ def _clear(c2, j2, col, unit, q, rows):
 
     The one update step of the echelon pass and of ``contains_vector``.
     It takes no inverse: unit is a unit of o_F, so the step is unimodular,
-    and exact entries stay exact.  A new entry of c2 is added to ``rows``
-    (row -> indices of the columns storing it); an entry that cancels to an
-    exact zero is dropped from c2 and from ``rows``, and a zero to
-    precision is kept (see the module docstring)."""
-    for u, y in c2.items():
-        c2[u] = y * unit
+    and exact entries stay exact.  An exact unit 1 scales nothing, while
+    1 + O(t^k) still scales, since it lowers precision.  A new entry of c2
+    is added to ``rows`` (row -> indices of the columns storing it); an
+    entry that cancels to an exact zero is dropped from c2 and from
+    ``rows``, and a zero to precision is kept (see the module docstring)."""
+    if unit.prec is not INF or unit.digits != {0: unit.owner.residue.one}:
+        for u, y in c2.items():
+            c2[u] = y * unit
     for u, x in col.items():
         y = c2.get(u)
         z = -(x * q) if y is None else y - x * q

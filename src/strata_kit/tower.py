@@ -261,37 +261,37 @@ class TameElement:
         return TameElement(self.owner, digits, prec)
 
     def inverse(self, rel_prec: int = DEFAULT_PREC) -> "TameElement":
-        """Multiplicative inverse.
+        """Multiplicative inverse by the power-series reciprocal recurrence
+        (Knuth, TAOCP 2, §4.7): x = sum_j x_j·pi^(v+j) has 1/x = sum_k w_k·pi^(k-v)
+        with w_0 = x_0⁻¹ and w_k = -x_0⁻¹·sum_{1<=j<=k} x_j·w_(k-j).
 
-        Exact monomials invert exactly; otherwise the result carries the
-        precision implied by the input (or ``rel_prec`` relative digits for
-        exact multi-digit inputs, since the inverse series is infinite).
-        """
+        Precision contract: an exact monomial inverts exactly; any other x
+        gives precision rel - v, where rel is prec - v, or for exact x
+        ``rel_prec`` (:data:`DEFAULT_PREC`): it applies to exact multi-digit
+        x only, which no library or CLI path inverts.  rel <= 0 and a zero
+        to precision raise PrecisionError, an exact zero DomainError."""
         if not self.digits:
             if self.prec is INF:
                 raise DomainError("division by exact zero", clause="division_by_zero")
             raise PrecisionError("division by an element that is zero to precision")
         v, a = self.leading()
-        lead_inv = TameElement(self.owner, {-v: a.inverse()}, INF)
+        w = [a.inverse()]
         if len(self.digits) == 1 and self.prec is INF:
-            return lead_inv
+            return TameElement(self.owner, {-v: w[0]}, INF)
         rel = (self.prec - v) if self.prec is not INF else rel_prec
         if rel <= 0:
             raise PrecisionError("inverse would have no certain digits")
-        one = self.owner.one()
-        u = (self * lead_inv) - one            # valuation > 0
-        u = u.truncate(rel)
-        acc = TameElement(self.owner, {0: self.owner.residue.one}, rel)
-        term = TameElement(self.owner, {0: self.owner.residue.one}, rel)
-        uv = u._val_lower_bound()
-        k = uv
-        while k < rel:
-            term = (term * -u).truncate(rel)
-            acc = acc + term
-            if term.is_zero_to_prec():
-                break
-            k += uv
-        return (acc * lead_inv).truncate(rel - v)
+        neg, zero = -w[0], self.owner.residue.zero
+        y = sorted((u - v, b * neg) for u, b in self.digits.items() if v < u < v + rel)
+        for k in range(1, rel):
+            s = None
+            for j, b in y:
+                if j > k:
+                    break
+                t = b * w[k - j]
+                s = t if s is None else s + t
+            w.append(zero if s is None else s)
+        return TameElement(self.owner, {k - v: c for k, c in enumerate(w)}, rel - v)
 
     def __truediv__(self, other):
         self._check(other)

@@ -696,3 +696,22 @@ def test_t_shift_is_the_monomial_product():
                 got, want = _t_shift(x, k), x * F.monomial(k, one)
                 assert _entries([[got]]) == _entries([[want]])
                 assert (got.prec is INF) == (want.prec is INF)
+
+
+def test_clear_skips_only_an_exact_unit_one():
+    """c2 <- unit * c2 - col * q entry by entry; an exact unit 1 leaves the
+    rows col does not store as they are, 1 + O(t^2) lowers their precision."""
+    from strata_kit.oracle import _clear, _row_index
+    F = base_field(3)
+    one, g = F.residue.one, F.residue.gen_power(1)
+    col = {0: F.one(), 1: TameElement(F, {2: g}, INF)}
+    start = {0: TameElement(F, {0: g}, INF), 2: TameElement(F, {1: g}, 5)}
+    q = start[0]
+    for unit, prec2 in ((F.one(), 5), (TameElement(F, {0: one}, 2), 3)):
+        c2 = dict(start)
+        _clear(c2, 0, col, unit, q, _row_index([c2], 3))
+        zero = F.zero(INF)
+        want = [unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)]
+        assert _entries([[c2.get(u, zero) for u in range(3)]]) == _entries([want])
+        assert c2[2].prec == prec2
+        assert (c2[2] is start[2]) == (unit.prec is INF)

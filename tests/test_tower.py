@@ -466,6 +466,86 @@ def test_inverse_of_exact_product_terminates(E_ram2):
     assert not (x * y - E_ram2.one()).digits
 
 
+def _geometric_inverse(x, rel_prec=DEFAULT_PREC):
+    """The reference inverse: x = a·pi^v·(1 + u), 1/x = a⁻¹·pi^-v·sum (-u)^n
+    to rel relative digits, one truncated product per term."""
+    if not x.digits:
+        if x.prec is INF:
+            raise DomainError("division by exact zero", clause="division_by_zero")
+        raise PrecisionError("division by an element that is zero to precision")
+    v, a = x.leading()
+    lead_inv = TameElement(x.owner, {-v: a.inverse()}, INF)
+    if len(x.digits) == 1 and x.prec is INF:
+        return lead_inv
+    rel = (x.prec - v) if x.prec is not INF else rel_prec
+    if rel <= 0:
+        raise PrecisionError("inverse would have no certain digits")
+    u = ((x * lead_inv) - x.owner.one()).truncate(rel)
+    acc = term = TameElement(x.owner, {0: x.owner.residue.one}, rel)
+    uv = u._val_lower_bound()
+    k = uv
+    while k < rel:
+        term = (term * -u).truncate(rel)
+        acc = acc + term
+        if term.is_zero_to_prec():
+            break
+        k += uv
+    return (acc * lead_inv).truncate(rel - v)
+
+
+def _outcome(f, *args):
+    """Digits and prec of f(*args), or its exception class and clause."""
+    try:
+        y = f(*args)
+    except (DomainError, PrecisionError) as err:
+        return type(err), getattr(err, "clause", None)
+    return sorted((v, a.coords) for v, a in y.digits.items()), y.prec
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_inverse_matches_the_geometric_series(seed):
+    import random
+    rng = random.Random(seed)
+    towers = _fuzzed_towers(seed, 12)
+    seen = set()
+    for _ in range(300):
+        E = rng.choice(towers)
+        digits = {v: E.residue.gen_power(rng.randrange(E.residue.q - 1))
+                  for v in rng.sample(range(-4, 10), rng.randrange(6))}
+        x = TameElement(E, digits, rng.choice([INF, INF, rng.randrange(-3, 12)]))
+        rel_prec = rng.choice([1, 2, 5, 64, 100, 0])
+        want = _outcome(_geometric_inverse, x, rel_prec)
+        assert _outcome(x.inverse, rel_prec) == want
+        seen.add(want[0] if isinstance(want[0], type) else
+                 "exact" if want[1] is INF else "series")
+    assert seen == {DomainError, PrecisionError, "exact", "series"}
+
+
+def test_inverse_builds_one_element(E_ram2, monkeypatch):
+    """One TameElement and at most rel_prec·len(x.digits) residue products
+    for an exact 3-digit x; the geometric series built 259 for this x."""
+    from strata_kit.residue import FqElem
+    x = mono(E_ram2, -1) + mono(E_ram2, 0, 3) + mono(E_ram2, 2, 1)
+    counts = {"elements": 0, "products": 0}
+    init, mul = TameElement.__init__, FqElem.__mul__
+
+    def counted_init(self, *args):
+        counts["elements"] += 1
+        init(self, *args)
+
+    def counted_mul(self, other):
+        counts["products"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(TameElement, "__init__", counted_init)
+    monkeypatch.setattr(FqElem, "__mul__", counted_mul)
+    y = x.inverse(64)
+    monkeypatch.undo()
+    assert counts["elements"] == 1
+    assert counts["products"] <= 64 * len(x.digits)
+    assert y.prec == 65 and not (x * y - E_ram2.one()).digits
+
+
 def test_exact_product_serializes(E_ram2):
     from strata_kit.serialize import element_from_json, element_to_json
     x = (mono(E_ram2, -1) + mono(E_ram2, 2, 1)) * mono(E_ram2, 3)
