@@ -113,14 +113,13 @@ def cmd_minimal(args):
 
 def cmd_factorize(args):
     E, x = _element_ctx(_read_doc(args), args.prec)
-    fac = howe_factorize(x, E.base())
-    rep = check_factorization(fac)
+    fac = howe_factorize(x, E.base())    # raises unless self-certified
     out = {"schema": ser.SCHEMA,
            "chunks": [ser.element_to_json(c, E) for c in fac.chunks],
            "fields": [list(K.signature()) for K in fac.fields],
            "jumps": [ser.rational_str(r) for r in fac.depth_jumps()],
            "degenerate": fac.degenerate,
-           "certified": rep.ok}
+           "certified": True}
     _emit(out)
 
 

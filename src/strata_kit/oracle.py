@@ -9,17 +9,17 @@ layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
-Lattice columns are sparse while they are reduced: a column is a dict
-{row: entry} that stores every entry except exact zeros (no digits,
-``prec is INF``), and a row operation runs over the entries of the pivot
-column that are stored.  Leaving exact zeros out changes no digit and no
-precision: an exact zero times anything is an exact zero, and x plus or
-minus an exact zero has x's digits and precision.  Zeros to precision (no
-digits, finite ``prec``) are stored, since they lower the precision of
-every entry they touch.  An entry that cancels to an exact zero is dropped
-as soon as it appears.  Matrix products skip exact zeros in the same way,
-over dense rows.  Elements are immutable, so a dense matrix or vector may
-share one exact zero among its exact-zero entries.
+Lattice columns are sparse ``{row: entry}`` dicts in and out: a column
+stores every entry except exact zeros (no digits, ``prec is INF``), and a
+row operation runs over the entries of the pivot column that are stored.
+Leaving exact zeros out changes no digit and no precision: an exact zero
+times anything is an exact zero, and x plus or minus an exact zero has x's
+digits and precision.  Zeros to precision (no digits, finite ``prec``) are
+stored, since they lower the precision of every entry they touch.  An
+entry that cancels to an exact zero is dropped as soon as it appears.
+Matrix products skip exact zeros in the same way, over dense rows.
+Elements are immutable, so a dense matrix may share one exact zero among
+its exact-zero entries.
 
 Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
@@ -130,11 +130,6 @@ def _check_size(n: int, m: int):
                           clause="shape_mismatch")
 
 
-def _support(vec):
-    """Indices of the entries of vec that are not exact zeros."""
-    return [u for u, x in enumerate(vec) if x.digits or x.prec is not INF]
-
-
 class Mat:
     """A dense square matrix over the base Laurent-series field."""
 
@@ -180,7 +175,8 @@ class Mat:
         zero = _exact_zero(self.base)
         out = []
         for r in self.rows:
-            terms = [(r[j], other.rows[j]) for j in _support(r)]
+            terms = [(a, other.rows[j]) for j, a in enumerate(r)
+                     if a.digits or a.prec is not INF]
             row = []
             for k in range(self.n):
                 acc = zero
@@ -421,55 +417,49 @@ def _echelon(cols, size, scanned):
     return pivots
 
 
+def _stored(vec, dim):
+    """A copy of the sparse column vec without its exact zeros; a row
+    outside 0 .. dim - 1 raises ``shape_mismatch``."""
+    out = {}
+    for u, x in vec.items():
+        if not 0 <= u < dim:
+            raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
+                              clause="shape_mismatch")
+        if x.digits or x.prec is not INF:
+            out[u] = x
+    return out
+
+
 class MatrixLattice:
     """A finitely generated o_F-lattice inside F^dim, held as a column
     echelon basis over the series ring, computed once, in the constructor,
     by :func:`_echelon`: ``pivots`` are the (row, exponent) pairs, in row
-    order, and ``cols`` the pivot columns, as dense lists of dim entries.
-    A pivot column's entry in its pivot row is t^v times a unit of o_F, and
-    it has no digits in the rows above.  The basis is not canonical: the
-    pivots are invariants of the lattice, the entries are not.
+    order, and ``cols`` the pivot columns.  A pivot column's entry in its
+    pivot row is t^v times a unit of o_F, and it has no digits in the rows
+    above.  The basis is not canonical: the pivots are invariants of the
+    lattice, the entries are not.
 
-    While the basis is computed, each column is a sparse dict {row: entry}
-    that stores every entry except exact zeros; zeros to precision are
-    stored, since they lower the precision of the entries they touch."""
+    Columns are sparse ``{row: entry}`` dicts in and out.  The constructor
+    copies them without their exact zeros; zeros to precision are stored,
+    since they lower the precision of the entries they touch."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        for c in cols:
-            _check_size(len(c), dim)
-        self._set_basis([{u: c[u] for u in _support(c)} for c in cols])
-
-    @classmethod
-    def _of_stored(cls, base: TameField, dim: int, cols) -> "MatrixLattice":
-        """The lattice spanned by sparse columns {row: entry}, which it
-        takes over."""
-        lattice = cls(base, dim, ())
-        lattice._set_basis(cols)
-        return lattice
-
-    def _set_basis(self, cols):
-        pivots = _echelon(cols, self.dim, self.dim)
-        zero = _exact_zero(self.base)
+        pivots = _echelon([_stored(c, dim) for c in cols], dim, dim)
         self.pivots = [p for p, _ in pivots]
-        self.cols = [[c.get(u, zero) for u in range(self.dim)]
-                     for _, c in pivots]
-
-    def pivot_exponent_sum(self) -> int:
-        return sum(v for _, v in self.pivots)
+        self.cols = [c for _, c in pivots]
 
     def rank(self) -> int:
         return len(self.pivots)
 
     def contains_vector(self, vec) -> bool:
-        """Whether vec lies in the lattice: clear its pivot rows in order by
-        the pivot columns with :func:`_clear`; it does iff no entry of vec
-        there is below the pivot exponent and no digit is left."""
-        _check_size(len(vec), self.dim)
-        rem = {u: vec[u] for u in _support(vec)}
+        """Whether the sparse vector vec lies in the lattice: clear its pivot
+        rows in order by the pivot columns with :func:`_clear`; it does iff no
+        entry of vec there is below the pivot exponent and no digit is left."""
+        rem = _stored(vec, self.dim)
         rows = _row_index([rem], self.dim)
         for (r, v), col in zip(self.pivots, self.cols):
             e = rem.get(r)
@@ -477,8 +467,7 @@ class MatrixLattice:
                 continue
             if e.val() < v:
                 return False
-            _clear(rem, 0, {u: col[u] for u in _support(col)},
-                   _t_shift(col[r], -v), _t_shift(e, -v), rows)
+            _clear(rem, 0, col, _t_shift(col[r], -v), _t_shift(e, -v), rows)
         return all(not x.digits for x in rem.values())
 
     def same_as(self, other: "MatrixLattice") -> bool:
@@ -494,9 +483,8 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
     N = chain.N
     D = chain.filt_bound(n)
     one = base.residue.one
-    return MatrixLattice._of_stored(
-        base, N * N, [{i * N + k: base.monomial(D[i][k], one)}
-                      for i in range(N) for k in range(N)])
+    return MatrixLattice(base, N * N, [{i * N + k: base.monomial(D[i][k], one)}
+                                       for i in range(N) for k in range(N)])
 
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
@@ -505,7 +493,7 @@ def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
     if [r for r, _ in L1.pivots] != [r for r, _ in L2.pivots]:
         raise DomainError("lattices span different spaces: index undefined",
                           clause="index_undefined")
-    return L2.pivot_exponent_sum() - L1.pivot_exponent_sum()
+    return sum(v for _, v in L2.pivots) - sum(v for _, v in L1.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +550,9 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                 col[r] = x
         cols.append(col)
     _echelon(cols, top + dim, top)
-    return MatrixLattice._of_stored(
-        base, dim, [{u - top: x for u, x in c.items() if u >= top}
-                    for c in cols if c is not None])
+    kernel = [{u - top: x for u, x in c.items() if u >= top}
+              for c in cols if c is not None]
+    return MatrixLattice(base, dim, kernel)
 
 
 # ---------------------------------------------------------------------------

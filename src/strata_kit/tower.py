@@ -260,16 +260,16 @@ class TameElement:
                 digits[u] = c if s is None else s + c
         return TameElement(self.owner, digits, prec)
 
-    def inverse(self, rel_prec: int = DEFAULT_PREC) -> "TameElement":
+    def inverse(self) -> "TameElement":
         """Multiplicative inverse by the power-series reciprocal recurrence
         (Knuth, TAOCP 2, §4.7): x = sum_j x_j·pi^(v+j) has 1/x = sum_k w_k·pi^(k-v)
         with w_0 = x_0⁻¹ and w_k = -x_0⁻¹·sum_{1<=j<=k} x_j·w_(k-j).
 
         Precision contract: an exact monomial inverts exactly; any other x
-        gives precision rel - v, where rel is prec - v, or for exact x
-        ``rel_prec`` (:data:`DEFAULT_PREC`): it applies to exact multi-digit
-        x only, which no library or CLI path inverts.  rel <= 0 and a zero
-        to precision raise PrecisionError, an exact zero DomainError."""
+        gives precision rel - v, with rel = prec - v >= 1 for inexact x and
+        rel = :data:`DEFAULT_PREC` for exact multi-digit x, which no library
+        or CLI path inverts.  A zero to precision raises PrecisionError, an
+        exact zero DomainError."""
         if not self.digits:
             if self.prec is INF:
                 raise DomainError("division by exact zero", clause="division_by_zero")
@@ -278,9 +278,7 @@ class TameElement:
         w = [a.inverse()]
         if len(self.digits) == 1 and self.prec is INF:
             return TameElement(self.owner, {-v: w[0]}, INF)
-        rel = (self.prec - v) if self.prec is not INF else rel_prec
-        if rel <= 0:
-            raise PrecisionError("inverse would have no certain digits")
+        rel = (self.prec - v) if self.prec is not INF else DEFAULT_PREC
         neg, zero = -w[0], self.owner.residue.zero
         y = sorted((u - v, b * neg) for u, b in self.digits.items() if v < u < v + rel)
         for k in range(1, rel):
@@ -316,10 +314,8 @@ class TameElement:
 
     # -- comparisons --------------------------------------------------------
 
-    def equals(self, other, guard: int = 0) -> bool:
-        """Equality of all certain digits; raises PrecisionError when the
-        verdict would be 'equal' but fewer than ``guard`` digit positions
-        beyond the leading term are certain."""
+    def equals(self, other) -> bool:
+        """Equality of all certain digits."""
         self._check(other)
         cut = min(self.prec, other.prec)
         for v in set(self.digits) | set(other.digits):
@@ -327,13 +323,6 @@ class TameElement:
                 continue
             if self.digits.get(v) != other.digits.get(v):
                 return False
-        if guard and cut is not INF:
-            lead = min((min(self.digits) if self.digits else cut),
-                       (min(other.digits) if other.digits else cut))
-            if cut - lead < guard:
-                raise PrecisionError(
-                    "equality verdict with fewer than "
-                    f"{guard} certain digits beyond the leading term")
         return True
 
     def __repr__(self):

@@ -347,7 +347,9 @@ def test_criterion_5_four_correspondences():
             assert lattice_index(lats[n], lats[n + e_A]) == N * N
         # lattice equality is independent of the generator set
         mixed = [c for c in lats[3].cols]
-        extra = [[x + y for x, y in zip(mixed[0], c)] for c in mixed[1:]]
+        zero = F.zero(INF)
+        extra = [{u: mixed[0].get(u, zero) + c.get(u, zero)
+                  for u in mixed[0].keys() | c.keys()} for c in mixed[1:]]
         redundant = MatrixLattice(F, N * N, mixed + extra)
         assert redundant.same_as(lats[3])
 

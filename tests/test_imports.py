@@ -1,5 +1,6 @@
-"""Package hygiene: every name a module imports is used in that module, and
-every private helper is named somewhere in the package besides its def."""
+"""Package hygiene: every name a module imports is used in that module,
+every private helper is named somewhere in the package besides its def, and
+every public name is used somewhere in src/, tests/ or bench/."""
 
 import ast
 import pathlib
@@ -46,18 +47,53 @@ def private_defs(tree):
             yield node.name, node.lineno
 
 
+def named(trees):
+    """Every name the trees use: as a variable, an attribute or an import."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
 def test_no_orphaned_private_helpers():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in pathlib.Path(strata_kit.__file__).parent.glob("*.py")}
-    named = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+    used = named(trees.values())
     orphans = [f"{file}:{line} {name}" for file, tree in sorted(trees.items())
-               for name, line in private_defs(tree) if name not in named]
+               for name, line in private_defs(tree) if name not in used]
     assert orphans == []
+
+
+def public_defs(tree):
+    """(name, lineno) for every public top-level function or class and every
+    public method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield item.name, item.lineno
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.lineno
+
+
+def test_no_dead_entry_points():
+    """Every public name the package defines is used in src/, tests/ or
+    bench/, besides its def."""
+    package = pathlib.Path(strata_kit.__file__).parent
+    root = package.parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in (package, root / "tests", root / "bench")
+             for path in folder.glob("*.py")}
+    used = named(trees.values())
+    dead = [f"{path.name}:{line} {name}"
+            for path, tree in sorted(trees.items()) if path.parent == package
+            for name, line in public_defs(tree) if name not in used]
+    assert dead == []

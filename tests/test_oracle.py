@@ -141,7 +141,7 @@ def test_lattice_periodicity():
         a = filt_lattice(ch, n, F)
         b = filt_lattice(ch, n + 2, F)
         shifted = MatrixLattice(
-            F, 4, [[x * F.monomial(1, F.residue.one) for x in c]
+            F, 4, [{u: x * F.monomial(1, F.residue.one) for u, x in c.items()}
                    for c in a.cols])
         assert b.same_as(shifted)
 
@@ -149,13 +149,12 @@ def test_lattice_periodicity():
 def test_echelon_form_is_stable():
     F = base_field(3)
     one = F.residue.one
-    z = TameElement(F, {}, INF)
     # two generating sets of the same lattice in F^2
-    c1 = [[F.monomial(0, one), F.monomial(1, one)],
-          [z, F.monomial(2, one)]]
-    c2 = [[F.monomial(0, one), F.monomial(1, one) + F.monomial(2, one)],
-          [z, F.monomial(2, one)],
-          [F.monomial(2, one), F.monomial(3, one)]]
+    c1 = [{0: F.monomial(0, one), 1: F.monomial(1, one)},
+          {1: F.monomial(2, one)}]
+    c2 = [{0: F.monomial(0, one), 1: F.monomial(1, one) + F.monomial(2, one)},
+          {1: F.monomial(2, one)},
+          {0: F.monomial(2, one), 1: F.monomial(3, one)}]
     L1 = MatrixLattice(F, 2, c1)
     L2 = MatrixLattice(F, 2, c2)
     assert L1.same_as(L2)
@@ -164,17 +163,18 @@ def test_echelon_form_is_stable():
 
 def test_same_as_and_contains_vector_read_entries_not_only_pivots():
     F = base_field(3)
-    one, t, z = F.one(), mono(F, 1), TameElement(F, {}, INF)
-    A = MatrixLattice(F, 2, [[one, z], [z, t]])        # span{e0, t e1}
-    B = MatrixLattice(F, 2, [[one, one], [z, t]])      # span{e0 + e1, t e1}
+    one, t = F.one(), mono(F, 1)
+    A = MatrixLattice(F, 2, [{0: one}, {1: t}])            # span{e0, t e1}
+    B = MatrixLattice(F, 2, [{0: one, 1: one}, {1: t}])    # span{e0 + e1, t e1}
     assert A.pivots == B.pivots == [(0, 0), (1, 1)]
     assert not A.same_as(B) and not B.same_as(A)
-    assert A.contains_vector([one, z]) and not B.contains_vector([one, z])
+    assert A.contains_vector({0: one}) and not B.contains_vector({0: one})
     unit = one + t                                      # exact, two digits
     for L in (A, B):
-        scaled = MatrixLattice(F, 2, [[x * unit for x in c] for c in L.cols])
+        scaled = MatrixLattice(F, 2, [{u: x * unit for u, x in c.items()}
+                                      for c in L.cols])
         assert scaled.same_as(L) and L.same_as(scaled)
-        assert all(x.prec is INF for c in scaled.cols for x in c)
+        assert all(x.prec is INF for c in scaled.cols for x in c.values())
 
 
 def test_centralizer_of_a_field_is_the_field(towers):
@@ -291,16 +291,59 @@ def test_size_mismatches_are_domain_errors():
     for A, B in ((R2, R4), (R4, R2)):
         probes += [lambda A=A, B=B: A @ B, lambda A=A, B=B: A + B,
                    lambda A=A, B=B: A - B]
-    one, z = F.one(), TameElement(F, {}, INF)
-    L = MatrixLattice(F, 2, [[one, z]])
-    probes += [lambda: L.contains_vector([one]),
-               lambda: L.contains_vector([one, z, z]),
-               lambda: MatrixLattice(F, 2, [[one]]),
-               lambda: MatrixLattice(F, 2, [[one, z, z]])]
+    one = F.one()
+    L = MatrixLattice(F, 2, [{0: one}])
+    for row in (-1, 2):                 # rows of F^2 are 0 and 1
+        probes += [lambda row=row: L.contains_vector({row: one}),
+                   lambda row=row: MatrixLattice(F, 2, [{0: one}, {row: one}])]
     for probe in probes:
         with pytest.raises(DomainError) as err:
             probe()
         assert err.value.clause == "shape_mismatch"
+
+
+def test_one_echelon_pass_per_lattice(monkeypatch):
+    """The constructor reduces its columns once; a centralizer lattice adds
+    only the kernel pass."""
+    from strata_kit import oracle
+    calls = []
+    echelon = oracle._echelon
+
+    def counted(*args):
+        calls.append(args[2])
+        return echelon(*args)
+
+    monkeypatch.setattr(oracle, "_echelon", counted)
+    F = base_field(3)
+    chain = uniform_chain(2, 2)
+    filt_lattice(chain, 1, F)
+    assert len(calls) == 1
+    MatrixLattice(F, 2, [{0: F.one()}, {1: mono(F, 1)}])
+    assert len(calls) == 2
+    E = extend(F, 1, 2, 1)
+    intersect_with_centralizer([regular_rep(E.uniformizer())] * 2,
+                               chain_from_field(E), 0, F)
+    assert calls[2:] == [8, 4]          # the bracket rows, then all rows
+
+
+def test_lattice_columns_are_copied_without_exact_zeros():
+    """The constructor and contains_vector reduce copies of the caller's
+    dicts; exact zeros given in them are not stored, zeros to precision
+    are."""
+    F = base_field(3)
+    one, t = F.one(), mono(F, 1)
+    z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
+    cols = [{0: one, 1: t, 2: z}, {0: one, 1: one, 2: lost}]
+    given = [dict(c) for c in cols]
+    L = MatrixLattice(F, 3, cols)
+    assert [list(c.items()) for c in cols] == [list(c.items()) for c in given]
+    assert L.pivots == [(0, 0), (1, 0)]
+    assert all(x.digits or x.prec is not INF for c in L.cols for x in c.values())
+    assert 2 not in L.cols[0] and L.cols[1][2].prec == 5
+    for vec in ({0: one, 1: t, 2: z}, {0: t, 1: one, 2: lost}, {1: t, 2: t}):
+        given = list(vec.items())
+        L.contains_vector(vec)
+        assert list(vec.items()) == given
 
 
 def test_decomposer_lives_on_its_field():
@@ -416,20 +459,28 @@ def _entries(vecs):
 
 
 def _least_prec(cols):
-    return min((x.prec for c in cols for x in c), default=INF)
+    return min((x.prec for c in cols for x in c.values()), default=INF)
+
+
+def _dense(base, dim, col):
+    """The sparse column col as a dense list of dim entries."""
+    zero = TameElement(base, {}, INF)
+    return [col.get(u, zero) for u in range(dim)]
 
 
 def _check_lattice(L, pivots, want):
-    """L against a reference basis ``want`` with pivots ``pivots``: equal
-    pivots; L inside the reference lattice by the dense loops alone (L's
-    columns added to the reference leave its pivots, hence its index,
+    """L against a dense reference basis ``want`` with pivots ``pivots``:
+    equal pivots; L inside the reference lattice by the dense loops alone
+    (L's columns added to the reference leave its pivots, hence its index,
     unchanged); ``same_as`` in both orders; and no entry of L less precise
     than the least precise entry of the reference."""
     assert L.pivots == pivots
-    assert _dense_hermite(L.base, L.dim, want + L.cols)[0] == pivots
-    W = MatrixLattice(L.base, L.dim, want)
+    dense = [_dense(L.base, L.dim, c) for c in L.cols]
+    assert _dense_hermite(L.base, L.dim, want + dense)[0] == pivots
+    sparse = [dict(enumerate(c)) for c in want]
+    W = MatrixLattice(L.base, L.dim, sparse)
     assert L.same_as(W) and W.same_as(L)
-    assert _least_prec(L.cols) >= _least_prec(want)
+    assert _least_prec(L.cols) >= _least_prec(sparse)
 
 
 def _inexact_reps(F):
@@ -457,7 +508,7 @@ def test_sparse_hermite_form_matches_dense_loops():
                                                    2: F.residue.one}, 6)])
                        for _ in range(dim)] for _ in range(rng.randrange(1, 5))])
     for cols in cases:
-        L = MatrixLattice(F, len(cols[0]), cols)
+        L = MatrixLattice(F, len(cols[0]), [dict(enumerate(c)) for c in cols])
         _check_lattice(L, *_dense_hermite(F, len(cols[0]), cols))
 
 
@@ -541,7 +592,7 @@ def _check_field_centralizer(E, copies):
         L = intersect_with_centralizer(gens, chain, n, F)
         pivots, want = _dense_centralizer(basis, chain, n, F)
         _check_lattice(L, pivots, want)
-        assert all(x.prec is INF for c in L.cols for x in c)
+        assert all(x.prec is INF for c in L.cols for x in c.values())
     return chain.period
 
 
@@ -607,7 +658,7 @@ def test_centralizer_of_random_exact_generators_matches_dense_loops():
         L = intersect_with_centralizer(gens, chain, n, F)
         _check_lattice(L, *_dense_centralizer(_dense_commutant(gens, N, F),
                                               chain, n, F))
-        assert all(x.prec is INF for c in L.cols for x in c)
+        assert all(x.prec is INF for c in L.cols for x in c.values())
 
 
 def test_centralizer_of_inexact_generators_keeps_precision():

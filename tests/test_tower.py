@@ -112,14 +112,6 @@ def test_ord_of_zero_to_prec_raises(F3):
         z.ord()
 
 
-def test_equals_narrow_window_raises(F3):
-    x = TameElement(F3, {0: F3.residue.one}, 1)
-    y = TameElement(F3, {0: F3.residue.one}, 1)
-    # identical known digits, but distinguishing them would need digit 1+
-    with pytest.raises(PrecisionError):
-        x.equals(y, guard=4)
-
-
 def test_coerce_scales_valuation_and_prec(F3, E_ram2):
     x = TameElement(F3, {-2: F3.residue.one, 1: F3.residue.one}, 5)
     y = coerce(x, E_ram2)
@@ -466,7 +458,7 @@ def test_inverse_of_exact_product_terminates(E_ram2):
     assert not (x * y - E_ram2.one()).digits
 
 
-def _geometric_inverse(x, rel_prec=DEFAULT_PREC):
+def _geometric_inverse(x):
     """The reference inverse: x = a·pi^v·(1 + u), 1/x = a⁻¹·pi^-v·sum (-u)^n
     to rel relative digits, one truncated product per term."""
     if not x.digits:
@@ -477,7 +469,7 @@ def _geometric_inverse(x, rel_prec=DEFAULT_PREC):
     lead_inv = TameElement(x.owner, {-v: a.inverse()}, INF)
     if len(x.digits) == 1 and x.prec is INF:
         return lead_inv
-    rel = (x.prec - v) if x.prec is not INF else rel_prec
+    rel = (x.prec - v) if x.prec is not INF else DEFAULT_PREC
     if rel <= 0:
         raise PrecisionError("inverse would have no certain digits")
     u = ((x * lead_inv) - x.owner.one()).truncate(rel)
@@ -504,6 +496,8 @@ def _outcome(f, *args):
 
 @pytest.mark.parametrize("seed", [5, 17])
 def test_inverse_matches_the_geometric_series(seed):
+    """Exact x, inverted at DEFAULT_PREC, and x truncated at prec = v + rel
+    for rel in {1, 2, 5} and rel <= 0, which cuts every digit."""
     import random
     rng = random.Random(seed)
     towers = _fuzzed_towers(seed, 12)
@@ -512,18 +506,19 @@ def test_inverse_matches_the_geometric_series(seed):
         E = rng.choice(towers)
         digits = {v: E.residue.gen_power(rng.randrange(E.residue.q - 1))
                   for v in rng.sample(range(-4, 10), rng.randrange(6))}
-        x = TameElement(E, digits, rng.choice([INF, INF, rng.randrange(-3, 12)]))
-        rel_prec = rng.choice([1, 2, 5, 64, 100, 0])
-        want = _outcome(_geometric_inverse, x, rel_prec)
-        assert _outcome(x.inverse, rel_prec) == want
+        rel = rng.choice([INF, 1, 2, 5, 0, -2])
+        x = TameElement(E, digits, min(digits, default=0) + rel)
+        want = _outcome(_geometric_inverse, x)
+        assert _outcome(x.inverse) == want
         seen.add(want[0] if isinstance(want[0], type) else
-                 "exact" if want[1] is INF else "series")
-    assert seen == {DomainError, PrecisionError, "exact", "series"}
+                 "exact" if want[1] is INF else rel)
+    assert seen == {DomainError, PrecisionError, "exact", INF, 1, 2, 5}
 
 
 def test_inverse_builds_one_element(E_ram2, monkeypatch):
-    """One TameElement and at most rel_prec·len(x.digits) residue products
-    for an exact 3-digit x; the geometric series built 259 for this x."""
+    """One TameElement and at most DEFAULT_PREC·len(x.digits) residue
+    products for an exact 3-digit x; the geometric series built 259 for
+    this x."""
     from strata_kit.residue import FqElem
     x = mono(E_ram2, -1) + mono(E_ram2, 0, 3) + mono(E_ram2, 2, 1)
     counts = {"elements": 0, "products": 0}
@@ -539,11 +534,11 @@ def test_inverse_builds_one_element(E_ram2, monkeypatch):
 
     monkeypatch.setattr(TameElement, "__init__", counted_init)
     monkeypatch.setattr(FqElem, "__mul__", counted_mul)
-    y = x.inverse(64)
+    y = x.inverse()
     monkeypatch.undo()
     assert counts["elements"] == 1
-    assert counts["products"] <= 64 * len(x.digits)
-    assert y.prec == 65 and not (x * y - E_ram2.one()).digits
+    assert counts["products"] <= DEFAULT_PREC * len(x.digits)
+    assert y.prec == DEFAULT_PREC + 1 and not (x * y - E_ram2.one()).digits
 
 
 def test_exact_product_serializes(E_ram2):
