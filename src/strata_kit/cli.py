@@ -183,7 +183,7 @@ def cmd_groups(args):
 
 def cmd_indices(args):
     st = ser.stratum_from_json(_read_doc(args), default_prec=args.prec)
-    h1, j, jhat = presentation_secherre(st)
+    h1, j, _ = presentation_secherre(st)
     j1 = GroupPresentation(
         "J1", j.tower_degrees, j.e_A, j.N,
         [(0, FiltDepth(j.normal_form[0][1].value, True))]
@@ -346,8 +346,7 @@ def main(argv=None) -> int:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:
-        clause = f" [{exc.clause}]" if getattr(exc, "clause", None) else ""
-        print(f"domain error{clause}: {exc}", file=sys.stderr)
+        print(f"domain error [{exc.clause}]: {exc}", file=sys.stderr)
         return 2
 
 

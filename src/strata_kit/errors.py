@@ -19,12 +19,11 @@ class SchemaError(StrataKitError):
 class DomainError(StrataKitError):
     """Mathematically invalid input, or an internal consistency violation.
 
-    Carries an optional machine-readable ``clause`` naming the violated
-    condition, so validity reports and the CLI can point at the exact
-    failing invariant.
+    Carries a machine-readable ``clause`` naming the violated condition, so
+    validity reports and the CLI can point at the exact failing invariant.
     """
 
-    def __init__(self, message, clause=None):
+    def __init__(self, message, clause):
         super().__init__(message)
         self.clause = clause
 

@@ -121,15 +121,14 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
         raise DomainError("valuation of c is not integral in base[c] (inconsistency)",
                           clause="valuation_not_integral")
     v = int(v_frac)
-    # lead(c^e) = lead(c)^e, and only the leading term of the unit part is read
-    lead_c = c.truncate(min(c.digits) + 1)
-    unit_part = (lead_c ** e_rel) * (base_sub.uniformizer().inverse() ** v)
-    if not unit_part.digits:
-        raise PrecisionError("unit part of c^e is zero to precision")
-    lead_v, r0 = unit_part.leading()
-    if lead_v != 0:
+    # with lead(c) = a*pi^w and the base's uniformizer b*pi^u, the unit part
+    # c^e / (b*pi^u)^v has leading term (a^e / b^v)*pi^(w*e - u*v)
+    w, a = c.leading()
+    u, b = base_sub.uniformizer().leading()
+    if w * e_rel != u * v:
         raise DomainError("unit part of c^e does not have valuation 0 (inconsistency)",
                           clause="unit_part_valuation")
+    r0 = a ** e_rel / b ** v
     f_rel = Ec.f_over_base // base_sub.f_over_base
     res_deg = base_sub.residue_degree_of(r0)
     crit1 = (gcd(v, e_rel) == 1) and (res_deg == f_rel)

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the symbolic stratum
 calculus: field elements become honest matrices via the regular
 representation, hereditary data becomes explicit diagonal lattice chains,
 and all filtration questions are answered by valuation bounds, and by
-column echelon bases and kernels over the power-series ring.  The symbolic
-layer is tested against these answers.
+column echelon bases and kernels over the power-series ring (v_A is the
+least bound period * w + c_i - c_k over the entries, w an entry's valuation
+and c the chain profile).  The symbolic layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
@@ -303,39 +304,30 @@ def chain_from_field(E: TameField, copies: int = 1) -> ChainRealized:
 
 
 def v_A_direct(x: Mat, chain: ChainRealized) -> int:
-    """max n with x L_j inside L_{j+n} for all j, by membership scan.
+    """max n with x L_j inside L_{j+n} for all j, in closed form.
 
-    An entry that is zero to precision bounds n only through its unknown
-    digits, so the answer raises ``PrecisionError`` when such an entry's
-    precision is below its ``filt_bound`` at the answer, and when no entry
-    has digits but some entry is inexact."""
+    Entry (i, k) of valuation w lies in the n-th radical power exactly when
+    w >= filt_bound(n)[i][k], that is when n <= period * w + c_i - c_k, so
+    v_A is the least such bound over the entries with digits.  A zero to
+    precision raises ``PrecisionError`` when its bound period * prec + c_i -
+    c_k is below v_A, and when no entry has digits but some entry is inexact."""
     _check_size(x.n, chain.N)
-    cells = [(i, k, a) for i, row in enumerate(x.rows)
+    c, e = chain.profile, chain.period
+    cells = [(a, c[i] - c[k]) for i, row in enumerate(x.rows)
              for k, a in enumerate(row)]
-    known = [(i, k, a.val()) for i, k, a in cells if a.digits]
-    lost = [(i, k, a.prec) for i, k, a in cells
-            if not a.digits and a.prec is not INF]       # zeros to precision
+    known = [e * min(a.digits) + d for a, d in cells if a.digits]
+    lost = [e * a.prec + d for a, d in cells
+            if not a.digits and a.prec is not INF]      # zeros to precision
     if not known:
         if lost:
             raise PrecisionError("v_A of a matrix that is zero to precision "
                                  "is uncertain")
         raise DomainError("v_A of the zero matrix is undefined",
                           clause="v_A_of_zero")
-
-    def ok(n):
-        D = chain.filt_bound(n)
-        return all(v >= D[i][k] for i, k, v in known)
-
-    n = chain.period * (min(v for _, _, v in known) - 1)
-    while not ok(n):
-        n -= 1
-    while ok(n + 1):
-        n += 1
-    if lost:
-        D = chain.filt_bound(n)
-        if any(prec < D[i][k] for i, k, prec in lost):
-            raise PrecisionError(f"v_A = {n} hangs on digits below an "
-                                 "entry's precision")
+    n = min(known)
+    if lost and min(lost) < n:
+        raise PrecisionError(f"v_A = {n} hangs on digits below an "
+                             "entry's precision")
     return n
 
 
@@ -613,6 +605,6 @@ def psi_witness(delta: Mat, chain: ChainRealized, m: int):
                 s = -v - D[i][k]
                 for j in range(kF.f):
                     u = kF.elem(tuple([0] * j + [1] + [0] * (kF.f - j - 1)))
-                    if absolute_trace(a * u) % base.p != 0:
+                    if absolute_trace(a * u) != 0:
                         return Mat.monomial_entry(base, N, i, k, D[i][k] + s, u)
     return None

@@ -69,10 +69,12 @@ def _check_digit_count(count: int) -> None:
 
 
 def _coords(coords, f: int) -> list:
-    """A residue coordinate list padded with zeros to length ``f``."""
+    """A residue coordinate list of at most ``f`` entries, zero-padded to ``f``."""
     if not isinstance(coords, list):
         raise SchemaError("residue coordinates must be a list")
-    return [_int(c, "residue coordinate") for c in coords[:f]] + [0] * (f - len(coords))
+    if len(coords) > f:
+        raise SchemaError(f"{len(coords)} residue coordinates exceed f = {f}")
+    return [_int(c, "residue coordinate") for c in coords] + [0] * (f - len(coords))
 
 
 def tower_to_json(E: TameField) -> dict:

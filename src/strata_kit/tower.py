@@ -115,7 +115,7 @@ class TameField:
     def residue_gen_elem(self) -> "TameElement":
         return TameElement(self, {0: self.residue.generator}, INF)
 
-    def zero(self, prec=DEFAULT_PREC) -> "TameElement":
+    def zero(self, prec) -> "TameElement":
         return TameElement(self, {}, prec)
 
     def one(self) -> "TameElement":
@@ -437,28 +437,21 @@ def _splitting_data(E: TameField):
 
 def _enumerate_embeddings(E: TameField, L: TameField):
     """All (frob_exp, mu_dlog) embedding parameters, or None when L is too
-    small."""
+    small.  For each Frobenius exponent j, mu runs over the e-th roots of
+    g^d = twist_L / tau_j(acc_twist_E), e = e_abs.  They differ by e-th roots
+    of unity, so :func:`_splitting_data` builds L only when e divides
+    |k_L^*|; then the roots exist exactly when e divides d, and their logs
+    are d/e + k*|k_L^*|/e for k < e, in increasing order."""
     kL = L.residue
-    ML = kL.q - 1
     e = E.e_abs
-    Q = E.base().q
+    step = (kL.q - 1) // e
     homs = []
     for j in range(E.f_over_base):
         tau_T = residue.frobenius(residue.embed(E.acc_twist, kL), E.base_f * j)
-        rhs = L.twist / tau_T
-        d = kL.dlog(rhs) if not rhs.is_zero() else None
-        if d is None or d % gcd(e, ML) != 0:
+        d = kL.dlog(L.twist / tau_T)
+        if d % e != 0:
             return None
-        g = gcd(e, ML)
-        step = ML // g
-        x0 = (d // g) * pow(e // g, -1, step) % step
-        sols = sorted((x0 + k * step) % ML for k in range(g))
-        if len(sols) != e:
-            return None
-        for x in sols:
-            homs.append(Embedding(E, L, j, x))
-    if len(homs) != E.degree:
-        return None
+        homs.extend(Embedding(E, L, j, d // e + k * step) for k in range(e))
     return homs
 
 
@@ -496,7 +489,7 @@ def _solve_congruence_pair(r1, m1, r2, m2):
     if (r2 - r1) % g != 0:
         return None
     lcm = m1 // g * m2
-    k = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g != 1 else 0
+    k = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
     return ((r1 + m1 * k) % lcm, lcm)
 
 
@@ -598,7 +591,7 @@ class Subfield:
             if b_i % g != 0:
                 return None
             m_i = ML // g
-            r_i = (b_i // g) * pow(a_i // g, -1, m_i) % m_i if m_i != 1 else 0
+            r_i = (b_i // g) * pow(a_i // g, -1, m_i) % m_i
             sol = _solve_congruence_pair(sol[0], sol[1], r_i, m_i)
             if sol is None:
                 return None
@@ -628,7 +621,7 @@ class Subfield:
             f_g = gcd(f_g, self.homs[i].frob_exp)
         # residue field of the subfield = fixed field of the stabilizer's
         # Frobenius exponents; gcd with 0 (trivial action) gives f_amb.
-        f_over_base = gcd(f_amb, f_g) if f_g else f_amb
+        f_over_base = gcd(f_amb, f_g)
         e_over_base = e_amb // v_min
         if e_over_base * f_over_base != self.degree:
             raise DomainError(

@@ -148,6 +148,29 @@ def test_malformed_values_are_schema_errors(capsys, monkeypatch, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, count", [
+    *(({"tower": TOWER,
+        "element": {"field": 1, "digits": [[-1, coords]], "prec": None}}, len(coords))
+      for coords in ([0, 1], [1, 5, 7])),
+    ({"tower": {"base_q": 3, "levels": [{"f": 1, "e": 2, "twist": [1, 2]}]},
+      "element": ELT}, 2),
+])
+def test_residue_coordinates_longer_than_f_are_schema_errors(capsys, monkeypatch, doc,
+                                                            count):
+    code, out, err = run(capsys, monkeypatch, ["expand"], doc)
+    assert code == 1 and out == ""
+    assert err == f"schema error: {count} residue coordinates exceed f = 1\n"
+
+
+def test_short_residue_coordinates_are_padded(capsys, monkeypatch):
+    tower = {"base_q": 3, "levels": [{"f": 2, "e": 1, "twist": [1]}]}
+    code, out, _ = run(capsys, monkeypatch, ["expand"],
+                       {"tower": tower,
+                        "element": {"field": 1, "digits": [[-1, [2]]], "prec": None}})
+    assert code == 0
+    assert json.loads(out)["element"]["digits"] == [[-1, [2, 0]]]
+
+
 def test_integral_float_prec_reads_as_int(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["expand"],
                        {"tower": TOWER,

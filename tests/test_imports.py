@@ -1,6 +1,7 @@
 """Package hygiene: every name a module imports is used in that module,
-every private helper is named somewhere in the package besides its def, and
-every public name is used somewhere in src/, tests/ or bench/."""
+every private helper is named somewhere in the package besides its def,
+every public name is used somewhere in src/, tests/ or bench/, and every
+name a function assigns is read."""
 
 import ast
 import pathlib
@@ -97,3 +98,35 @@ def test_no_dead_entry_points():
             for path, tree in sorted(trees.items()) if path.parent == package
             for name, line in public_defs(tree) if name not in used]
     assert dead == []
+
+
+def unused_locals(tree):
+    """(function, name, lineno) for every name a function body assigns but
+    never reads, nested functions included; ``_`` and names declared global
+    or nonlocal are exempt, and ``x += ...`` counts as a read of x."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        stored, loaded = {}, {"_"}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                loaded.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                loaded.add(node.target.id)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    loaded.add(node.id)
+        for name, line in stored.items():
+            if name not in loaded:
+                yield fn.name, name, line
+
+
+def test_no_unused_locals():
+    unused = []
+    for path in sorted(pathlib.Path(strata_kit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unused += [f"{path.name}:{line} {fn}: {name}"
+                   for fn, name, line in unused_locals(tree)]
+    assert unused == []

@@ -118,6 +118,66 @@ def test_v_A_direct_raises_when_the_answer_hangs_on_unknown_digits():
     assert err.value.clause == "v_A_of_zero"
 
 
+def _scan_v_A(x, chain):
+    """v_A by scanning n: the largest n with every entry that has digits in
+    the n-th radical power (entry (i, k) of valuation w is in it when
+    w >= filt_bound(n)[i][k]), then the same zero-to-precision checks."""
+    cells = [(i, k, a) for i, row in enumerate(x.rows) for k, a in enumerate(row)]
+    known = [(i, k, a.val()) for i, k, a in cells if a.digits]
+    lost = [(i, k, a.prec) for i, k, a in cells if not a.digits and a.prec is not INF]
+    if not known:
+        if lost:
+            raise PrecisionError("zero to precision")
+        raise DomainError("zero matrix", clause="v_A_of_zero")
+
+    def ok(n):
+        D = chain.filt_bound(n)
+        return all(v >= D[i][k] for i, k, v in known)
+
+    n = chain.period * (min(v for _, _, v in known) - 1)
+    while not ok(n):
+        n -= 1
+    while ok(n + 1):
+        n += 1
+    D = chain.filt_bound(n)
+    if any(prec < D[i][k] for i, k, prec in lost):
+        raise PrecisionError("hangs on unknown digits")
+    return n
+
+
+def test_v_A_direct_matches_the_period_scan():
+    import random
+    rng = random.Random(20)
+    F = base_field(3)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return TameElement(F, {}, INF)                  # exact zero
+        if kind == 1:
+            return TameElement(F, {}, rng.randrange(-4, 7))  # zero to precision
+        v = rng.randrange(-4, 7)
+        digits = {v: F.residue.gen_power(rng.randrange(2))}
+        return TameElement(F, digits, INF if kind == 2 else v + rng.randrange(1, 4))
+
+    outcomes = set()
+    for _ in range(1500):
+        N, period = rng.randrange(1, 7), rng.randrange(1, 7)
+        chain = ChainRealized(N, period, [rng.randrange(-period, 2 * period)
+                                          for _ in range(N)])
+        x = Mat(F, [[entry() for _ in range(N)] for _ in range(N)])
+        try:
+            want = _scan_v_A(x, chain)
+        except (DomainError, PrecisionError) as exc:
+            with pytest.raises(type(exc)):
+                v_A_direct(x, chain)
+            outcomes.add(type(exc))
+        else:
+            assert v_A_direct(x, chain) == want
+            outcomes.add(int)
+    assert outcomes == {int, DomainError, PrecisionError}
+
+
 def test_filt_lattice_indices():
     F = base_field(3)
     for e_A in (1, 2, 4):

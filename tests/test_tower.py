@@ -168,6 +168,27 @@ def test_identity_like_embedding_first(towers):
         assert (first.frob_exp, first.mu_dlog) == (0, 0)
 
 
+def test_embeddings_match_a_brute_force_root_scan(towers):
+    # for each Frobenius exponent j, mu_dlog runs over every x in
+    # 0 .. |k_L^*| - 1 with e*x = d_j (mod |k_L^*|), where
+    # g^d_j = twist_L / tau_j(acc_twist_E), in increasing order
+    from strata_kit import fuzz, residue
+    rng = fuzz.rng_from_seed(20)
+    checked = 0
+    for E in towers + [fuzz.random_tower(rng) for _ in range(40)]:
+        L = splitting_field(E)
+        kL = L.residue
+        ML, e = kL.q - 1, E.e_abs
+        want = []
+        for j in range(E.f_over_base):
+            tau = residue.frobenius(residue.embed(E.acc_twist, kL), E.base_f * j)
+            d = kL.dlog(L.twist / tau)
+            want += [(j, x) for x in range(ML) if (e * x - d) % ML == 0]
+        assert [(s.frob_exp, s.mu_dlog) for s in embeddings(E)] == want
+        checked += E.degree > 1
+    assert checked >= 30
+
+
 def test_embeddings_are_distinct(E_ram2):
     pi = E_ram2.uniformizer()
     images = [tuple(sorted(apply_embedding(s, pi).digits.items()))
