@@ -4,6 +4,9 @@ Every subcommand except ``fuzz`` and ``verify`` reads one JSON document
 (stdin or --in FILE).  Every subcommand writes one JSON document to stdout
 with sorted keys, so output is reproducible byte for byte.  Exit codes:
 0 success, 1 malformed input, 2 domain error, 3 precision exhausted.
+
+Handlers import what they call, and only ``errors`` and ``serialize`` load
+here: a cold call loads and compiles only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -14,13 +17,6 @@ import os
 import sys
 
 from .errors import DomainError, PrecisionError, SchemaError
-from .minimal import check_factorization, howe_factorize, is_generic, is_minimal
-from .strata import (FiltDepth, GroupPresentation, compare_presentations,
-                     index_card, presentation_secherre, presentation_yu)
-from .translate import (factchar_indices, roundtrip_check, secherre_to_yu,
-                        yu_to_secherre)
-from .tower import sr, tower_subfield, embeddings as field_embeddings, splitting_field
-from . import fuzz as fuzzmod
 from . import serialize as ser
 
 #: Largest working precision that ``--prec`` or ``STRATA_KIT_PREC`` may set.
@@ -91,6 +87,7 @@ def cmd_expand(args):
 
 
 def cmd_sr(args):
+    from .tower import sr
     E, x = _element_ctx(_read_doc(args), args.prec)
     rep = sr(x)
     gap = x - rep
@@ -100,6 +97,7 @@ def cmd_sr(args):
 
 
 def cmd_minimal(args):
+    from .minimal import is_minimal
     E, x = _element_ctx(_read_doc(args), args.prec)
     rep = is_minimal(x, E.base())
     out = {"schema": ser.SCHEMA,
@@ -112,6 +110,7 @@ def cmd_minimal(args):
 
 
 def cmd_factorize(args):
+    from .minimal import howe_factorize
     E, x = _element_ctx(_read_doc(args), args.prec)
     fac = howe_factorize(x, E.base())    # raises unless self-certified
     out = {"schema": ser.SCHEMA,
@@ -124,21 +123,22 @@ def cmd_factorize(args):
 
 
 def cmd_embeddings(args):
+    from .tower import embeddings, splitting_field
     doc = _read_doc(args)
     if not isinstance(doc, dict) or "tower" not in doc:
         raise SchemaError("document needs tower")
     E = ser.tower_from_json(doc["tower"])
-    L = splitting_field(E)
     out = {"schema": ser.SCHEMA,
-           "splitting": ser.tower_to_json(L),
-           "count": len(field_embeddings(E)),
-           "embeddings": [s.to_json() for s in field_embeddings(E)]}
+           "splitting": ser.tower_to_json(splitting_field(E)),
+           "count": len(embeddings(E)),
+           "embeddings": [s.to_json() for s in embeddings(E)]}
     _emit(out)
 
 
 def cmd_generic(args):
-    doc = _read_doc(args)
-    E, x = _element_ctx(doc, args.prec)
+    from .minimal import is_generic
+    from .tower import tower_subfield
+    E, x = _element_ctx(_read_doc(args), args.prec)
     levels = E.levels
     big = args.big if args.big is not None else len(levels) - 1
     if not (0 <= big < len(levels) and 0 <= args.small < len(levels)):
@@ -156,22 +156,23 @@ def cmd_generic(args):
 
 
 def cmd_stratum2yu(args):
+    from .translate import secherre_to_yu
     st = ser.stratum_from_json(_read_doc(args), default_prec=args.prec)
-    yu = secherre_to_yu(st)
-    _emit(ser.yu_to_json(yu))
+    _emit(ser.yu_to_json(secherre_to_yu(st)))
 
 
 def cmd_yu2stratum(args):
+    from .translate import yu_to_secherre
     yu = ser.yu_from_json(_read_doc(args), default_prec=args.prec)
-    st = yu_to_secherre(yu)
-    _emit(ser.stratum_to_json(st))
+    _emit(ser.stratum_to_json(yu_to_secherre(yu)))
 
 
 def cmd_groups(args):
+    from .strata import compare_presentations, presentation_secherre, presentation_yu
+    from .translate import secherre_to_yu
     st = ser.stratum_from_json(_read_doc(args), default_prec=args.prec)
     h1, j, jhat = presentation_secherre(st)
-    yu = secherre_to_yu(st, check=False)
-    kp, kc, kk = presentation_yu(yu)
+    kp, kc, kk = presentation_yu(secherre_to_yu(st, check=False))
     out = {"schema": ser.SCHEMA, "pairs": {}}
     for a, b in ((h1, kp), (j, kc), (jhat, kk)):
         same, diff = compare_presentations(a, b)
@@ -182,6 +183,8 @@ def cmd_groups(args):
 
 
 def cmd_indices(args):
+    from .strata import FiltDepth, GroupPresentation, index_card, presentation_secherre
+    from .translate import factchar_indices
     st = ser.stratum_from_json(_read_doc(args), default_prec=args.prec)
     h1, j, _ = presentation_secherre(st)
     j1 = GroupPresentation(
@@ -197,6 +200,7 @@ def cmd_indices(args):
 
 
 def _suite_cases(args):
+    from . import fuzz as fuzzmod
     rng = fuzzmod.rng_from_seed(args.seed)
     for i in range(args.count):
         if i % 10 == 9:
@@ -211,6 +215,8 @@ def cmd_fuzz(args):
 
 
 def cmd_verify(args):
+    from . import fuzz as fuzzmod, minimal, translate
+    from .tower import sr
     failures = []
     cases = 0
     if args.suite in ("sr", "minimal"):
@@ -225,7 +231,7 @@ def cmd_verify(args):
                     if not (rep.ord() == x.ord()):
                         failures.append("sr ord mismatch")
                 else:
-                    m = is_minimal(x, E.base())
+                    m = minimal.is_minimal(x, E.base())
                     if not m.agree():
                         failures.append("criteria disagree")
             except PrecisionError:
@@ -233,20 +239,20 @@ def cmd_verify(args):
     elif args.suite == "factorize":
         for st in _suite_cases(args):
             cases += 1
-            rep = check_factorization(st.fac)
+            rep = minimal.check_factorization(st.fac)
             if not rep.ok:
                 failures.append(rep.clause)
     elif args.suite == "presentations":
         for st in _suite_cases(args):
             cases += 1
             try:
-                secherre_to_yu(st)
+                translate.secherre_to_yu(st)
             except DomainError as exc:
                 failures.append(str(exc))
     elif args.suite == "roundtrip":
         for st in _suite_cases(args):
             cases += 1
-            rep = roundtrip_check(st)
+            rep = translate.roundtrip_check(st)
             if not rep.ok:
                 failures.append(str(rep.checks))
     elif args.suite in ("filtration", "oracle"):

@@ -92,10 +92,8 @@ def generating_monomial(rng: random.Random, level: TameField,
     order = list(range(level.residue.q - 1))
     rng.shuffle(order)
     for a in order[:24]:
-        digit = level.residue.gen_power(a)
-        x = coerce(level.monomial(v_lvl, digit), ambient)
-        if monomial_degree(x) == level.degree:
-            return x
+        if monomial_degree(level, v_lvl, a) == level.degree:
+            return coerce(level.monomial(v_lvl, level.residue.gen_power(a)), ambient)
     return None
 
 

@@ -17,7 +17,6 @@ and an independent certifier re-verifies every invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -69,14 +68,14 @@ def separating_pairs(Ec: Subfield, small: Subfield, big: Subfield):
     return table
 
 
-@dataclass
 class MinimalityReport:
     """Outcome of the three independent minimality criteria."""
-    in_base: bool
-    crit1_classical: bool
-    crit2_sr_generates: bool
-    crit3_embedding_ord: bool
-    witnesses: dict = field(default_factory=dict)
+
+    def __init__(self, in_base: bool, crit1_classical: bool, crit2_sr_generates: bool,
+                 crit3_embedding_ord: bool, witnesses: dict | None = None):
+        self.in_base, self.witnesses = in_base, {} if witnesses is None else witnesses
+        self.crit1_classical, self.crit2_sr_generates = crit1_classical, crit2_sr_generates
+        self.crit3_embedding_ord = crit3_embedding_ord
 
     @property
     def verdicts(self):
@@ -158,7 +157,6 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
 # factorization
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Factorization:
     """Chunk decomposition beta = sum_i c_i with strictly growing fields.
 
@@ -167,10 +165,9 @@ class Factorization:
     chunk (smallest field), so ord(c_0) > ... > ord(c_s) = ord(beta).
     :attr:`levels` is the field chain E_0 > ... > E_s, ending at the base.
     """
-    beta: TameElement
-    base: TameField
-    chunks: list
-    fields: list
+
+    def __init__(self, beta: TameElement, base: TameField, chunks: list, fields: list):
+        self.beta, self.base, self.chunks, self.fields = beta, base, chunks, fields
 
     @property
     def degenerate(self) -> bool:
@@ -248,11 +245,9 @@ def howe_factorize(beta: TameElement, base: TameField) -> Factorization:
     return fac
 
 
-@dataclass
 class FactorizationReport:
-    ok: bool
-    clause: str | None = None
-    message: str | None = None
+    def __init__(self, ok: bool, clause: str | None = None, message: str | None = None):
+        self.ok, self.clause, self.message = ok, clause, message
 
 
 def check_factorization(fac: Factorization) -> FactorizationReport:
@@ -340,13 +335,13 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
 # genericity
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GenericityReport:
     """GE1-style genericity of c for a Levi step E'/E, with cross-checks."""
-    depth: Fraction          # r = -ord(c)
-    ge1: bool
-    minimal_consensus: bool
-    generates: bool
+
+    def __init__(self, depth: Fraction, ge1: bool, minimal_consensus: bool,
+                 generates: bool):
+        self.depth = depth          # r = -ord(c)
+        self.ge1, self.minimal_consensus, self.generates = ge1, minimal_consensus, generates
 
     def equivalence_holds(self) -> bool:
         """Genericity must coincide with (minimality AND generation)."""

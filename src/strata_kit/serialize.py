@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError, SchemaError
 from .residue import make_field
-from .strata import OrderSkeleton, StratumSkeleton, make_stratum
 from .tower import INF, TameElement, TameField, base_field, extend
 
 SCHEMA = "strata-kit/v1"
@@ -134,7 +133,7 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
     return TameElement(owner, digits, prec)
 
 
-def stratum_to_json(st: StratumSkeleton) -> dict:
+def stratum_to_json(st) -> dict:
     E = st.order.pure_over
     return {"schema": SCHEMA,
             "tower": tower_to_json(E),
@@ -144,7 +143,8 @@ def stratum_to_json(st: StratumSkeleton) -> dict:
             "beta": element_to_json(st.beta, E)}
 
 
-def stratum_from_json(obj, default_prec=None) -> StratumSkeleton:
+def stratum_from_json(obj, default_prec=None):
+    from .strata import OrderSkeleton, make_stratum
     if not isinstance(obj, dict):
         raise SchemaError("stratum document must be an object")
     if obj.get("schema", SCHEMA) != SCHEMA:

@@ -24,8 +24,8 @@ maximal.  On top of that this module computes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from math import ceil, floor
 
 from .errors import DomainError
@@ -37,16 +37,13 @@ from .tower import Subfield, TameElement, TameField
 # orders and strata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class OrderSkeleton:
     """Numerical data of a principal hereditary order, pure over a field."""
-    m: int
-    d: int
-    e_A: int
-    pure_over: TameField
-    b_maximal: bool = True
 
-    def __post_init__(self):
+    def __init__(self, m: int, d: int, e_A: int, pure_over: TameField,
+                 b_maximal: bool = True):
+        self.m, self.d, self.e_A = m, d, e_A
+        self.pure_over, self.b_maximal = pure_over, b_maximal
         if self.m < 1 or self.d < 1 or self.e_A < 1:
             raise DomainError("order parameters must be positive",
                               clause="nonpositive_order_parameter")
@@ -72,6 +69,15 @@ class OrderSkeleton:
     @property
     def N(self) -> int:
         return self.m * self.d
+
+    def __eq__(self, other):
+        return type(other) is OrderSkeleton and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return (self.m, self.d, self.e_A, self.pure_over, self.b_maximal)
 
 
 def standard_order(E: TameField) -> OrderSkeleton:
@@ -116,18 +122,13 @@ def k0(beta: TameElement, order: OrderSkeleton, fac: Factorization | None = None
     return _tail_k0(fac, 0, order)
 
 
-@dataclass
 class StratumSkeleton:
     """The numerical data [order, n, r, beta] of a stratum, with the chunk
-    factorization of beta attached."""
-    order: OrderSkeleton
-    n: int
-    r: int
-    beta: TameElement
-    fac: Factorization
-    kind: str = field(init=False, compare=False)
+    factorization of beta attached; ``kind`` is always derived."""
 
-    def __post_init__(self):
+    def __init__(self, order: OrderSkeleton, n: int, r: int, beta: TameElement,
+                 fac: Factorization):
+        self.order, self.n, self.r, self.beta, self.fac = order, n, r, beta, fac
         self.kind = classify_stratum(self)
 
 
@@ -173,13 +174,12 @@ def make_stratum(order: OrderSkeleton, beta: TameElement,
     return StratumSkeleton(order, n, r, beta, fac)
 
 
-@dataclass
 class DefiningStage:
-    """One member of a defining sequence: the jump r_i, the field E_i of
-    the tail beta_i and k0(beta_i); order and n are the stratum's."""
-    r: int
-    level_field: Subfield
-    k0_value: int | None   # None encodes -infinity
+    """One defining-sequence stage: the jump r_i, the field E_i of the tail
+    beta_i and k0(beta_i), None for -infinity; order and n are the stratum's."""
+
+    def __init__(self, r: int, level_field: Subfield, k0_value: int | None):
+        self.r, self.level_field, self.k0_value = r, level_field, k0_value
 
 
 def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
@@ -215,11 +215,23 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
 # index <-> depth conversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class FiltDepth:
-    """A depth in the ordered monoid R union {r+}; r < r+ < every s > r."""
-    value: Fraction
-    plus: bool = False
+    """A depth in the ordered monoid R union {r+}; r < r+ < every s > r.
+    Ordered by (value, plus), and equal only to another FiltDepth."""
+
+    def __init__(self, value: Fraction, plus: bool = False):
+        self.value, self.plus = value, plus
+
+    def __eq__(self, other):
+        return (type(other) is FiltDepth
+                and (self.value, self.plus) == (other.value, other.plus))
+
+    def __lt__(self, other):
+        return (self.value, self.plus) < (other.value, other.plus)
+
+    def __hash__(self):
+        return hash((self.value, self.plus))
 
     def __repr__(self):
         return f"{self.value}{'+' if self.plus else ''}"
@@ -277,7 +289,6 @@ def _depth_sort_key(d):
     return (0,) if d == STAB_MARKER else (1, d)
 
 
-@dataclass
 class GroupPresentation:
     """A product of per-level filtration subgroups, plus its normal form.
 
@@ -285,15 +296,12 @@ class GroupPresentation:
     FiltDepth or STAB_MARKER; the normal form drops every window contained
     in another and sorts by level.
     """
-    label: str
-    tower_degrees: tuple      # [E_i : F] per level, level 0 = biggest field
-    e_A: int
-    N: int
-    factors: list
-    normal_form: list = field(init=False)
 
-    def __post_init__(self):
-        self.normal_form = _normalize(self.factors)
+    def __init__(self, label: str, tower_degrees: tuple, e_A: int, N: int,
+                 factors: list):
+        self.label, self.e_A, self.N, self.factors = label, e_A, N, factors
+        self.tower_degrees = tower_degrees  # [E_i : F] per level, level 0 = biggest field
+        self.normal_form = _normalize(factors)
 
     def to_json(self):
         out = []

@@ -662,24 +662,22 @@ class Subfield:
         return f"Subfield(deg={self.degree} of {self.ambient!r})"
 
 
-def monomial_degree(x: TameElement) -> int:
-    """[F[x]:F] for an exact monomial x = a*pi^v of its owner E, in closed form.
+def monomial_degree(E: TameField, v: int, k: int) -> int:
+    """[F[x]:F] for the monomial x = g^k*pi^v of E, g its residue generator,
+    in closed form: the degree of ``subfield_generated([x], E)``.
 
-    Under an embedding h of E into its splitting field L, the single image
-    digit of x has discrete log  (dlog(a)*h.res_scale + v*h.mu_dlog) mod
-    (q_L - 1), so the degree is the number of distinct such integers over
-    the [E:F] embeddings: the degree of ``subfield_generated([x], E)``,
-    found without building images or a Subfield.  Exact single-digit
-    elements only: anything else raises DomainError.
+    With e = e(E/F) and d = gcd(v, e), pi^e*acc_twist = t gives
+    x^(e/d) = u*t^(v/d) for the residue unit u = g^(k*e/d)*acc_twist^(-v/d),
+    and v/d is prime to e/d, so [F[x]:F] = (e/d)*[k_F(u):k_F].  With
+    Q = |k_F| and q_E = |k_E|, u lies in GF(Q^n) exactly when
+    (q_E - 1)/(Q^n - 1) divides dlog(u).
     """
-    if len(x.digits) != 1 or x.prec is not INF:
-        raise DomainError("monomial_degree needs an exact single-digit element",
-                          clause="not_exact_monomial")
-    (v, a), = x.digits.items()
-    L, homs = _splitting_data(x.owner)
-    ML = L.residue.q - 1
-    d = x.owner.residue.dlog(a)
-    return len({(d * h.res_scale + v * h.mu_dlog) % ML for h in homs})
+    e, f, res = E.e_abs, E.f_over_base, E.residue
+    d = gcd(v, e)
+    u = (k * e // d - v // d * res.dlog(E.acc_twist)) % (res.q - 1)
+    n = next(n for n in range(1, f + 1)
+             if f % n == 0 and u % ((res.q - 1) // (E.q ** n - 1)) == 0)
+    return e // d * n
 
 
 def subfield_generated(S, ambient: TameField) -> Subfield:

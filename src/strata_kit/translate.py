@@ -11,7 +11,6 @@ units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -22,22 +21,19 @@ from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
 from .tower import TameElement, TameField, sr
 
 
-@dataclass
 class YuSkeleton:
     """Tower-side datum: nested fields E_0 > ... > E_d = F with strictly
     increasing depths and a realizing element per step (None for a
     trivial final step)."""
-    ambient: TameField
-    tower_degrees: tuple
-    depths: list            # Fractions, length d + 1
-    chunks: list            # TameElements (ambient), len d + 1, last may be None
-    d: int
-    e_A: int
-    N: int
-    trivial_top: bool = False
-    depth_zero: bool = False
 
-    def __post_init__(self):
+    def __init__(self, ambient: TameField, tower_degrees: tuple, depths: list,
+                 chunks: list, d: int, e_A: int, N: int, trivial_top: bool = False,
+                 depth_zero: bool = False):
+        self.ambient, self.tower_degrees = ambient, tower_degrees
+        self.depths = depths    # Fractions
+        self.chunks = chunks    # ambient elements; the last may be None
+        self.d, self.e_A, self.N = d, e_A, N
+        self.trivial_top, self.depth_zero = trivial_top, depth_zero
         if self.d < 0:
             raise DomainError(f"d must be non-negative, not {self.d}",
                               clause="negative_d")
@@ -150,10 +146,9 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     return st
 
 
-@dataclass
 class RoundtripReport:
-    ok: bool
-    checks: dict
+    def __init__(self, ok: bool, checks: dict):
+        self.ok, self.checks = ok, checks
 
 
 def _unit_equivalent(c1: TameElement, c2: TameElement) -> bool:
@@ -186,11 +181,11 @@ def roundtrip_check(stratum: StratumSkeleton) -> RoundtripReport:
     return RoundtripReport(all(checks.values()), checks)
 
 
-@dataclass
 class CharacterIndexTable:
     """Per-chunk truncation indices t_i = max(t, floor(-v_A(c_i)/2))."""
-    t: int
-    rows: list      # (i, v_A(c_i), t_i)
+
+    def __init__(self, t: int, rows: list):
+        self.t, self.rows = t, rows         # rows: (i, v_A(c_i), t_i)
 
 
 def factchar_indices(stratum: StratumSkeleton, t: int = 0) -> CharacterIndexTable:

@@ -58,6 +58,43 @@ def test_criterion_1_witnesses_from_the_leading_term(towers):
     assert checked == 45
 
 
+def test_criterion_1_r0_is_the_unit_part_of_the_full_power(monkeypatch):
+    # r0 itself, not only its residue degree, against the unit part of
+    # c^e / pi_base^v read off the full series: dividing by the leading
+    # digit b^v of pi_base^v the wrong way keeps the degree but not r0
+    import random
+
+    from strata_kit.fuzz import perturb, random_stratum
+    seen = []
+    real = Subfield.residue_degree_of
+
+    def spy(self, r0):
+        seen.append(r0)
+        return real(self, r0)
+
+    monkeypatch.setattr(Subfield, "residue_degree_of", spy)
+    rng = random.Random(2026)
+    checked = twisted = 0
+    for _ in range(80):
+        st = random_stratum(rng)
+        levels = st.fac.levels
+        for i, chunk in enumerate(st.fac.chunks):
+            base_sub = levels[min(i + 1, len(levels) - 1)]
+            for c in (chunk, perturb(rng, chunk)):
+                seen.clear()
+                is_minimal(c, base_sub)
+                Ec = base_sub.adjoin(c)
+                e_rel = Ec.e_over_base // base_sub.e_over_base
+                v = int(c.ord() * Ec.e_over_base)
+                unit = (c ** e_rel) * (base_sub.uniformizer().inverse() ** v)
+                assert unit.leading()[0] == 0
+                assert seen == [unit.leading()[1]]
+                b = base_sub.uniformizer().leading()[1]
+                twisted += b ** (2 * v) != b.owner.one
+                checked += 1
+    assert checked >= 150 and twisted >= 50
+
+
 def test_unramified_generator_minimal():
     F = base_field(3)
     U = extend(F, 2, 1, 1)

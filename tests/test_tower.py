@@ -577,7 +577,7 @@ def test_monomial_degree_matches_subfield_generated():
 
     from strata_kit.tower import monomial_degree
     rng = random.Random(12)
-    checked = 0
+    checked = shared = twisted = 0
     for E in _fuzzed_towers(12, 100):
         for level in E.levels:
             n = level.residue.q - 1
@@ -585,16 +585,27 @@ def test_monomial_degree_matches_subfield_generated():
             for v in range(-3, 4):
                 for a in sorted(digits):
                     x = coerce(level.monomial(v, level.residue.gen_power(a)), E)
-                    assert monomial_degree(x) == subfield_generated([x], E).degree
+                    deg = subfield_generated([x], E).degree
+                    assert monomial_degree(level, v, a) == deg
+                    (w, c), = x.digits.items()      # the same x, read in E
+                    assert monomial_degree(E, w, E.residue.dlog(c)) == deg
                     checked += 1
-    assert checked > 5000
+                    shared += math.gcd(v, level.e_abs) > 1
+                    twisted += level.acc_twist != level.residue.one
+    assert checked > 5000 and shared > 1000 and twisted > 1000
 
 
-def test_monomial_degree_rejects_non_monomials(E_ram2):
+def test_monomial_degree_matches_embedding_scan():
+    # [F[x]:F] is the number of distinct image digits of x = g^k*pi^v over
+    # the [E:F] embeddings h, each of discrete log k*res_scale + v*mu_dlog
     from strata_kit.tower import monomial_degree
-    for x in (mono(E_ram2, -1) + mono(E_ram2, 2),
-              TameElement(E_ram2, {-1: E_ram2.residue.one}, 10),
-              E_ram2.zero(prec=INF)):
-        with pytest.raises(DomainError) as err:
-            monomial_degree(x)
-        assert err.value.clause == "not_exact_monomial"
+    checked = 0
+    for E in _fuzzed_towers(13, 60):
+        homs, ML = embeddings(E), splitting_field(E).residue.q - 1
+        n = E.residue.q - 1
+        for v in range(-2 * E.e_abs, 2 * E.e_abs + 1):
+            for k in range(0, n, max(1, n // 30)):
+                want = len({(k * h.res_scale + v * h.mu_dlog) % ML for h in homs})
+                assert monomial_degree(E, v, k) == want
+                checked += 1
+    assert checked > 10000
