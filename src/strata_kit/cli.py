@@ -137,8 +137,9 @@ def cmd_embeddings(args):
 
 def cmd_generic(args):
     from .minimal import is_generic
-    from .tower import tower_subfield
+    from .tower import coerce, tower_subfield
     E, x = _element_ctx(_read_doc(args), args.prec)
+    x = coerce(x, E)        # the levels below are built as subfields of E
     levels = E.levels
     big = args.big if args.big is not None else len(levels) - 1
     if not (0 <= big < len(levels) and 0 <= args.small < len(levels)):

@@ -91,16 +91,15 @@ class _ResidueDecomposer:
             ga = self.kE.gen_power(a)
             for j in range(self.bf):
                 w = self.kF.elem(tuple([0] * j + [1] + [0] * (self.bf - j - 1)))
-                vec = (ga * residue.embed(w, self.kE)).coords
-                cols.append(list(vec) + [0] * (n - len(vec)))
+                cols.append((ga * residue.embed(w, self.kE)).coords)
         mat = [[cols[c][u] for c in range(n)] for u in range(n)]
         self.inv = _fp_inverse(mat, field.p)
 
-    def coords(self, u):
+    def decompose(self, u):
         """base-residue coefficients (c_0, ..., c_{fob-1}) with
         u = sum_a embed(c_a) * g^a."""
         n = self.kE.f
-        vec = list(u.coords) + [0] * (n - len(u.coords))
+        vec = u.coords
         lam = [sum(self.inv[r][c] * vec[c] for c in range(n)) % self.field.p
                for r in range(n)]
         out = []
@@ -237,7 +236,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
                 b = v % e
                 m = (v - b) // e
                 u = coeff * (Tinv ** m if m >= 0 else T ** (-m))
-                for a, c_a in enumerate(dec.coords(u)):
+                for a, c_a in enumerate(dec.decompose(u)):
                     if c_a.is_zero():
                         continue
                     row = b * f + a
@@ -558,7 +557,7 @@ def absolute_trace(u) -> int:
     acc = k.zero
     for i in range(k.f):
         acc = acc + residue.frobenius(u, i)
-    coords = list(acc.coords) + [0] * (k.f - len(acc.coords))
+    coords = acc.coords
     if any(coords[1:]):
         raise DomainError("absolute trace left the prime field (bug)",
                           clause="trace_not_in_prime_field")

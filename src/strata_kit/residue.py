@@ -1,9 +1,8 @@
 """Exact arithmetic in finite fields GF(p^f), the coefficient layer.
 
-Elements are coordinate vectors in the polynomial basis for a fixed monic
-irreducible modulus.  Both the modulus and the distinguished multiplicative
-generator are chosen deterministically, so that serialized data is portable
-across runs:
+Each field has a fixed monic irreducible modulus and a distinguished
+multiplicative generator g, both chosen deterministically so that
+serialized data is portable across runs:
 
 * the modulus is the lexicographically least monic irreducible polynomial
   of degree f (coefficient tuples compared from the constant term up).  For
@@ -13,16 +12,25 @@ across runs:
 * the generator is the lexicographically least coordinate vector of
   multiplicative order q - 1.
 
-The power table g^0, ..., g^(q-2) and the discrete-log table inverting it
-are built by stepping integer indices through the GF(p)-linear map "multiply
-by g", two table lookups per step (see :meth:`FqField._build_tables`); they
-equal the tables built with one polynomial product per step.  Compatibility
-of embeddings between fields of the same characteristic is enforced by the
+An element is stored as its discrete log: the nonzero element g^k holds
+the integer k in [0, q - 2], and zero holds the sentinel -1.  Products,
+quotients, powers, Frobenius and embeddings are then integer arithmetic
+mod q - 1.  Sums go through the Zech table Z, Z[n] = dlog(1 + g^n)
+(K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
+36(4), 1990): g^a + g^b = g^(a + Z[b - a]), where Z[n] = -1 marks
+1 + g^n = 0.  Negation adds (q - 1)/2 to the log for odd p, since that
+power of g is -1, and is the identity for p = 2.
+
+Each field keeps three integer tables, all built from the integer index
+n = sum(c_i p^i) of the coordinate vector (c_0, ..., c_{f-1}) in the
+polynomial basis (see :meth:`FqField._build_tables`): the index of each
+power of g, the log of each index, and Z.  Coordinates appear only at the
+boundary: :attr:`FqElem.coords` decodes the index of an element and
+:meth:`FqField.elem` encodes coordinates to one.  Compatibility of
+embeddings between fields of the same characteristic is enforced by the
 index formula ``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
 
-Fields are capped at p^f <= 2^16 so that discrete-log tables stay small;
-multiplication, division, powers, Frobenius and embeddings all run through
-those tables.
+Fields are capped at p^f <= 2^16 so that the tables stay small.
 """
 
 from __future__ import annotations
@@ -131,14 +139,20 @@ def _is_irreducible(m, p):
 
 
 class FqField:
-    """The finite field GF(p^f) with a fixed modulus and generator.
+    """The finite field GF(p^f) with a fixed modulus and generator g.
 
     Immutable after construction.  Use :func:`make_field`; do not call the
     constructor directly: fields are compared by identity, so there must be
-    one object per (p, f), and construction builds the full power/dlog tables.
+    one object per (p, f), and construction builds the full tables.
+
+    The tables are lists of integers.  ``_pow[k]`` is the index of g^k,
+    ``_dlog[n]`` the log of the element with index n (-1 for n = 0, the
+    zero element) and ``_zech[k]`` the Zech log dlog(1 + g^k), -1 where
+    g^k = -1.  ``_half`` is the log of -1 for odd p and 0 for p = 2.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "generator", "_pow", "_dlog", "zero", "one")
+    __slots__ = ("p", "f", "q", "modulus", "generator", "_pow", "_dlog", "_zech",
+                 "_half", "zero", "one")
 
     def __init__(self, p: int, f: int):
         if f < 1:
@@ -154,13 +168,11 @@ class FqField:
         self.f = f
         self.q = q
         self.modulus = self._least_irreducible()
-        self._pow = None
-        self._dlog = None
-        gen_coords = self._least_generator()
-        self._build_tables(gen_coords)
-        self.generator = FqElem(self, gen_coords)
-        self.zero = FqElem(self, (0,) * f)
-        self.one = FqElem(self, tuple([1] + [0] * (f - 1)))
+        self._build_tables(self._least_generator())
+        self._half = (q - 1) // 2 if p != 2 else 0
+        self.generator = FqElem(self, 1 % (q - 1))     # log 0 in GF(2), where g = 1
+        self.zero = FqElem(self, -1)
+        self.one = FqElem(self, 0)
 
     # -- deterministic construction helpers ---------------------------------
 
@@ -211,15 +223,16 @@ class FqField:
         return result
 
     def _build_tables(self, gen_coords):
-        """Powers of the generator, stepped on integer indices.
+        """The index, log and Zech tables, by stepping integer indices.
 
         The element with coordinates c has index n = sum(c_i p^i).  Split n
         into its low h digits and high f - h digits; multiplication by g is
         GF(p)-linear, so the image of n is the digitwise sum mod p of the
         tabulated images of the two halves.  Images are packed in base
         2p - 1, where that sum cannot carry, and each packed half of the sum
-        is mapped back to its part of the index by one table lookup.  The
-        coordinate tuple of each power is read off the same split of n.
+        is mapped back to its part of the index by one table lookup.  Adding
+        1 to an element adds 1 mod p to the constant digit of its index,
+        which gives the Zech table once every log is known.
         """
         p, f, q = self.p, self.f, self.q
         h = f // 2
@@ -245,124 +258,160 @@ class FqField:
                 out = [d % p + p * v for v in out for d in range(base)]
             return [scale * v for v in out]
 
-        def coords(k):
-            out = [()]
-            for _ in range(k):
-                out = [(d,) + c for c in out for d in range(p)]
-            return out
-
         low_img, high_img = images(0, h), images(h, f)
         low_idx, high_idx = unpack(h, 1), unpack(f - h, split)
-        low, high = coords(h), coords(f - h)
         pack_split = base ** h
-        powers = []
+        powers = [0] * (q - 1)
+        dlog = [-1] * q
         n = 1
-        for _ in range(q - 1):
+        for k in range(q - 1):
+            powers[k] = n
+            dlog[n] = k
             hi, lo = divmod(n, split)
-            powers.append(low[lo] + high[hi])
             hi, lo = divmod(low_img[lo] + high_img[hi], pack_split)
             n = low_idx[lo] + high_idx[hi]
         if n != 1:
             raise DomainError("generator does not have full order (unreachable)",
                               clause="generator_order")
         self._pow = powers
-        self._dlog = dict(zip(powers, range(q - 1)))
+        self._dlog = dlog
+        self._zech = [dlog[n + 1 if n % p != p - 1 else n + 1 - p] for n in powers]
 
     # -- public helpers -----------------------------------------------------
 
     def elem(self, coords) -> "FqElem":
-        coords = tuple(int(c) % self.p for c in coords)
+        """The element with polynomial-basis coordinates (c_0, ..., c_{f-1})."""
+        p = self.p
+        coords = [int(c) % p for c in coords]
         if len(coords) != self.f:
             raise DomainError(f"coords length {len(coords)} != f = {self.f}",
                               clause="coords_length")
-        return FqElem(self, coords)
+        n = 0
+        for c in reversed(coords):
+            n = n * p + c
+        return FqElem(self, self._dlog[n])
 
     def from_int(self, n: int) -> "FqElem":
         """The image of the integer n (prime-subfield element)."""
-        return FqElem(self, tuple([n % self.p] + [0] * (self.f - 1)))
+        return FqElem(self, self._dlog[n % self.p])
 
     def gen_power(self, k: int) -> "FqElem":
         """generator ** k (k taken mod q-1)."""
-        return FqElem(self, self._pow[k % (self.q - 1)])
+        return FqElem(self, k % (self.q - 1))
 
     def dlog(self, a: "FqElem") -> int:
-        if not any(a.coords):
+        if a.log < 0:
             raise DomainError("discrete log of zero", clause="log_of_zero")
-        return self._dlog[a.coords]
+        return a.log
 
     def elements(self):
         """All field elements, deterministic order (0 first, then powers of g)."""
         yield self.zero
-        for coords in self._pow:
-            yield FqElem(self, coords)
+        for k in range(self.q - 1):
+            yield FqElem(self, k)
 
     def __repr__(self):
         return f"GF({self.p}^{self.f})"
 
 
+def _owner_mismatch():
+    raise DomainError("owner mismatch in residue-field arithmetic",
+                      clause="owner_mismatch")
+
+
+def _sum(fld: FqField, a: int, b: int) -> "FqElem":
+    """g^a + g^b in fld, for logs a, b in [-1, q - 2], -1 standing for 0."""
+    if a < 0:
+        return FqElem(fld, b)
+    if b < 0:
+        return FqElem(fld, a)
+    z = fld._zech[b - a]        # the table has q - 1 entries: b - a < 0 wraps
+    if z < 0:
+        return fld.zero
+    return FqElem(fld, (a + z) % (fld.q - 1))
+
+
 class FqElem:
-    """An element of an :class:`FqField`, as polynomial-basis coordinates."""
+    """An element g^log of an :class:`FqField`; ``log`` is -1 for zero.
 
-    __slots__ = ("owner", "coords")
+    ``coords`` decodes the polynomial-basis coordinates; arithmetic never
+    reads them.
+    """
 
-    def __init__(self, owner: FqField, coords):
+    __slots__ = ("owner", "log")
+
+    def __init__(self, owner: FqField, log: int):
         self.owner = owner
-        self.coords = tuple(coords)
+        self.log = log
+
+    @property
+    def coords(self) -> tuple:
+        """Polynomial-basis coordinates (c_0, ..., c_{f-1})."""
+        fld = self.owner
+        p = fld.p
+        n = fld._pow[self.log] if self.log >= 0 else 0
+        out = []
+        for _ in range(fld.f):
+            n, c = divmod(n, p)
+            out.append(c)
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _check(self, other):
-        if self.owner is not other.owner:
-            raise DomainError("owner mismatch in residue-field arithmetic",
-                              clause="owner_mismatch")
+        return self.log < 0
 
     def __add__(self, other):
-        self._check(other)
-        p = self.owner.p
-        return FqElem(self.owner, tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        fld = self.owner
+        if other.owner is not fld:
+            _owner_mismatch()
+        return _sum(fld, self.log, other.log)
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.owner.p
-        return FqElem(self.owner, tuple((a - b) % p for a, b in zip(self.coords, other.coords)))
+        fld = self.owner
+        if other.owner is not fld:
+            _owner_mismatch()
+        b = other.log
+        return _sum(fld, self.log, (b + fld._half) % (fld.q - 1) if b >= 0 else b)
 
     def __neg__(self):
-        p = self.owner.p
-        return FqElem(self.owner, tuple((-a) % p for a in self.coords))
+        fld = self.owner
+        if self.log < 0 or not fld._half:
+            return self
+        return FqElem(fld, (self.log + fld._half) % (fld.q - 1))
 
     def __mul__(self, other):
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self.owner.zero
         fld = self.owner
-        return fld.gen_power(fld.dlog(self) + fld.dlog(other))
+        if other.owner is not fld:
+            _owner_mismatch()
+        if self.log < 0 or other.log < 0:
+            return fld.zero
+        return FqElem(fld, (self.log + other.log) % (fld.q - 1))
 
     def __truediv__(self, other):
-        self._check(other)
-        if other.is_zero():
+        fld = self.owner
+        if other.owner is not fld:
+            _owner_mismatch()
+        if other.log < 0:
             raise DomainError("division by zero in residue field",
                               clause="division_by_zero")
-        if self.is_zero():
-            return self.owner.zero
-        fld = self.owner
-        return fld.gen_power(fld.dlog(self) - fld.dlog(other))
+        if self.log < 0:
+            return fld.zero
+        return FqElem(fld, (self.log - other.log) % (fld.q - 1))
 
     def inverse(self):
         return self.owner.one / self
 
     def __pow__(self, e: int):
         fld = self.owner
-        if self.is_zero():
+        if self.log < 0:
             if e < 0:
                 raise DomainError("division by zero in residue field",
                                   clause="division_by_zero")
             return fld.zero if e else fld.one
-        return fld.gen_power(fld.dlog(self) * e)
+        return FqElem(fld, self.log * e % (fld.q - 1))
 
     def __eq__(self, other):
         return (isinstance(other, FqElem) and self.owner is other.owner
-                and self.coords == other.coords)
+                and self.log == other.log)
 
     def __hash__(self):
         return hash((self.owner.p, self.owner.f, self.coords))
@@ -382,10 +431,11 @@ def make_field(p: int, f: int, /) -> FqField:
 
 def frobenius(a: FqElem, k: int) -> FqElem:
     """a ** (p^k); frobenius(., f) is the identity."""
-    if a.is_zero():
+    if a.log < 0:
         return a
     fld = a.owner
-    return fld.gen_power(fld.dlog(a) * pow(fld.p, k % fld.f, fld.q - 1))
+    order = fld.q - 1
+    return FqElem(fld, a.log * pow(fld.p, k % fld.f, order) % order)
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
@@ -398,9 +448,7 @@ def embed(a: FqElem, target: FqField) -> FqElem:
     if target.f % src.f != 0:
         raise DomainError(f"degree {src.f} does not divide {target.f}",
                           clause="degree_not_dividing")
-    if src.f == target.f:
-        return FqElem(target, a.coords)
-    if a.is_zero():
+    if a.log < 0:
         return target.zero
-    ratio = (target.q - 1) // (src.q - 1)
-    return target.gen_power(src.dlog(a) * ratio)
+    # log * ratio < q_target - 1, as log < q_source - 1
+    return FqElem(target, a.log * ((target.q - 1) // (src.q - 1)))

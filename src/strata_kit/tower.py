@@ -184,7 +184,7 @@ class TameElement:
         self.owner = owner
         self.digits = {}
         for v, a in digits.items():
-            if v < prec and not a.is_zero():
+            if v < prec and a.log >= 0:           # a nonzero
                 self.digits[v] = a
         self.prec = INF if prec == INF else prec
 
@@ -459,10 +459,9 @@ def _image_key(sigma: Embedding, x: TameElement, cut=INF) -> tuple:
     """The digits of sigma(x) below ``cut`` as sorted ``(v, dlog)`` pairs,
     for x owned by sigma's source: equal keys mean equal images below
     ``cut``, and two keys first differ at the valuation of the difference."""
-    dlog = sigma.source.residue.dlog
     scale, mu_dlog = sigma.res_scale, sigma.mu_dlog
     order = sigma.target.residue.q - 1
-    return tuple(sorted((v, (dlog(a) * scale + v * mu_dlog) % order)
+    return tuple(sorted((v, (a.log * scale + v * mu_dlog) % order)
                         for v, a in x.digits.items() if v < cut))
 
 

@@ -76,6 +76,19 @@ def test_generic(capsys, monkeypatch):
     assert code == 0 and doc["generic"] and doc["equivalence_holds"]
 
 
+def test_generic_takes_an_element_below_the_top_level(capsys, monkeypatch):
+    # the element lives in level 1 of GF(3) -> f=2 -> e=2; generic rewrites
+    # it in the top field, as minimal and factorize do
+    doc_in = {"tower": {"base_q": 3, "levels": [{"f": 2, "e": 1, "twist": [1]},
+                                                 {"f": 1, "e": 2, "twist": [1]}]},
+              "element": {"field": 1, "digits": [[-1, [0, 1]]], "prec": None}}
+    code, out, _ = run(capsys, monkeypatch, ["generic", "--big", "1"], doc_in)
+    assert code == 0 and json.loads(out)["generic"] is True
+    # against the top level, 64 digits do not separate the embeddings
+    code, out, err = run(capsys, monkeypatch, ["generic"], doc_in)
+    assert code == 3 and out == "" and err.startswith("precision exhausted")
+
+
 def test_stratum_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["stratum2yu"], STRATUM)
     assert code == 0

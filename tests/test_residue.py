@@ -4,6 +4,7 @@ field axioms, frobenius, and embeddings."""
 import ast
 import itertools
 import pathlib
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -98,6 +99,7 @@ def test_p_must_be_prime():
             make_field(p, 1)
 
 
+@lru_cache(maxsize=None)
 def _reference_tables(p, f):
     """The plain definitions: lex-least monic irreducible over every
     candidate, powers of the generator by one polynomial product each."""
@@ -131,8 +133,71 @@ def test_tables_match_plain_lex_search(p):
     while p ** f <= 4096:
         fld = make_field(p, f)
         powers, dlog = _reference_tables(p, f)
-        assert fld._pow == powers and fld._dlog == dlog
+        assert [fld.gen_power(k).coords for k in range(fld.q - 1)] == powers
+        assert all(fld.dlog(fld.elem(c)) == k for c, k in dlog.items())
         f += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_zech_table_matches_coordinate_addition(p):
+    # Z[k] = dlog(1 + g^k), with 1 + g^k added coordinate by coordinate,
+    # and -1 exactly where g^k = -1
+    f = 1
+    while p ** f <= 4096:
+        fld = make_field(p, f)
+        powers, dlog = _reference_tables(p, f)
+        minus_one = (p - 1,) + (0,) * (f - 1)
+        for k, c in enumerate(powers):
+            one_plus = ((c[0] + 1) % p,) + c[1:]
+            assert fld._zech[k] == (-1 if c == minus_one else dlog[one_plus])
+        assert [k for k, z in enumerate(fld._zech) if z == -1] == [dlog[minus_one]]
+        f += 1
+
+
+def test_gf2_generator_is_one():
+    # q - 1 = 1: every log is 0 mod 1, and -1 = 1
+    k = make_field(2, 1)
+    assert k.generator == k.one and k.generator.log == 0
+    assert k.one + k.one == k.zero and -k.one == k.one
+    assert k.one - k.one == k.zero and k.one * k.one == k.one
+
+
+def _ref_mul(c, d, modulus, p):
+    """Product of coordinate vectors: schoolbook, then x^f reduced by the
+    monic modulus."""
+    f = len(modulus) - 1
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(c):
+        for j, y in enumerate(d):
+            prod[i + j] += x * y
+    for i in reversed(range(f, len(prod))):
+        for j in range(f):
+            prod[i - f + j] -= prod[i] * modulus[j]
+    return tuple(x % p for x in prod[:f])
+
+
+@pytest.mark.parametrize("p, f", [(2, 4), (3, 3), (7, 2)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_log_arithmetic_matches_coordinates(p, f, data):
+    fld = make_field(p, f)
+    vectors = st.tuples(*[st.integers(0, p - 1)] * f)
+    c, d = data.draw(vectors), data.draw(vectors)
+    a, b = fld.elem(c), fld.elem(d)
+    assert a.coords == c and a.is_zero() == (not any(c))
+    assert (a + b).coords == tuple((x + y) % p for x, y in zip(c, d))
+    assert (a - b).coords == tuple((x - y) % p for x, y in zip(c, d))
+    assert (-a).coords == tuple(-x % p for x in c)
+    assert (a * b).coords == _ref_mul(c, d, fld.modulus, p)
+    frob = (1,) + (0,) * (f - 1)
+    for _ in range(p):
+        frob = _ref_mul(frob, c, fld.modulus, p)
+    assert frobenius(a, 1).coords == frob
+    if any(d):
+        assert _ref_mul((a / b).coords, d, fld.modulus, p) == c
+    else:
+        with pytest.raises(DomainError):
+            a / b
 
 
 def test_large_fields_pinned():
@@ -167,3 +232,30 @@ def test_fields_are_built_only_by_make_field():
                                       getattr(node.func, "attr", None))):
                 builders.append(f"{path.name}:{node.lineno}")
     assert builders == []
+
+
+def test_coords_are_read_only_at_the_boundary():
+    # arithmetic runs on discrete logs; coordinates are decoded only where
+    # they cross into JSON, a repr or a GF(p)-linear solve
+    files = {"residue.py", "serialize.py"}
+    scopes = {"tower.py": ["TameElement.__repr__"],
+              "oracle.py": ["_ResidueDecomposer", "absolute_trace"]}
+    reads, outside = [], []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "coords"
+                    and isinstance(child.ctx, ast.Load)):
+                where = f"{path.name}:{child.lineno} {scope}"
+                reads.append(where)
+                if path.name not in files and not any(
+                        f"{scope}.".startswith(f"{a}.") for a in scopes.get(path.name, [])):
+                    outside.append(where)
+            visit(child, path, scope)
+
+    for path in sorted(pathlib.Path(residue.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert reads and outside == []
