@@ -22,6 +22,9 @@ from . import serialize as ser
 #: Largest working precision that ``--prec`` or ``STRATA_KIT_PREC`` may set.
 MAX_PREC = 4096
 
+#: Largest number of cases that ``fuzz --count`` or ``verify --count`` may ask.
+MAX_COUNT = 10000
+
 SCHEMA_DOC = {
     "schema": ser.SCHEMA,
     "tower": {"base_q": "int (prime power)",
@@ -53,16 +56,31 @@ def _prec_setting(text: str) -> int:
     return prec
 
 
+def _count(text: str) -> int:
+    """A ``--count`` value: an integer from 0 to :data:`MAX_COUNT`; anything
+    else is an argparse usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if not 0 <= count <= MAX_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 0 to {MAX_COUNT}, got {text!r}")
+    return count
+
+
 def _read_doc(args):
     try:
         if args.infile:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON input: {exc}") from exc
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; deep
+        # nesting overflows the decoder's recursion
+        raise SchemaError(f"invalid JSON input: {exc}") from exc
 
 
 def _element_ctx(doc, prec):
@@ -323,13 +341,13 @@ def build_parser():
     add_reader("indices", cmd_indices, **{"--t": dict(type=int, default=0)})
     add("fuzz", cmd_fuzz,
         **{"--seed": dict(type=int, default=0),
-           "--count": dict(type=int, default=10)})
+           "--count": dict(type=_count, default=10)})
     add("verify", cmd_verify,
         **{"--suite": dict(required=True,
                            choices=["sr", "minimal", "factorize", "filtration",
                                     "presentations", "roundtrip", "oracle"]),
            "--seed": dict(type=int, default=0),
-           "--count": dict(type=int, default=50)})
+           "--count": dict(type=_count, default=50)})
     return parser, handlers
 
 

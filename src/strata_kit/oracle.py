@@ -49,70 +49,35 @@ from .tower import INF, TameElement, TameField
 ORACLE_N_CAP = 6
 
 
-# ---------------------------------------------------------------------------
-# residue-field linear algebra (small, dense, exact)
-# ---------------------------------------------------------------------------
+def _decomposition(field: TameField) -> dict:
+    """The residue digits of the field in base-residue coordinates, cached
+    on the field: the log of each u in k_E (-1 for zero) maps to the tuple
+    (c_0, ..., c_{fob-1}) of k_F elements with u = sum_a embed(c_a) * g^a,
+    g the residue generator and fob = [k_E : k_F].
 
-def _fp_inverse(mat, p):
-    """Inverse of a square matrix of ints over GF(p) by Gaussian elimination."""
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise DomainError("residue basis matrix is singular",
-                              clause="singular_residue_basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % p:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-class _ResidueDecomposer:
-    """Writes residue-field elements of a tower node in the basis
-    {g^a * embed(w_j)} with g the residue generator and w_j the polynomial
-    basis of the base residue field; yields base-residue coordinates per
-    power of g."""
-
-    def __init__(self, field: TameField):
-        self.field = field
-        self.kE = field.residue
-        self.kF = field.base().residue
-        self.fob = field.f_over_base
-        self.bf = field.base_f
-        n = self.kE.f
-        cols = []
-        for a in range(self.fob):
-            ga = self.kE.gen_power(a)
-            for j in range(self.bf):
-                w = self.kF.elem(tuple([0] * j + [1] + [0] * (self.bf - j - 1)))
-                cols.append((ga * residue.embed(w, self.kE)).coords)
-        mat = [[cols[c][u] for c in range(n)] for u in range(n)]
-        self.inv = _fp_inverse(mat, field.p)
-
-    def decompose(self, u):
-        """base-residue coefficients (c_0, ..., c_{fob-1}) with
-        u = sum_a embed(c_a) * g^a."""
-        n = self.kE.f
-        vec = u.coords
-        lam = [sum(self.inv[r][c] * vec[c] for c in range(n)) % self.field.p
-               for r in range(n)]
-        out = []
-        for a in range(self.fob):
-            out.append(self.kF.elem(tuple(lam[a * self.bf:(a + 1) * self.bf])))
-        return out
-
-
-def _decomposer(field: TameField) -> _ResidueDecomposer:
-    """The field's decomposer, cached on the field."""
-    if field._decomposer is None:
-        field._decomposer = _ResidueDecomposer(field)
-    return field._decomposer
+    Built once by summing every coefficient tuple, one power of g at a time,
+    with logs and the Zech table of k_E.  The powers of g up to fob - 1 are
+    a k_F-basis of k_E, so the table has q_E keys; fewer would mean a
+    singular basis."""
+    if field._decomposition is not None:
+        return field._decomposition
+    kE, kF = field.residue, field.base().residue
+    order = kE.q - 1
+    ratio = order // (kF.q - 1)
+    elems = list(kF.elements())
+    # the log of embed(c) * g^a for each c in elems, for each power a
+    terms = [[(c.log * ratio + a) % order if c.log >= 0 else -1 for c in elems]
+             for a in range(field.f_over_base)]
+    sums = [(t, (c,)) for t, c in zip(terms[0], elems)]
+    for row in terms[1:]:
+        sums = [(residue._sum(kE, s, t).log, cs + (c,)) for s, cs in sums
+                for t, c in zip(row, elems)]
+    dec = dict(sums)
+    if len(dec) != kE.q:
+        raise DomainError("residue basis is singular",
+                          clause="singular_residue_basis")
+    field._decomposition = dec
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +188,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
         raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}",
                           clause="oracle_cap")
     e, f = E.e_abs, E.f_over_base
-    dec = _decomposer(E)
+    dec = _decomposition(E)
     T = E.acc_twist
     Tinv = T.inverse()
     block = Mat.zero(base, E.degree)
@@ -236,7 +201,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
                 b = v % e
                 m = (v - b) // e
                 u = coeff * (Tinv ** m if m >= 0 else T ** (-m))
-                for a, c_a in enumerate(dec.decompose(u)):
+                for a, c_a in enumerate(dec[u.log]):
                     if c_a.is_zero():
                         continue
                     row = b * f + a

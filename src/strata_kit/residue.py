@@ -30,6 +30,11 @@ boundary: :attr:`FqElem.coords` decodes the index of an element and
 embeddings between fields of the same characteristic is enforced by the
 index formula ``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
 
+Residue degrees are read off logs too: GF(p^n) inside GF(q) is zero and
+the powers of g^((q - 1)/(p^n - 1)), so :func:`degree_over` gives the
+degree of g^k over GF(p^m) as the least d dividing f/m for which
+(q - 1)/(p^(m d) - 1) divides k.
+
 Fields are capped at p^f <= 2^16 so that the tables stay small.
 """
 
@@ -452,3 +457,14 @@ def embed(a: FqElem, target: FqField) -> FqElem:
         return target.zero
     # log * ratio < q_target - 1, as log < q_source - 1
     return FqElem(target, a.log * ((target.q - 1) // (src.q - 1)))
+
+
+def degree_over(fld: FqField, log: int, m: int) -> int:
+    """[GF(p^m)(a) : GF(p^m)] for a = g^log in fld, m dividing fld.f: the
+    least d dividing f/m with (q - 1)/(p^(m d) - 1) dividing log; 1 for
+    zero (log -1)."""
+    if log < 0:
+        return 1
+    k = fld.f // m
+    return next(d for d in range(1, k + 1)
+                if k % d == 0 and log % ((fld.q - 1) // (fld.p ** (m * d) - 1)) == 0)

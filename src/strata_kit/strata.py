@@ -70,15 +70,6 @@ class OrderSkeleton:
     def N(self) -> int:
         return self.m * self.d
 
-    def __eq__(self, other):
-        return type(other) is OrderSkeleton and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return (self.m, self.d, self.e_A, self.pure_over, self.b_maximal)
-
 
 def standard_order(E: TameField) -> OrderSkeleton:
     """The order attached to the canonical chain of an embedded field E

@@ -55,7 +55,7 @@ class TameField:
 
     __slots__ = ("parent", "levels", "p", "base_f", "f_rel", "e_rel", "twist",
                  "residue", "f_over_base", "e_abs", "degree", "acc_twist",
-                 "_splitting", "_subfields", "_decomposer")
+                 "_splitting", "_subfields", "_decomposition")
 
     def __init__(self, parent, p, base_f, f_rel, e_rel, twist):
         self.parent = parent
@@ -93,7 +93,7 @@ class TameField:
         self.degree = self.f_over_base * self.e_abs
         self._splitting = None
         self._subfields = {}          # tower level -> Subfield, see tower_subfield
-        self._decomposer = None       # oracle._ResidueDecomposer, built lazily
+        self._decomposition = None    # oracle._decomposition, built lazily
 
     # -- structure helpers --------------------------------------------------
 
@@ -644,15 +644,8 @@ class Subfield:
 
     def residue_degree_of(self, r0: FqElem) -> int:
         """Degree of a residue element over this subfield's residue field."""
-        if r0.is_zero():
-            return 1
-        step = self.ambient.base_f * self.f_over_base
-        d = 1
-        cur = residue.frobenius(r0, step)
-        while cur != r0:
-            cur = residue.frobenius(cur, step)
-            d += 1
-        return d
+        return residue.degree_over(r0.owner, r0.log,
+                                   self.ambient.base_f * self.f_over_base)
 
     def signature(self):
         return (self.degree, self.e_over_base, self.f_over_base)
@@ -667,16 +660,13 @@ def monomial_degree(E: TameField, v: int, k: int) -> int:
 
     With e = e(E/F) and d = gcd(v, e), pi^e*acc_twist = t gives
     x^(e/d) = u*t^(v/d) for the residue unit u = g^(k*e/d)*acc_twist^(-v/d),
-    and v/d is prime to e/d, so [F[x]:F] = (e/d)*[k_F(u):k_F].  With
-    Q = |k_F| and q_E = |k_E|, u lies in GF(Q^n) exactly when
-    (q_E - 1)/(Q^n - 1) divides dlog(u).
+    and v/d is prime to e/d, so [F[x]:F] = (e/d)*[k_F(u):k_F], read off
+    dlog(u) by :func:`residue.degree_over`.
     """
-    e, f, res = E.e_abs, E.f_over_base, E.residue
+    e, res = E.e_abs, E.residue
     d = gcd(v, e)
     u = (k * e // d - v // d * res.dlog(E.acc_twist)) % (res.q - 1)
-    n = next(n for n in range(1, f + 1)
-             if f % n == 0 and u % ((res.q - 1) // (E.q ** n - 1)) == 0)
-    return e // d * n
+    return e // d * residue.degree_over(res, u, E.base_f)
 
 
 def subfield_generated(S, ambient: TameField) -> Subfield:

@@ -230,6 +230,53 @@ def test_unread_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["fuzz", "--count", "-3"],
+                                  ["fuzz", "--count", "10001"],
+                                  ["verify", "--suite", "sr", "--count", "-1"],
+                                  ["verify", "--suite", "oracle",
+                                   "--count", str(10 ** 12)]])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --count: must be an integer from 0 to 10000" in \
+        capsys.readouterr().err
+
+
+def test_count_bounds_are_accepted(capsys):
+    from strata_kit.cli import MAX_COUNT, build_parser
+    assert main(["fuzz", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["strata"] == []
+    # the largest count parses; its run is not started here
+    parser, _ = build_parser()
+    assert parser.parse_args(["fuzz", "--count", str(MAX_COUNT)]).count == MAX_COUNT
+
+
+HOSTILE_JSON = {"deep": b"[" * 100000, "not_utf8": b'{"a": "\xff"}',
+                "truncated": b'{"tower": '}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("via_file", [True, False])
+def test_hostile_json_is_a_schema_error(capsys, monkeypatch, tmp_path, name,
+                                        via_file):
+    import io, sys
+    raw = HOSTILE_JSON[name]
+    if via_file:
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        argv = ["expand", "--in", str(path)]
+    else:
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        argv = ["groups"]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("schema error: invalid JSON input:")
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
 def datum(capsys, monkeypatch, stratum_doc):
     code, out, _ = run(capsys, monkeypatch, ["stratum2yu"], stratum_doc)
     assert code == 0

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from strata_kit.errors import DomainError
 from strata_kit import residue
-from strata_kit.residue import (FqElem, _is_irreducible, embed, frobenius,
-                                make_field)
+from strata_kit.residue import (FqElem, _is_irreducible, degree_over, embed,
+                                frobenius, make_field)
 
 
 def test_gf25_modulus_is_lex_least():
@@ -236,10 +236,10 @@ def test_fields_are_built_only_by_make_field():
 
 def test_coords_are_read_only_at_the_boundary():
     # arithmetic runs on discrete logs; coordinates are decoded only where
-    # they cross into JSON, a repr or a GF(p)-linear solve
+    # they cross into JSON or a repr, or where a GF(p) value becomes an int
     files = {"residue.py", "serialize.py"}
     scopes = {"tower.py": ["TameElement.__repr__"],
-              "oracle.py": ["_ResidueDecomposer", "absolute_trace"]}
+              "oracle.py": ["absolute_trace"]}
     reads, outside = [], []
 
     def visit(node, path, scope):
@@ -259,3 +259,23 @@ def test_coords_are_read_only_at_the_boundary():
     for path in sorted(pathlib.Path(residue.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
     assert reads and outside == []
+
+
+def _orbit_degree(a, m):
+    """Reference: the length of the orbit of a under x -> x^(p^m)."""
+    d, cur = 1, frobenius(a, m)
+    while cur != a:
+        cur, d = frobenius(cur, m), d + 1
+    return d
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degree_over_matches_frobenius_orbit(p):
+    for f in range(1, 12):
+        if p ** f > 729:
+            break
+        k = make_field(p, f)
+        for m in (m for m in range(1, f + 1) if f % m == 0):
+            assert degree_over(k, -1, m) == 1
+            for a in k.elements():
+                assert degree_over(k, a.log, m) == _orbit_degree(a, m), (k, a, m)
