@@ -49,37 +49,6 @@ from .tower import INF, TameElement, TameField
 ORACLE_N_CAP = 6
 
 
-def _decomposition(field: TameField) -> dict:
-    """The residue digits of the field in base-residue coordinates, cached
-    on the field: the log of each u in k_E (-1 for zero) maps to the tuple
-    (c_0, ..., c_{fob-1}) of k_F elements with u = sum_a embed(c_a) * g^a,
-    g the residue generator and fob = [k_E : k_F].
-
-    Built once by summing every coefficient tuple, one power of g at a time,
-    with logs and the Zech table of k_E.  The powers of g up to fob - 1 are
-    a k_F-basis of k_E, so the table has q_E keys; fewer would mean a
-    singular basis."""
-    if field._decomposition is not None:
-        return field._decomposition
-    kE, kF = field.residue, field.base().residue
-    order = kE.q - 1
-    ratio = order // (kF.q - 1)
-    elems = list(kF.elements())
-    # the log of embed(c) * g^a for each c in elems, for each power a
-    terms = [[(c.log * ratio + a) % order if c.log >= 0 else -1 for c in elems]
-             for a in range(field.f_over_base)]
-    sums = [(t, (c,)) for t, c in zip(terms[0], elems)]
-    for row in terms[1:]:
-        sums = [(residue._sum(kE, s, t).log, cs + (c,)) for s, cs in sums
-                for t, c in zip(row, elems)]
-    dec = dict(sums)
-    if len(dec) != kE.q:
-        raise DomainError("residue basis is singular",
-                          clause="singular_residue_basis")
-    field._decomposition = dec
-    return dec
-
-
 # ---------------------------------------------------------------------------
 # matrices over the base field
 # ---------------------------------------------------------------------------
@@ -188,7 +157,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
         raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}",
                           clause="oracle_cap")
     e, f = E.e_abs, E.f_over_base
-    dec = _decomposition(E)
+    kF = base.residue
     T = E.acc_twist
     Tinv = T.inverse()
     block = Mat.zero(base, E.degree)
@@ -201,7 +170,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
                 b = v % e
                 m = (v - b) // e
                 u = coeff * (Tinv ** m if m >= 0 else T ** (-m))
-                for a, c_a in enumerate(dec[u.log]):
+                for a, c_a in enumerate(residue.decompose(u, kF)):
                     if c_a.is_zero():
                         continue
                     row = b * f + a

@@ -33,7 +33,10 @@ index formula ``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
 Residue degrees are read off logs too: GF(p^n) inside GF(q) is zero and
 the powers of g^((q - 1)/(p^n - 1)), so :func:`degree_over` gives the
 degree of g^k over GF(p^m) as the least d dividing f/m for which
-(q - 1)/(p^(m d) - 1) divides k.
+(q - 1)/(p^(m d) - 1) divides k.  Coefficients over a subfield are read
+off logs as well: :func:`decompose` writes an element over the basis
+1, g, g^2, ... by one lookup in a table keyed by log, built once per pair
+of fields.
 
 Fields are capped at p^f <= 2^16 so that the tables stay small.
 """
@@ -457,6 +460,39 @@ def embed(a: FqElem, target: FqField) -> FqElem:
         return target.zero
     # log * ratio < q_target - 1, as log < q_source - 1
     return FqElem(target, a.log * ((target.q - 1) // (src.q - 1)))
+
+
+def decompose(u: FqElem, sub: FqField) -> tuple:
+    """The coefficients (c_0, ..., c_{n-1}) in sub of u over the basis
+    1, g, ..., g^(n-1) of its field over sub, g the generator of u's field
+    and n the degree: u = sum_a embed(c_a) * g^a.  That is (u,) when the
+    fields are one; otherwise a lookup by log in :func:`_decomposition`."""
+    if u.owner is sub:
+        return (u,)
+    return _decomposition(u.owner, sub)[u.log]
+
+
+@lru_cache(maxsize=None)
+def _decomposition(fld: FqField, sub: FqField) -> dict:
+    """The table of :func:`decompose`, built once per pair of fields: the
+    log of each element of fld (-1 for zero) -> its coefficient tuple.
+
+    Built by summing every coefficient tuple, one power of g at a time,
+    through the Zech table of fld: q sums in all.  The powers of g below
+    the degree are a basis over sub, so the table has q keys; fewer would
+    mean a singular basis."""
+    elems = list(sub.elements())
+    terms = [[(embed(c, fld) * fld.gen_power(a)).log for c in elems]
+             for a in range(fld.f // sub.f)]
+    sums = [(t, (c,)) for t, c in zip(terms[0], elems)]
+    for row in terms[1:]:
+        sums = [(_sum(fld, s, t).log, cs + (c,)) for s, cs in sums
+                for t, c in zip(row, elems)]
+    dec = dict(sums)
+    if len(dec) != fld.q:
+        raise DomainError("residue basis is singular",
+                          clause="singular_residue_basis")
+    return dec
 
 
 def degree_over(fld: FqField, log: int, m: int) -> int:

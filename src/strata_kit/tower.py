@@ -55,7 +55,7 @@ class TameField:
 
     __slots__ = ("parent", "levels", "p", "base_f", "f_rel", "e_rel", "twist",
                  "residue", "f_over_base", "e_abs", "degree", "acc_twist",
-                 "_splitting", "_subfields", "_decomposition")
+                 "_splitting", "_subfields")
 
     def __init__(self, parent, p, base_f, f_rel, e_rel, twist):
         self.parent = parent
@@ -93,7 +93,6 @@ class TameField:
         self.degree = self.f_over_base * self.e_abs
         self._splitting = None
         self._subfields = {}          # tower level -> Subfield, see tower_subfield
-        self._decomposition = None    # oracle._decomposition, built lazily
 
     # -- structure helpers --------------------------------------------------
 
