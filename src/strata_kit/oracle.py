@@ -26,7 +26,10 @@ Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
 ``x.prec + k`` (INF stays INF).  Those are exactly the digits and the
 precision of x times the exact monomial t^k, so a shift changes no digit
-and no precision either; an exact zero is returned as it is.
+and no precision either; an exact zero is returned as it is.  The kernel
+pass of ``intersect_with_centralizer`` shifts each stored generator entry
+once for each value its bound D takes, and every bracket column with that
+value shares the shifted entry, which is safe since elements are immutable.
 
 Every elimination is one fraction-free column-echelon pass (``_echelon``):
 the echelon basis of a ``MatrixLattice`` and the kernel pass of
@@ -35,9 +38,11 @@ Each pivot t^v * u is the entry of least valuation v in its row, and a
 column c with entry e in that row becomes u * c - t^-v * e * pivot column.
 u is a unit of o_F and t^-v * e lies in o_F, so every column operation is
 unimodular and no inverse is taken: exact input gives exact Laurent
-polynomials.  A centralizer lattice C ∩ P^n is the kernel over o_F of the
-bracket map X -> ([X, G])_G on the radical power P^n; it comes out
-saturated, with no separate saturation step.
+polynomials.  The unit and the quotients are built only for a row that
+has another live column to clear; in ``filt_lattice`` no row has one.  A
+centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
+X -> ([X, G])_G on the radical power P^n; it comes out saturated, with no
+separate saturation step.
 """
 
 from __future__ import annotations
@@ -272,8 +277,9 @@ def _t_shift(x: TameElement, k: int) -> TameElement:
     """x * t^k: x's digits at valuations v + k, precision ``x.prec + k``."""
     if x.prec is INF and not x.digits:
         return x
-    return TameElement(x.owner, {v + k: a for v, a in x.digits.items()},
-                       x.prec + k)
+    return TameElement._unchecked(
+        x.owner, {v + k: a for v, a in x.digits.items()},
+        x.prec if x.prec is INF else x.prec + k)
 
 
 def _row_index(cols, size):
@@ -288,7 +294,9 @@ def _row_index(cols, size):
 def _clear(c2, j2, col, unit, q, rows):
     """Clear a row of sparse column c2 (index j2) by pivot column col, whose
     pivot entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is
-    t^-v times c2's entry in the pivot row.
+    t^-v times c2's entry in the pivot row.  q is negated once, so each
+    entry is x * -q where c2 stores no entry and y + x * -q where it
+    stores y: the digits and precision of -(x * q) and y - x * q.
 
     The one update step of the echelon pass and of ``contains_vector``.
     It takes no inverse: unit is a unit of o_F, so the step is unimodular,
@@ -300,9 +308,10 @@ def _clear(c2, j2, col, unit, q, rows):
     if unit.prec is not INF or unit.digits != {0: unit.owner.residue.one}:
         for u, y in c2.items():
             c2[u] = y * unit
+    q = -q
     for u, x in col.items():
         y = c2.get(u)
-        z = -(x * q) if y is None else y - x * q
+        z = x * q if y is None else y + x * q
         if z.digits or z.prec is not INF:
             if y is None:
                 rows[u].add(j2)
@@ -320,9 +329,11 @@ def _echelon(cols, size, scanned):
     v among the columns that store the row; this is the one place where
     the oracle chooses a pivot.  The pivot column leaves ``cols`` (its slot
     becomes None) and the row index, and clears the row from the other live
-    columns by :func:`_clear`.  Since v is least, every quotient lies in
-    o_F.  Returns the pivot columns with their (row, exponent) pairs; the
-    columns left in ``cols`` have no digits in the scanned rows."""
+    columns by :func:`_clear`; the pivot unit and the quotients are built
+    only when there is such a column.  Since v is least, every quotient
+    lies in o_F.  Returns the pivot columns with their (row, exponent)
+    pairs; the columns left in ``cols`` have no digits in the scanned
+    rows."""
     rows = _row_index(cols, size)
     pivots = []
     for r in range(scanned):
@@ -334,10 +345,12 @@ def _echelon(cols, size, scanned):
         cols[jp] = None
         for u in col:
             rows[u].discard(jp)
-        unit = _t_shift(col[r], -v)
-        for _, j in live:
-            if j != jp:
-                _clear(cols[j], j, col, unit, _t_shift(cols[j][r], -v), rows)
+        if len(live) > 1:
+            unit = _t_shift(col[r], -v)
+            for _, j in live:
+                if j != jp:
+                    _clear(cols[j], j, col, unit, _t_shift(cols[j][r], -v),
+                           rows)
         pivots.append(((r, v), col))
     return pivots
 
@@ -457,16 +470,20 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                 if (g := G.rows[k][i]).digits or g.prec is not INF]
                for i in range(N)])
              for off, G in zip(range(0, top, dim), gens)]
+    # the same terms times t^d, once for each value d that D takes
+    shifted = {d: [(off, [[(k, _t_shift(g, d)) for k, g in r] for r in by_row],
+                    [[(k, _t_shift(g, d)) for k, g in c] for c in by_col])
+                   for off, by_row, by_col in terms]
+               for d in set(D)}
     cols = []
     for u, d in enumerate(D):
         i, j = divmod(u, N)
         col = {top + u: base.monomial(d, one)}
-        for off, by_row, by_col in terms:
-            for k, g in by_row[j]:
-                col[off + i * N + k] = _t_shift(g, d)
-            for k, g in by_col[i]:
+        for off, by_row, by_col in shifted[d]:
+            for k, x in by_row[j]:
+                col[off + i * N + k] = x
+            for k, x in by_col[i]:
                 r = off + k * N + j
-                x = _t_shift(g, d)
                 if r in col:
                     x = col[r] + x
                     if not x.digits and x.prec is INF:

@@ -170,11 +170,19 @@ def extend(parent: TameField, f_rel: int, e_rel: int, twist) -> TameField:
 class TameElement:
     """A finite-precision canonical expansion sum_v a_v pi^v.
 
-    ``digits`` maps integer valuations to nonzero residue digits; digits at
-    valuations >= ``prec`` are unknown.  ``prec`` is the :data:`INF` object
-    for exact elements (finitely many digits, all known); any infinite
-    ``prec`` passed in, such as ``float("inf")`` or ``INF + v``, is stored
-    as :data:`INF`, so ``prec is INF`` decides exactness.
+    Invariant: ``digits`` maps integer valuations to nonzero residue
+    digits, all below ``prec``; digits at valuations >= ``prec`` are
+    unknown.  ``prec`` is the :data:`INF` object for exact elements
+    (finitely many digits, all known), so ``prec is INF`` decides
+    exactness.  The constructor enforces the invariant on any input: it
+    drops zero digits and digits at or above ``prec``, and stores any
+    infinite ``prec``, such as ``float("inf")`` or ``INF + v``, as
+    :data:`INF`.
+
+    ``+``, ``-``, unary ``-`` and ``*`` (and the oracle's shift by a power
+    of t) build their result digits already filtered and construct the
+    result through :meth:`_unchecked`, which skips that second scan.
+    Elements are immutable, so results may share digit objects.
     """
 
     __slots__ = ("owner", "digits", "prec")
@@ -186,6 +194,17 @@ class TameElement:
             if v < prec and a.log >= 0:           # a nonzero
                 self.digits[v] = a
         self.prec = INF if prec == INF else prec
+
+    @classmethod
+    def _unchecked(cls, owner: TameField, digits: dict, prec) -> "TameElement":
+        """An element that keeps ``digits`` and ``prec`` as given: the
+        caller guarantees the invariant (no zero digit, none at or above
+        ``prec``, an infinite ``prec`` is the :data:`INF` object)."""
+        x = object.__new__(cls)
+        x.owner = owner
+        x.digits = digits
+        x.prec = prec
+        return x
 
     # -- basic state --------------------------------------------------------
 
@@ -223,23 +242,18 @@ class TameElement:
     def __add__(self, other):
         self._check(other)
         prec = min(self.prec, other.prec)
-        digits = dict(self.digits)
-        for v, a in other.digits.items():
-            s = digits.get(v)
-            digits[v] = a if s is None else s + a
-        return TameElement(self.owner, digits, prec)
+        return TameElement._unchecked(
+            self.owner, _sum_digits(self, other.digits.items(), prec), prec)
 
     def __neg__(self):
-        return TameElement(self.owner, {v: -a for v, a in self.digits.items()}, self.prec)
+        return TameElement._unchecked(
+            self.owner, {v: -a for v, a in self.digits.items()}, self.prec)
 
     def __sub__(self, other):
         self._check(other)
         prec = min(self.prec, other.prec)
-        digits = dict(self.digits)
-        for v, a in other.digits.items():
-            s = digits.get(v)
-            digits[v] = -a if s is None else s - a
-        return TameElement(self.owner, digits, prec)
+        return TameElement._unchecked(self.owner, _sum_digits(
+            self, ((v, -a) for v, a in other.digits.items()), prec), prec)
 
     def _val_lower_bound(self):
         return min(self.digits) if self.digits else self.prec
@@ -248,16 +262,21 @@ class TameElement:
         self._check(other)
         prec = min(self.prec + other._val_lower_bound(),
                    other.prec + self._val_lower_bound())
+        if prec == INF:
+            prec = INF
+        sd, od = self.digits, other.digits
         digits = {}
-        for v, a in self.digits.items():
-            for w, b in other.digits.items():
+        for v, a in sd.items():
+            for w, b in od.items():
                 u = v + w
                 if u >= prec:
                     continue
                 c = a * b
                 s = digits.get(u)
                 digits[u] = c if s is None else s + c
-        return TameElement(self.owner, digits, prec)
+        if len(sd) > 1 and len(od) > 1:     # only a sum of products can be zero
+            digits = {u: c for u, c in digits.items() if c.log >= 0}
+        return TameElement._unchecked(self.owner, digits, prec)
 
     def inverse(self) -> "TameElement":
         """Multiplicative inverse by the power-series reciprocal recurrence
@@ -327,6 +346,24 @@ class TameElement:
     def __repr__(self):
         terms = ", ".join(f"{v}:{list(a.coords)}" for v, a in sorted(self.digits.items()))
         return f"<{terms} | prec={self.prec} @ {self.owner!r}>"
+
+
+def _sum_digits(x, terms, prec):
+    """The digits below prec of x plus the digits given as (valuation,
+    digit) pairs ``terms``; a digit that cancels to zero is dropped."""
+    out = (dict(x.digits) if x.prec == prec
+           else {v: a for v, a in x.digits.items() if v < prec})
+    for v, a in terms:
+        if v >= prec:
+            continue
+        s = out.get(v)
+        if s is not None:
+            a = s + a
+            if a.log < 0:
+                del out[v]
+                continue
+        out[v] = a
+    return out
 
 
 def coerce(x: TameElement, target: TameField) -> TameElement:

@@ -609,3 +609,118 @@ def test_monomial_degree_matches_embedding_scan():
                 assert monomial_degree(E, v, k) == want
                 checked += 1
     assert checked > 10000
+
+
+# -- operator results: filtered digits, built without a second scan ------------
+
+_OPERATOR_FIELDS = (base_field(2), base_field(3), base_field(5),
+                    extend(base_field(5), 2, 2, 2))     # twisted, GF(25) digits
+
+
+def _state(x):
+    return sorted((v, a.log) for v, a in x.digits.items()), x.prec
+
+
+def _checked_reference(op, x, y):
+    """op's result through the public constructor, which filters: every
+    digit sum and product accumulated unfiltered, zeros and digits at or
+    above the precision included."""
+    E = x.owner
+    if op == "neg":
+        return TameElement(E, {v: -a for v, a in x.digits.items()}, x.prec)
+    if op == "shift":
+        return TameElement(E, {v + y: a for v, a in x.digits.items()}, x.prec + y)
+    digits = dict(x.digits)
+    if op in ("add", "sub"):
+        for v, a in y.digits.items():
+            a = a if op == "add" else -a
+            digits[v] = a if v not in digits else digits[v] + a
+        return TameElement(E, digits, min(x.prec, y.prec))
+    digits = {}
+    for v, a in x.digits.items():
+        for w, b in y.digits.items():
+            digits[v + w] = digits[v + w] + a * b if v + w in digits else a * b
+    lower = [min(z.digits) if z.digits else z.prec for z in (x, y)]
+    return TameElement(E, digits, min(x.prec + lower[1], y.prec + lower[0]))
+
+
+def _operand(data, E):
+    """An exact, inexact, zero-to-precision or exact-zero element; digits
+    are ±1 or g, so sums cancel often."""
+    kind = data.draw(st.sampled_from(["exact", "inexact", "zero", "exact zero"]))
+    if kind == "exact zero":
+        return TameElement(E, {}, INF)
+    prec = INF if kind == "exact" else data.draw(st.integers(-3, 6))
+    if kind == "zero":
+        return TameElement(E, {}, prec)
+    k = E.residue
+    logs = sorted({0, (k.q - 1) // 2 if k.p != 2 else 0, 1 % (k.q - 1)})
+    digits = data.draw(st.dictionaries(st.integers(-3, 4),
+                                       st.sampled_from(logs), max_size=4))
+    return TameElement(E, {v: k.gen_power(a) for v, a in digits.items()}, prec)
+
+
+@pytest.mark.parametrize("E", _OPERATOR_FIELDS, ids=lambda E: repr(E))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_operator_results_keep_the_element_invariant(E, data):
+    """+, -, unary -, * and the oracle's t-shift build their digits already
+    filtered: no zero digit, none at or above prec, and ``prec is INF``
+    exactly when prec is infinite.  Each result equals the public
+    constructor's filtering of its own digits and of the unfiltered
+    accumulation.  The second operand is drawn independently, or is x
+    (x - x cancels), -x (x + (-x) cancels) or x with its odd-valuation
+    digits negated (the cross terms of the product cancel)."""
+    from strata_kit.oracle import _t_shift
+    x = _operand(data, E)
+    pair = data.draw(st.sampled_from(["free", "same", "neg", "conj"]))
+    y = {"free": lambda: _operand(data, E), "same": lambda: x,
+         "neg": lambda: -x,
+         "conj": lambda: TameElement(E, {v: -a if v % 2 else a
+                                         for v, a in x.digits.items()},
+                                     x.prec)}[pair]()
+    k = data.draw(st.integers(-3, 3))
+    results = {"add": x + y, "sub": x - y, "neg": -x, "mul": x * y,
+               "shift": _t_shift(x, k)}
+    for op, r in results.items():
+        assert r.owner is E
+        assert all(not a.is_zero() and v < r.prec for v, a in r.digits.items())
+        assert (r.prec is INF) == (r.prec == math.inf)
+        assert _state(TameElement(E, dict(r.digits), r.prec)) == _state(r)
+        want = _checked_reference(op, x, k if op == "shift" else y)
+        assert _state(r) == _state(want), op
+    if pair == "same":
+        assert not results["sub"].digits
+    if pair == "neg":
+        assert not results["add"].digits
+
+
+def test_unchecked_elements_are_built_only_by_the_operators():
+    """``TameElement._unchecked`` keeps its digits and precision as given,
+    so only code that builds them already filtered may name it: the four
+    arithmetic operators and the oracle's shift by a power of t."""
+    import ast
+    import pathlib
+
+    import strata_kit
+    allowed = {"tower.py": {"TameElement.__add__", "TameElement.__sub__",
+                            "TameElement.__neg__", "TameElement.__mul__"},
+               "oracle.py": {"_t_shift"}}
+    uses, outside = [], []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if "_unchecked" in (getattr(child, "id", None),
+                                getattr(child, "attr", None)):
+                where = f"{path.name}:{child.lineno} {scope}"
+                uses.append(where)
+                if scope not in allowed.get(path.name, ()):
+                    outside.append(where)
+            visit(child, path, scope)
+
+    for path in sorted(pathlib.Path(strata_kit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert uses and outside == []
