@@ -31,15 +31,17 @@ pass of ``intersect_with_centralizer`` shifts each stored generator entry
 once for each value its bound D takes, and every bracket column with that
 value shares the shifted entry, which is safe since elements are immutable.
 
-Every elimination is one fraction-free column-echelon pass (``_echelon``):
-the echelon basis of a ``MatrixLattice`` and the kernel pass of
-``intersect_with_centralizer``; ``contains_vector`` uses its update step.
-Each pivot t^v * u is the entry of least valuation v in its row, and a
-column c with entry e in that row becomes u * c - t^-v * e * pivot column.
-u is a unit of o_F and t^-v * e lies in o_F, so every column operation is
-unimodular and no inverse is taken: exact input gives exact Laurent
-polynomials.  The unit and the quotients are built only for a row that
-has another live column to clear; in ``filt_lattice`` no row has one.  A
+Every elimination is one fraction-free column-echelon pass, ``_echelon``,
+the only code that eliminates, and each lattice costs at most one pass:
+the ``MatrixLattice`` constructor makes one, ``filt_lattice`` none (its
+monomial columns are already an echelon basis), and a centralizer lattice
+one, over the bracket rows and then the rows that carry the kernel.
+``contains_vector`` and ``same_as`` make one pass over copies of the
+basis, so a lattice's columns never change.  Each pivot t^v * u is the
+entry of least valuation v in its row, and a column c with entry e in
+that row becomes u * c - t^-v * e * pivot column.  u is a unit of o_F and
+t^-v * e lies in o_F, so every column operation is unimodular and no
+inverse is taken: exact input gives exact Laurent polynomials.  A
 centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
 X -> ([X, G])_G on the radical power P^n; it comes out saturated, with no
 separate saturation step.
@@ -282,29 +284,19 @@ def _t_shift(x: TameElement, k: int) -> TameElement:
         x.prec if x.prec is INF else x.prec + k)
 
 
-def _row_index(cols, size):
-    """For each row, the set of indices of the sparse columns storing it."""
-    rows = [set() for _ in range(size)]
-    for j, c in enumerate(cols):
-        for u in c:
-            rows[u].add(j)
-    return rows
+def _clear(c2, col, unit, q):
+    """Clear a row of sparse column c2 by pivot column col, whose pivot
+    entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is t^-v
+    times c2's entry in the pivot row.  q is negated once, so each entry is
+    x * -q where c2 stores no entry and y + x * -q where it stores y: the
+    digits and precision of -(x * q) and y - x * q.
 
-
-def _clear(c2, j2, col, unit, q, rows):
-    """Clear a row of sparse column c2 (index j2) by pivot column col, whose
-    pivot entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is
-    t^-v times c2's entry in the pivot row.  q is negated once, so each
-    entry is x * -q where c2 stores no entry and y + x * -q where it
-    stores y: the digits and precision of -(x * q) and y - x * q.
-
-    The one update step of the echelon pass and of ``contains_vector``.
-    It takes no inverse: unit is a unit of o_F, so the step is unimodular,
-    and exact entries stay exact.  An exact unit 1 scales nothing, while
-    1 + O(t^k) still scales, since it lowers precision.  A new entry of c2
-    is added to ``rows`` (row -> indices of the columns storing it); an
-    entry that cancels to an exact zero is dropped from c2 and from
-    ``rows``, and a zero to precision is kept (see the module docstring)."""
+    The one update step, called only by :func:`_echelon`.  It takes no
+    inverse: unit is a unit of o_F, so the step is unimodular, and exact
+    entries stay exact.  An exact unit 1 scales nothing, while 1 + O(t^k)
+    still scales, since it lowers precision.  An entry that cancels to an
+    exact zero is dropped from c2, and a zero to precision is kept (see the
+    module docstring)."""
     if unit.prec is not INF or unit.digits != {0: unit.owner.residue.one}:
         for u, y in c2.items():
             c2[u] = y * unit
@@ -313,44 +305,34 @@ def _clear(c2, j2, col, unit, q, rows):
         y = c2.get(u)
         z = x * q if y is None else y + x * q
         if z.digits or z.prec is not INF:
-            if y is None:
-                rows[u].add(j2)
             c2[u] = z
         elif y is not None:
             del c2[u]
-            rows[u].discard(j2)
 
 
-def _echelon(cols, size, scanned):
+def _echelon(cols, scanned):
     """One fraction-free column-echelon pass over rows 0 .. scanned - 1, in
-    order, of the sparse columns ``cols`` of ``size`` rows.
+    order, of the sparse columns ``cols``: the oracle's only elimination.
 
     Each row's pivot is a live entry (one with digits) of least valuation
-    v among the columns that store the row; this is the one place where
-    the oracle chooses a pivot.  The pivot column leaves ``cols`` (its slot
-    becomes None) and the row index, and clears the row from the other live
-    columns by :func:`_clear`; the pivot unit and the quotients are built
-    only when there is such a column.  Since v is least, every quotient
-    lies in o_F.  Returns the pivot columns with their (row, exponent)
-    pairs; the columns left in ``cols`` have no digits in the scanned
-    rows."""
-    rows = _row_index(cols, size)
+    v, the first such column on a tie; this is the one place where the
+    oracle chooses a pivot.  The pivot column leaves ``cols``, which keep
+    their order, and clears the row from the other live columns by
+    :func:`_clear`.  Since v is least, every quotient lies in o_F.  Returns
+    the pivot columns with their (row, exponent) pairs; the columns left in
+    ``cols`` have no digits in the scanned rows."""
     pivots = []
     for r in range(scanned):
-        live = [(c[r].val(), j) for j in rows[r] if (c := cols[j])[r].digits]
+        live = [(e.val(), j, c) for j, c in enumerate(cols)
+                if (e := c.get(r)) is not None and e.digits]
         if not live:
             continue
-        v, jp = min(live)
-        col = cols[jp]
-        cols[jp] = None
-        for u in col:
-            rows[u].discard(jp)
-        if len(live) > 1:
-            unit = _t_shift(col[r], -v)
-            for _, j in live:
-                if j != jp:
-                    _clear(cols[j], j, col, unit, _t_shift(cols[j][r], -v),
-                           rows)
+        v, j, col = min(live)
+        del cols[j]
+        unit = _t_shift(col[r], -v)
+        for _, _, c2 in live:
+            if c2 is not col:
+                _clear(c2, col, unit, _t_shift(c2[r], -v))
         pivots.append(((r, v), col))
     return pivots
 
@@ -370,59 +352,69 @@ def _stored(vec, dim):
 
 class MatrixLattice:
     """A finitely generated o_F-lattice inside F^dim, held as a column
-    echelon basis over the series ring, computed once, in the constructor,
-    by :func:`_echelon`: ``pivots`` are the (row, exponent) pairs, in row
-    order, and ``cols`` the pivot columns.  A pivot column's entry in its
-    pivot row is t^v times a unit of o_F, and it has no digits in the rows
-    above.  The basis is not canonical: the pivots are invariants of the
-    lattice, the entries are not.
+    echelon basis over the series ring: ``pivots`` are the (row, exponent)
+    pairs, in row order, and ``cols`` the pivot columns.  A pivot column's
+    entry in its pivot row is t^v times a unit of o_F, and it has no digits
+    in the rows above.  The basis is not canonical: the pivots are
+    invariants of the lattice, the entries are not.
 
-    Columns are sparse ``{row: entry}`` dicts in and out.  The constructor
-    copies them without their exact zeros; zeros to precision are stored,
-    since they lower the precision of the entries they touch."""
+    The constructor runs one :func:`_echelon` pass over copies of its
+    columns without their exact zeros; zeros to precision are stored,
+    since they lower the precision of the entries they touch.  Columns are
+    sparse ``{row: entry}`` dicts in and out.  ``filt_lattice`` and
+    ``intersect_with_centralizer``, which already hold an echelon basis,
+    store it as it is.  Membership and equality are one more pass over
+    copies, so ``cols`` is never changed."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        pivots = _echelon([_stored(c, dim) for c in cols], dim, dim)
-        self.pivots = [p for p, _ in pivots]
-        self.cols = [c for _, c in pivots]
+        basis = _echelon([_stored(c, dim) for c in cols], dim)
+        self.pivots = [p for p, _ in basis]
+        self.cols = [c for _, c in basis]
+
+    @classmethod
+    def _of_basis(cls, base: TameField, dim: int, basis) -> "MatrixLattice":
+        """The lattice with the column echelon basis ``basis``, pairs
+        ((row, exponent), column) as :func:`_echelon` returns them."""
+        L = cls.__new__(cls)
+        L.base = base
+        L.dim = dim
+        L.pivots = [p for p, _ in basis]
+        L.cols = [c for _, c in basis]
+        return L
 
     def rank(self) -> int:
         return len(self.pivots)
 
     def contains_vector(self, vec) -> bool:
-        """Whether the sparse vector vec lies in the lattice: clear its pivot
-        rows in order by the pivot columns with :func:`_clear`; it does iff no
-        entry of vec there is below the pivot exponent and no digit is left."""
-        rem = _stored(vec, self.dim)
-        rows = _row_index([rem], self.dim)
-        for (r, v), col in zip(self.pivots, self.cols):
-            e = rem.get(r)
-            if e is None or not e.digits:
-                continue
-            if e.val() < v:
-                return False
-            _clear(rem, 0, col, _t_shift(col[r], -v), _t_shift(e, -v), rows)
-        return all(not x.digits for x in rem.values())
+        """Whether the sparse vector vec lies in the lattice: one
+        :func:`_echelon` pass over copies of the basis followed by vec finds
+        no pivot but the basis's own."""
+        cols = [dict(c) for c in self.cols] + [_stored(vec, self.dim)]
+        return [p for p, _ in _echelon(cols, self.dim)] == self.pivots
 
     def same_as(self, other: "MatrixLattice") -> bool:
         """Equality: with equal pivots the index (other : self) is 1, so
-        self inside other is enough."""
-        return (self.pivots == other.pivots
-                and all(other.contains_vector(c) for c in self.cols))
+        self inside other is enough: one pass over copies of other's basis
+        followed by self's finds no pivot but other's."""
+        if self.pivots != other.pivots:
+            return False
+        cols = ([dict(c) for c in other.cols]
+                + [_stored(c, other.dim) for c in self.cols])
+        return [p for p, _ in _echelon(cols, other.dim)] == other.pivots
 
 
 def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice:
     """The n-th radical power as an o_F-lattice in matrix space
-    (row-major flattening)."""
-    N = chain.N
-    D = chain.filt_bound(n)
+    (row-major flattening): its monomial columns t^D(u) e_u, on distinct
+    rows, are already its column echelon basis, with pivots (u, D(u))."""
+    D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     one = base.residue.one
-    return MatrixLattice(base, N * N, [{i * N + k: base.monomial(D[i][k], one)}
-                                       for i in range(N) for k in range(N)])
+    return MatrixLattice._of_basis(base, len(D), [
+        ((u, d), {u: base.monomial(d, one)}) for u, d in enumerate(D)])
 
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
@@ -450,10 +442,13 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     to precision, which lower the precision of the entries they touch, are
     stored; a bracket entry that cancels to an exact zero, such as
     t^d g - t^d g on the diagonal, is not.  One :func:`_echelon` pass over
-    the bracket rows clears each row from all columns but its pivot column,
+    all rows clears each bracket row from all columns but its pivot column,
     and drops that column.  Each step is unimodular, and a kernel element
     has no part along a dropped column, so the remaining columns' lower
-    parts span the kernel over o_F, saturated."""
+    parts span the kernel over o_F, saturated.  They have no digits in the
+    bracket rows, so the same pass goes on over the lower rows as an echelon
+    pass over those lower parts: its pivots there, with their lower parts,
+    are the kernel's echelon basis."""
     N = chain.N
     dim = N * N
     for G in gens:
@@ -491,10 +486,9 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                         continue
                 col[r] = x
         cols.append(col)
-    _echelon(cols, top + dim, top)
-    kernel = [{u - top: x for u, x in c.items() if u >= top}
-              for c in cols if c is not None]
-    return MatrixLattice(base, dim, kernel)
+    return MatrixLattice._of_basis(
+        base, dim, [((r - top, v), {u - top: x for u, x in c.items() if u >= top})
+                    for (r, v), c in _echelon(cols, top + dim) if r >= top])
 
 
 # ---------------------------------------------------------------------------

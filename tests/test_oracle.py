@@ -3,6 +3,7 @@ centralizer lattices as kernels of the bracket map, and the trace-pairing
 character."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strata_kit.errors import DomainError, PrecisionError
 from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice, absolute_trace,
@@ -377,34 +378,39 @@ def test_size_mismatches_are_domain_errors():
 
 
 def test_one_echelon_pass_per_lattice(monkeypatch):
-    """The constructor reduces its columns once; a centralizer lattice adds
-    only the kernel pass."""
+    """The constructor reduces its columns once, ``filt_lattice`` not at
+    all, and a centralizer lattice once, over the bracket rows and the
+    rows below them; each membership question is one more pass."""
     from strata_kit import oracle
     calls = []
     echelon = oracle._echelon
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return echelon(*args)
 
     monkeypatch.setattr(oracle, "_echelon", counted)
     F = base_field(3)
     chain = uniform_chain(2, 2)
-    filt_lattice(chain, 1, F)
-    assert len(calls) == 1
-    MatrixLattice(F, 2, [{0: F.one()}, {1: mono(F, 1)}])
-    assert len(calls) == 2
+    P = filt_lattice(chain, 1, F)
+    assert calls == []
+    L = MatrixLattice(F, 2, [{0: F.one()}, {1: mono(F, 1)}])
+    assert calls == [2]
     E = extend(F, 1, 2, 1)
     intersect_with_centralizer([regular_rep(E.uniformizer())] * 2,
                                chain_from_field(E), 0, F)
-    assert calls[2:] == [8, 4]          # the bracket rows, then all rows
+    assert calls[1:] == [12]            # 2 * 4 bracket rows, then 4 rows
+    calls.clear()
+    assert L.contains_vector({1: mono(F, 2)}) and not L.contains_vector({1: F.one()})
+    assert P.contains_vector({0: mono(F, 1)})
+    assert calls == [2, 2, 4]
 
 
 def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
     """On the bench tower GF(3) -> e=2 -> f=3 (N = 6), the assembly of
     the bracket columns shifts each stored generator entry, counted once by
     row and once by column, at most once per value of the bound D; and
-    ``filt_lattice``, whose rows have one column each, shifts nothing."""
+    ``filt_lattice``, which makes no echelon pass, shifts nothing."""
     from strata_kit import oracle
     counts = {"shift": 0, "at_echelon": []}
     shift, echelon = oracle._t_shift, oracle._echelon
@@ -437,8 +443,8 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
 
 def test_lattice_columns_are_copied_without_exact_zeros():
     """The constructor and contains_vector reduce copies of the caller's
-    dicts; exact zeros given in them are not stored, zeros to precision
-    are."""
+    dicts, and contains_vector copies of the basis; exact zeros given in
+    them are not stored, zeros to precision are."""
     F = base_field(3)
     one, t = F.one(), mono(F, 1)
     z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
@@ -449,10 +455,12 @@ def test_lattice_columns_are_copied_without_exact_zeros():
     assert L.pivots == [(0, 0), (1, 0)]
     assert all(x.digits or x.prec is not INF for c in L.cols for x in c.values())
     assert 2 not in L.cols[0] and L.cols[1][2].prec == 5
+    basis = [list(c.items()) for c in L.cols]
     for vec in ({0: one, 1: t, 2: z}, {0: t, 1: one, 2: lost}, {1: t, 2: t}):
         given = list(vec.items())
         L.contains_vector(vec)
         assert list(vec.items()) == given
+        assert [list(c.items()) for c in L.cols] == basis
 
 
 def test_decomposer_lives_on_its_field():
@@ -746,10 +754,7 @@ def test_centralizer_intersection_matches_dense_loops_on_the_bench_menu():
             (5, ((2, 3, 1),), 1))
     checked = 0
     for q, levels, copies in menu:
-        E = base_field(q)
-        for f, e, twist in levels:
-            E = extend(E, f, e, twist)
-        checked += _check_field_centralizer(E, copies)
+        checked += _check_field_centralizer(_menu_tower(q, levels), copies)
     assert checked == 10
 
 
@@ -882,7 +887,7 @@ def test_t_shift_is_the_monomial_product():
 def test_clear_skips_only_an_exact_unit_one():
     """c2 <- unit * c2 - col * q entry by entry; an exact unit 1 leaves the
     rows col does not store as they are, 1 + O(t^2) lowers their precision."""
-    from strata_kit.oracle import _clear, _row_index
+    from strata_kit.oracle import _clear
     F = base_field(3)
     one, g = F.residue.one, F.residue.gen_power(1)
     col = {0: F.one(), 1: TameElement(F, {2: g}, INF)}
@@ -890,9 +895,253 @@ def test_clear_skips_only_an_exact_unit_one():
     q = start[0]
     for unit, prec2 in ((F.one(), 5), (TameElement(F, {0: one}, 2), 3)):
         c2 = dict(start)
-        _clear(c2, 0, col, unit, q, _row_index([c2], 3))
+        _clear(c2, col, unit, q)
         zero = F.zero(INF)
         want = [unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)]
         assert _entries([[c2.get(u, zero) for u in range(3)]]) == _entries([want])
         assert c2[2].prec == prec2
         assert (c2[2] is start[2]) == (unit.prec is INF)
+
+
+# -- one echelon pass: the earlier algorithms as references ------------------
+
+#: the oracle benchmark's tower menu: (base q, levels (f, e, twist), copies)
+BENCH_MENU = (
+    (3, ((1, 2, 1),), 1), (3, ((1, 2, 1),), 2), (3, ((1, 2, 1),), 3),
+    (3, ((2, 1, 1),), 1), (3, ((2, 1, 1),), 2), (3, ((2, 1, 1),), 3),
+    (3, ((3, 1, 1),), 1), (3, ((3, 1, 1),), 2),
+    (3, ((2, 1, 1), (1, 2, 1)), 1), (3, ((1, 2, 1), (3, 1, 1)), 1),
+    (5, ((1, 2, 1),), 1), (5, ((1, 3, 2),), 1), (5, ((1, 3, 2),), 2),
+    (5, ((1, 4, 2),), 1), (5, ((2, 3, 1),), 1),
+    (9, ((1, 2, 1),), 1), (9, ((1, 2, 1),), 2),
+)
+
+
+def _menu_tower(q, levels):
+    E = base_field(q)
+    for f, e, twist in levels:
+        E = extend(E, f, e, twist)
+    return E
+
+
+def _ref_contains(L, vec):
+    """The earlier ``contains_vector``: clear vec's pivot rows in order by the
+    pivot columns, c <- unit * c - t^-v * e * col for the pivot entry
+    t^v * unit, and answer False at an entry below its pivot exponent, else
+    whether no digit is left.  Every shift is a product by a monomial."""
+    F = L.base
+    z, one = TameElement(F, {}, INF), F.residue.one
+    rem = {u: x for u, x in vec.items() if x.digits or x.prec is not INF}
+    for (r, v), col in zip(L.pivots, L.cols):
+        e = rem.get(r, z)
+        if not e.digits:
+            continue
+        if e.val() < v:
+            return False
+        t_v = F.monomial(-v, one)
+        unit, q = col[r] * t_v, e * t_v
+        rem = {u: rem.get(u, z) * unit - col.get(u, z) * q
+               for u in set(rem) | set(col)}
+    return all(not x.digits for x in rem.values())
+
+
+def _ref_same_as(A, B):
+    """The earlier ``same_as``: equal pivots and every column of A in B."""
+    return A.pivots == B.pivots and all(_ref_contains(B, c) for c in A.cols)
+
+
+def _clean(L):
+    """Whether L's basis stores no entry without digits above a pivot.  On
+    such an entry, a zero to precision, the one-pass and the earlier
+    membership answers may differ; either answer then hangs on unknown
+    digits (ROADMAP item 3)."""
+    return all(x.digits for (r, _), c in zip(L.pivots, L.cols)
+               for u, x in c.items() if u < r)
+
+
+def _pool(F):
+    one, g = F.residue.one, F.residue.gen_power(1)
+    z = TameElement(F, {}, INF)
+    return [z, z, z, TameElement(F, {}, 0), TameElement(F, {}, 2),
+            F.monomial(-1, one), F.one(), F.monomial(1, g), F.monomial(2, one),
+            TameElement(F, {0: one, 2: one}, INF),
+            TameElement(F, {0: one, 1: g}, 3), TameElement(F, {-1: g}, 1)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_membership_pass_matches_the_update_loop(data):
+    """``contains_vector`` and ``same_as`` give the earlier loop's answers on
+    exact and inexact vectors, zeros to precision included, against random
+    lattices whose bases store no zero to precision above a pivot; the
+    vectors and the second lattice are often combinations of the first
+    lattice's generators, so both answers occur."""
+    F = base_field(3)
+    pool = _pool(F)
+    z = pool[0]
+    dim = data.draw(st.integers(1, 4))
+    entry = st.sampled_from(pool)
+    column = st.fixed_dictionaries({u: entry for u in range(dim)})
+    gens = data.draw(st.lists(column, min_size=1, max_size=4))
+    scalars = st.sampled_from([z, F.one(), F.monomial(1, F.residue.one),
+                               TameElement(F, {0: F.residue.gen_power(1)}, 4)])
+
+    def combination():
+        cs = data.draw(st.lists(scalars, min_size=len(gens), max_size=len(gens)))
+        vec = {u: sum((c * g.get(u, z) for c, g in zip(cs, gens)), z)
+               for u in range(dim)}
+        if data.draw(st.booleans()):
+            vec[data.draw(st.integers(0, dim - 1))] = data.draw(entry)
+        return vec
+
+    L = MatrixLattice(F, dim, gens)
+    vecs = [data.draw(column), combination(), combination()]
+    others = [MatrixLattice(F, dim, data.draw(st.lists(column, min_size=1,
+                                                        max_size=4))),
+              MatrixLattice(F, dim, gens + [combination()]),
+              MatrixLattice(F, dim, [combination() for _ in gens])]
+    if _clean(L):
+        for vec in vecs:
+            assert L.contains_vector(vec) == _ref_contains(L, vec)
+    for M in others:
+        if _clean(L) and _clean(M):
+            assert M.same_as(L) == _ref_same_as(M, L)
+            assert L.same_as(M) == _ref_same_as(L, M)
+
+
+def _two_pass_centralizer(gens, chain, n, base):
+    """The earlier ``intersect_with_centralizer``: the bracket columns, built
+    by products with monomials, one ``_echelon`` pass over the bracket rows
+    only, and a second pass, the constructor's, over the lower parts of the
+    columns left."""
+    from strata_kit.oracle import _echelon
+    N, one = chain.N, base.residue.one
+    dim, z = N * N, TameElement(base, {}, INF)
+    top = len(gens) * dim
+    cols = []
+    for u, d in enumerate(d for row in chain.filt_bound(n) for d in row):
+        i, j = divmod(u, N)
+        t_d = base.monomial(d, one)
+        col = {top + u: t_d}
+        for off, G in zip(range(0, top, dim), gens):
+            for k in range(N):
+                col[off + i * N + k] = col.get(off + i * N + k, z) + G.rows[j][k] * t_d
+                col[off + k * N + j] = col.get(off + k * N + j, z) - G.rows[k][i] * t_d
+        cols.append({r: x for r, x in col.items() if x.digits or x.prec is not INF})
+    _echelon(cols, top)
+    return MatrixLattice(base, dim, [{u - top: x for u, x in c.items() if u >= top}
+                                     for c in cols])
+
+
+def _same_basis(L, M):
+    """Equal pivots and equal columns, entry by entry, with equal rows
+    stored."""
+    assert L.pivots == M.pivots
+    assert [sorted(c) for c in L.cols] == [sorted(c) for c in M.cols]
+    assert ([_entries([[c[u] for u in sorted(c)]]) for c in L.cols]
+            == [_entries([[c[u] for u in sorted(c)]]) for c in M.cols])
+
+
+def test_one_pass_centralizer_matches_the_two_pass_kernel_on_the_bench_menu():
+    checked = 0
+    for q, levels, copies in BENCH_MENU:
+        E = _menu_tower(q, levels)
+        F, chain = E.base(), chain_from_field(E, copies)
+        gens = [regular_rep(g, copies)
+                for g in (E.uniformizer(), E.residue_gen_elem())]
+        for n in range(2 * chain.period + 1):
+            _same_basis(intersect_with_centralizer(gens, chain, n, F),
+                        _two_pass_centralizer(gens, chain, n, F))
+            checked += 1
+    assert checked == 85
+
+
+def test_one_pass_centralizer_matches_the_two_pass_kernel_on_inexact_generators():
+    F = base_field(3)
+    for R, P in _inexact_reps(F):
+        for gens in ([R], [R, P]):
+            for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
+                for n in range(-1, chain.period + 1):
+                    _same_basis(intersect_with_centralizer(gens, chain, n, F),
+                                _two_pass_centralizer(gens, chain, n, F))
+
+
+def test_filt_lattice_is_the_echelon_basis_of_its_monomials():
+    F = base_field(3)
+    chains = [uniform_chain(N, e_A) for N, e_A in ((1, 1), (2, 2), (3, 1), (4, 2))]
+    chains += [chain_from_field(_menu_tower(q, levels), copies)
+               for q, levels, copies in BENCH_MENU[:10]]
+    for chain in chains:
+        N = chain.N
+        for n in range(-1, 2 * chain.period + 1):
+            D = chain.filt_bound(n)
+            monomials = [{i * N + k: F.monomial(D[i][k], F.residue.one)}
+                         for i in range(N) for k in range(N)]
+            _same_basis(filt_lattice(chain, n, F), MatrixLattice(F, N * N, monomials))
+
+
+def test_elimination_is_one_routine():
+    """``_clear`` is called only by ``_echelon``, and ``_echelon`` only by
+    the ``MatrixLattice`` methods and ``intersect_with_centralizer``, so no
+    second elimination loop can grow beside the one pass."""
+    import ast
+    import pathlib
+
+    import strata_kit
+    allowed = {"_clear": lambda scope: scope == "_echelon",
+               "_echelon": lambda scope: (scope.startswith("MatrixLattice.")
+                                          or scope == "intersect_with_centralizer")}
+    uses, outside = [], []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path, f"{scope}.{child.name}".lstrip("."))
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name in allowed:
+                where = f"{path.name}:{child.lineno} {scope} {name}"
+                uses.append(where)
+                if not allowed[name](scope):
+                    outside.append(where)
+            visit(child, path, scope)
+
+    for path in sorted(pathlib.Path(strata_kit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    assert {u.split()[-1] for u in uses} == set(allowed) and outside == []
+
+
+# -- ROADMAP item 3: decisions that hang on unknown digits -------------------
+
+def _item3_probes():
+    F = base_field(3)
+    one, t, lost = F.one(), mono(F, 1), TameElement(F, {}, 0)
+    return {
+        # row 1 becomes t - O(t^0), a zero to precision, and is skipped
+        "rank": lambda: MatrixLattice(F, 2, [{0: one, 1: lost}, {0: one, 1: t}]).pivots,
+        # the unknown entry could be 1
+        "contains": lambda: MatrixLattice(F, 2, [{0: one}]).contains_vector(
+            {0: one, 1: lost}),
+        # the basis column (O(t^0), 1) holds (t^5, 1) iff its unknown entry
+        # is t^5; the earlier update loop said True, the one pass says False
+        "contains_above_pivot": lambda: MatrixLattice(
+            F, 2, [{0: lost, 1: one}]).contains_vector({0: mono(F, 5), 1: one}),
+    }
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+    "ROADMAP item 3: the oracle answers pivot, rank and membership questions "
+    "that hang on digits below an entry's precision instead of raising "
+    "PrecisionError"))
+@pytest.mark.parametrize("probe", sorted(_item3_probes()))
+def test_a_decision_on_unknown_digits_raises(probe):
+    with pytest.raises(PrecisionError):
+        _item3_probes()[probe]()
+
+
+def test_the_exact_completion_keeps_its_pivots():
+    """ROADMAP item 3's exact example, which agrees with the first probe
+    above to its precision, gives its pivots with no error."""
+    F = base_field(3)
+    L = MatrixLattice(F, 2, [{0: F.one(), 1: F.one()}, {0: F.one(), 1: mono(F, 1)}])
+    assert L.pivots == [(0, 0), (1, 0)]
