@@ -10,17 +10,17 @@ and c the chain profile).  The symbolic layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
-Lattice columns are sparse ``{row: entry}`` dicts in and out: a column
-stores every entry except exact zeros (no digits, ``prec is INF``), and a
-row operation runs over the entries of the pivot column that are stored.
-Leaving exact zeros out changes no digit and no precision: an exact zero
-times anything is an exact zero, and x plus or minus an exact zero has x's
-digits and precision.  Zeros to precision (no digits, finite ``prec``) are
-stored, since they lower the precision of every entry they touch.  An
-entry that cancels to an exact zero is dropped as soon as it appears.
-Matrix products skip exact zeros in the same way, over dense rows.
-Elements are immutable, so a dense matrix may share one exact zero among
-its exact-zero entries.
+Lattice entries are exact.  Columns are sparse ``{row: entry}`` dicts in
+and out, and ``_stored``, the one boundary check, copies each column and
+centralizer generator without its exact zeros (no digits, ``prec is
+INF``) and raises ``PrecisionError`` on an entry with a finite ``prec``,
+whose unknown digits could change a pivot, rank or membership answer.  So
+every stored entry is exact and nonzero, a row operation runs over the
+stored entries of the pivot column, and an entry that cancels is dropped
+at once.  ``regular_rep``, ``v_A_direct`` and ``eval_psi_c`` are closed
+forms that take inexact entries and raise exactly when their answer hangs
+on unknown digits.  Matrix products skip exact zeros over dense rows;
+elements are immutable, so a dense matrix may share one exact zero.
 
 Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
@@ -41,7 +41,7 @@ basis, so a lattice's columns never change.  Each pivot t^v * u is the
 entry of least valuation v in its row, and a column c with entry e in
 that row becomes u * c - t^-v * e * pivot column.  u is a unit of o_F and
 t^-v * e lies in o_F, so every column operation is unimodular and no
-inverse is taken: exact input gives exact Laurent polynomials.  A
+inverse is taken: entries stay exact Laurent polynomials.  A
 centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
 X -> ([X, G])_G on the radical power P^n; it comes out saturated, with no
 separate saturation step.
@@ -288,25 +288,22 @@ def _clear(c2, col, unit, q):
     """Clear a row of sparse column c2 by pivot column col, whose pivot
     entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is t^-v
     times c2's entry in the pivot row.  q is negated once, so each entry is
-    x * -q where c2 stores no entry and y + x * -q where it stores y: the
-    digits and precision of -(x * q) and y - x * q.
+    x * -q where c2 stores no entry and y + x * -q where it stores y.
 
     The one update step, called only by :func:`_echelon`.  It takes no
-    inverse: unit is a unit of o_F, so the step is unimodular, and exact
-    entries stay exact.  An exact unit 1 scales nothing, while 1 + O(t^k)
-    still scales, since it lowers precision.  An entry that cancels to an
-    exact zero is dropped from c2, and a zero to precision is kept (see the
-    module docstring)."""
-    if unit.prec is not INF or unit.digits != {0: unit.owner.residue.one}:
+    inverse: unit is a unit of o_F, so the step is unimodular, and entries
+    stay exact.  A unit 1 scales nothing.  x and q are nonzero, so only a
+    sum y + x * -q can cancel, and it is then dropped from c2."""
+    if unit.digits != {0: unit.owner.residue.one}:
         for u, y in c2.items():
             c2[u] = y * unit
     q = -q
     for u, x in col.items():
         y = c2.get(u)
         z = x * q if y is None else y + x * q
-        if z.digits or z.prec is not INF:
+        if z.digits:
             c2[u] = z
-        elif y is not None:
+        else:
             del c2[u]
 
 
@@ -314,17 +311,17 @@ def _echelon(cols, scanned):
     """One fraction-free column-echelon pass over rows 0 .. scanned - 1, in
     order, of the sparse columns ``cols``: the oracle's only elimination.
 
-    Each row's pivot is a live entry (one with digits) of least valuation
-    v, the first such column on a tie; this is the one place where the
-    oracle chooses a pivot.  The pivot column leaves ``cols``, which keep
-    their order, and clears the row from the other live columns by
+    Each row's pivot is a stored entry of least valuation v, the first
+    such column on a tie; this is the one place where the oracle chooses a
+    pivot.  The pivot column leaves ``cols``, which keep their order, and
+    clears the row from the other columns that store an entry there by
     :func:`_clear`.  Since v is least, every quotient lies in o_F.  Returns
     the pivot columns with their (row, exponent) pairs; the columns left in
-    ``cols`` have no digits in the scanned rows."""
+    ``cols`` store no entry in the scanned rows."""
     pivots = []
     for r in range(scanned):
         live = [(e.val(), j, c) for j, c in enumerate(cols)
-                if (e := c.get(r)) is not None and e.digits]
+                if (e := c.get(r)) is not None]
         if not live:
             continue
         v, j, col = min(live)
@@ -338,14 +335,18 @@ def _echelon(cols, scanned):
 
 
 def _stored(vec, dim):
-    """A copy of the sparse column vec without its exact zeros; a row
-    outside 0 .. dim - 1 raises ``shape_mismatch``."""
+    """A copy of the sparse column vec without its exact zeros: the lattice
+    code's one boundary check.  A row outside 0 .. dim - 1 raises
+    ``shape_mismatch``, and an inexact entry ``PrecisionError``."""
     out = {}
     for u, x in vec.items():
         if not 0 <= u < dim:
             raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
                               clause="shape_mismatch")
-        if x.digits or x.prec is not INF:
+        if x.prec is not INF:
+            raise PrecisionError(f"oracle: row {u} holds an entry known "
+                                 f"only to O(t^{x.prec})")
+        if x.digits:
             out[u] = x
     return out
 
@@ -359,12 +360,11 @@ class MatrixLattice:
     invariants of the lattice, the entries are not.
 
     The constructor runs one :func:`_echelon` pass over copies of its
-    columns without their exact zeros; zeros to precision are stored,
-    since they lower the precision of the entries they touch.  Columns are
-    sparse ``{row: entry}`` dicts in and out.  ``filt_lattice`` and
-    ``intersect_with_centralizer``, which already hold an echelon basis,
-    store it as it is.  Membership and equality are one more pass over
-    copies, so ``cols`` is never changed."""
+    columns made by :func:`_stored`, which refuses inexact entries.
+    Columns are sparse ``{row: entry}`` dicts in and out.  ``filt_lattice``
+    and ``intersect_with_centralizer``, which already hold an echelon
+    basis, store it as it is.  Membership and equality are one more pass
+    over copies, so ``cols`` is never changed."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
@@ -437,32 +437,32 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
 
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
-    o_F-basis of the graph of the bracket map.  Each column is a sparse
-    dict {row: entry} that stores every entry except exact zeros, so zeros
-    to precision, which lower the precision of the entries they touch, are
-    stored; a bracket entry that cancels to an exact zero, such as
-    t^d g - t^d g on the diagonal, is not.  One :func:`_echelon` pass over
-    all rows clears each bracket row from all columns but its pivot column,
-    and drops that column.  Each step is unimodular, and a kernel element
-    has no part along a dropped column, so the remaining columns' lower
-    parts span the kernel over o_F, saturated.  They have no digits in the
-    bracket rows, so the same pass goes on over the lower rows as an echelon
-    pass over those lower parts: its pivots there, with their lower parts,
-    are the kernel's echelon basis."""
+    o_F-basis of the graph of the bracket map.  The generators' entries
+    pass :func:`_stored`, so an inexact one raises ``PrecisionError``, and
+    each column is a sparse dict {row: entry} of the nonzero entries: a
+    bracket entry that cancels, such as t^d g - t^d g on the diagonal, is
+    not stored.  One :func:`_echelon` pass over all rows clears each
+    bracket row from all columns but its pivot column, and drops it.  Each
+    step is unimodular, and a kernel element has no part along a dropped
+    column, so the remaining columns' lower parts span the kernel over
+    o_F, saturated.  They store nothing in the bracket rows, so the same
+    pass goes on over the lower rows as an echelon pass over those lower
+    parts: its pivots there, with their lower parts, are the kernel's
+    echelon basis."""
     N = chain.N
     dim = N * N
     for G in gens:
         _check_size(G.n, N)
+        _stored(dict(enumerate(x for row in G.rows for x in row)), dim)
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
     one = base.residue.one
     # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k), -t^d G[k][i] at
     # (k, j); each generator's stored entries, by row and negated by column
     terms = [(off,
-              [[(k, g) for k, g in enumerate(G.rows[j])
-                if g.digits or g.prec is not INF] for j in range(N)],
-              [[(k, -g) for k in range(N)
-                if (g := G.rows[k][i]).digits or g.prec is not INF]
+              [[(k, g) for k, g in enumerate(G.rows[j]) if g.digits]
+               for j in range(N)],
+              [[(k, -g) for k in range(N) if (g := G.rows[k][i]).digits]
                for i in range(N)])
              for off, G in zip(range(0, top, dim), gens)]
     # the same terms times t^d, once for each value d that D takes
@@ -481,7 +481,7 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                 r = off + k * N + j
                 if r in col:
                     x = col[r] + x
-                    if not x.digits and x.prec is INF:
+                    if not x.digits:
                         del col[r]
                         continue
                 col[r] = x

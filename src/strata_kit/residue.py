@@ -26,9 +26,14 @@ n = sum(c_i p^i) of the coordinate vector (c_0, ..., c_{f-1}) in the
 polynomial basis (see :meth:`FqField._build_tables`): the index of each
 power of g, the log of each index, and Z.  Coordinates appear only at the
 boundary: :attr:`FqElem.coords` decodes the index of an element and
-:meth:`FqField.elem` encodes coordinates to one.  Compatibility of
-embeddings between fields of the same characteristic is enforced by the
-index formula ``generator_src -> generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.
+:meth:`FqField.elem` encodes coordinates to one.  :func:`embed` sends the
+source generator to ``generator_tgt ** ((p^ft - 1) / (p^fo - 1))``.  That
+map is multiplicative, but nothing makes the two lex-least generators
+compatible, so it is not additive for 23 of the 57 pairs GF(p^a) inside
+GF(p^b) with p^b <= 4096, GF(5) -> GF(125) among them.  Two strict xfails
+pin this, ``test_embed_is_additive_on_every_subfield_pair`` and
+``test_regular_reps_of_a_twisted_unramified_cubic_commute``; item 16 of
+ROADMAP.md is the fix.
 
 Residue degrees are read off logs too: GF(p^n) inside GF(q) is zero and
 the powers of g^((q - 1)/(p^n - 1)), so :func:`degree_over` gives the
@@ -447,8 +452,10 @@ def frobenius(a: FqElem, k: int) -> FqElem:
 
 
 def embed(a: FqElem, target: FqField) -> FqElem:
-    """The canonical embedding GF(p^fo) -> GF(p^ft), fixed by sending the
-    source generator to target_generator ** ((p^ft - 1)/(p^fo - 1))."""
+    """The map GF(p^fo) -> GF(p^ft) sending the source generator to
+    target_generator ** ((p^ft - 1)/(p^fo - 1)): multiplicative, but not
+    additive for every pair of fields (see the module docstring), so not
+    yet a field embedding in general."""
     src = a.owner
     if src.p != target.p:
         raise DomainError("cannot embed between different characteristics",

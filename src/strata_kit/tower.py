@@ -412,8 +412,9 @@ class Embedding:
 
     Both parts act on discrete logs mod |k_L^*|: a digit a at valuation v
     maps to the digit with dlog  dlog(a) * res_scale + v * mu_dlog, where
-    ``res_scale`` is the residue-embedding index |k_L^*|/|k_E^*| times the
-    Frobenius power q^j.
+    ``res_scale`` is the log of the image of k_E's generator under
+    ``residue.embed`` followed by the Frobenius power q^j, so the residue
+    part of every embedding is read from ``residue.embed``.
     """
 
     __slots__ = ("source", "target", "frob_exp", "mu_dlog", "res_scale")
@@ -423,10 +424,9 @@ class Embedding:
         self.target = target
         self.frob_exp = frob_exp
         self.mu_dlog = mu_dlog
-        kE, kL = source.residue, target.residue
-        order = kL.q - 1
-        frob = pow(kL.p, (source.base_f * frob_exp) % kL.f, order)
-        self.res_scale = (order // (kE.q - 1)) * frob % order
+        self.res_scale = residue.frobenius(
+            residue.embed(source.residue.generator, target.residue),
+            source.base_f * frob_exp).log
 
     def to_json(self):
         return {"frob_exp": self.frob_exp, "root_choice": self.mu_dlog}

@@ -444,21 +444,33 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
 def test_lattice_columns_are_copied_without_exact_zeros():
     """The constructor and contains_vector reduce copies of the caller's
     dicts, and contains_vector copies of the basis; exact zeros given in
-    them are not stored, zeros to precision are."""
+    them are not stored, an entry that cancels is dropped, and an inexact
+    entry, a zero to precision or not, raises before any dict changes."""
     F = base_field(3)
     one, t = F.one(), mono(F, 1)
     z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
-    cols = [{0: one, 1: t, 2: z}, {0: one, 1: one, 2: lost}]
+    cols = [{0: one, 1: t, 2: z}, {0: one, 1: one, 2: t}]
     given = [dict(c) for c in cols]
     L = MatrixLattice(F, 3, cols)
     assert [list(c.items()) for c in cols] == [list(c.items()) for c in given]
     assert L.pivots == [(0, 0), (1, 0)]
-    assert all(x.digits or x.prec is not INF for c in L.cols for x in c.values())
-    assert 2 not in L.cols[0] and L.cols[1][2].prec == 5
+    assert all(x.digits and x.prec is INF for c in L.cols for x in c.values())
+    assert 2 not in L.cols[0] and 0 not in L.cols[1]
+    assert L.cols[1][2] is cols[1][2]
+    inexact_one = TameElement(F, {0: F.residue.one}, 3)
+    for bad in ([{0: one, 2: lost}], [{0: one}, {1: inexact_one}]):
+        kept = [list(c.items()) for c in bad]
+        with pytest.raises(PrecisionError):
+            MatrixLattice(F, 3, bad)
+        assert [list(c.items()) for c in bad] == kept
     basis = [list(c.items()) for c in L.cols]
     for vec in ({0: one, 1: t, 2: z}, {0: t, 1: one, 2: lost}, {1: t, 2: t}):
         given = list(vec.items())
-        L.contains_vector(vec)
+        if vec[2] is lost:
+            with pytest.raises(PrecisionError):
+                L.contains_vector(vec)
+        else:
+            L.contains_vector(vec)
         assert list(vec.items()) == given
         assert [list(c.items()) for c in L.cols] == basis
 
@@ -608,16 +620,20 @@ def _dense(base, dim, col):
 
 def _check_lattice(L, pivots, want):
     """L against a dense reference basis ``want`` with pivots ``pivots``:
-    equal pivots; L inside the reference lattice by the dense loops alone
-    (L's columns added to the reference leave its pivots, hence its index,
-    unchanged); ``same_as`` in both orders; and no entry of L less precise
-    than the least precise entry of the reference."""
+    equal pivots, and L inside the reference lattice by the dense loops
+    alone (L's columns added to the reference leave its pivots, hence its
+    index, unchanged), which together make the two lattices equal;
+    ``same_as`` in both orders when the reference is exact (its pivot-unit
+    inverses may not be, and lattices take exact entries only); and no
+    entry of L less precise than the least precise entry of the
+    reference."""
     assert L.pivots == pivots
     dense = [_dense(L.base, L.dim, c) for c in L.cols]
     assert _dense_hermite(L.base, L.dim, want + dense)[0] == pivots
     sparse = [dict(enumerate(c)) for c in want]
-    W = MatrixLattice(L.base, L.dim, sparse)
-    assert L.same_as(W) and W.same_as(L)
+    if _least_prec(sparse) is INF:
+        W = MatrixLattice(L.base, L.dim, sparse)
+        assert L.same_as(W) and W.same_as(L)
     assert _least_prec(L.cols) >= _least_prec(sparse)
 
 
@@ -633,7 +649,25 @@ def _inexact_reps(F):
     return out
 
 
+def _inexact(vecs):
+    """Whether some entry of the rows or sparse columns ``vecs`` is
+    inexact."""
+    return any(x.prec is not INF
+               for v in vecs for x in (v.values() if isinstance(v, dict) else v))
+
+
+def _completed(x):
+    """The exact completion of an entry, or of a matrix entry by entry:
+    its known digits, with every unknown digit taken to be 0."""
+    if isinstance(x, Mat):
+        return Mat(x.base, [[_completed(a) for a in r] for r in x.rows])
+    return x if x.prec is INF else TameElement(x.owner, x.digits, INF)
+
+
 def test_sparse_hermite_form_matches_dense_loops():
+    """Columns with an inexact entry are refused; exact columns, and the
+    exact completions of the refused ones, give the dense loops' pivots
+    and lattice."""
     import random
     F = base_field(3)
     z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
@@ -645,9 +679,16 @@ def test_sparse_hermite_form_matches_dense_loops():
                                    TameElement(F, {0: F.residue.one,
                                                    2: F.residue.one}, 6)])
                        for _ in range(dim)] for _ in range(rng.randrange(1, 5))])
+    refused = 0
     for cols in cases:
+        if _inexact(cols):
+            with pytest.raises(PrecisionError):
+                MatrixLattice(F, len(cols[0]), [dict(enumerate(c)) for c in cols])
+            refused += 1
+            cols = [[_completed(x) for x in c] for c in cols]
         L = MatrixLattice(F, len(cols[0]), [dict(enumerate(c)) for c in cols])
         _check_lattice(L, *_dense_hermite(F, len(cols[0]), cols))
+    assert 0 < refused < len(cases)
 
 
 def test_sparse_product_matches_dense_loops():
@@ -796,14 +837,20 @@ def test_centralizer_of_random_exact_generators_matches_dense_loops():
         assert all(x.prec is INF for c in L.cols for x in c.values())
 
 
-def test_centralizer_of_inexact_generators_keeps_precision():
+def test_centralizer_of_inexact_generators_raises():
+    """Generators with inexact entries, zeros to precision among them, are
+    refused; their exact completions, with multi-digit entries, give the
+    dense loops' lattice."""
     F = base_field(3)
     for R, P in _inexact_reps(F):
         for gens in ([R], [R, P]):
-            basis = _dense_commutant(gens, R.n, F)
+            exact = [_completed(G) for G in gens]
+            basis = _dense_commutant(exact, R.n, F)
             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
                 for n in range(-1, chain.period + 1):
-                    L = intersect_with_centralizer(gens, chain, n, F)
+                    with pytest.raises(PrecisionError):
+                        intersect_with_centralizer(gens, chain, n, F)
+                    L = intersect_with_centralizer(exact, chain, n, F)
                     _check_lattice(L, *_dense_centralizer(basis, chain, n, F))
 
 
@@ -842,9 +889,9 @@ def _dense_kernel(gens, chain, n, base):
 
 
 def test_sparse_kernel_pass_matches_dense_loops():
-    """The lattice of the dense kernel pass, with no entry less precise
-    than the dense pass's least precise one, on generators with zeros to
-    precision: a kernel pass that dropped those zeros would differ here."""
+    """Generators with an inexact entry, a zero to precision or not, are
+    refused; exact generators, and the exact completions of the refused
+    ones, give the lattice of the dense kernel pass."""
     import random
     F = base_field(3)
     z, one = TameElement(F, {}, INF), F.residue.one
@@ -862,9 +909,16 @@ def test_sparse_kernel_pass_matches_dense_loops():
         gens = [Mat(F, [[rng.choice(entries) for _ in range(N)]
                         for _ in range(N)]) for _ in range(rng.randrange(1, 3))]
         cases.append((gens, chain, rng.randrange(-1, chain.period + 1)))
+    refused = 0
     for gens, chain, n in cases:
+        if _inexact(r for G in gens for r in G.rows):
+            with pytest.raises(PrecisionError):
+                intersect_with_centralizer(gens, chain, n, F)
+            refused += 1
+            gens = [_completed(G) for G in gens]
         L = intersect_with_centralizer(gens, chain, n, F)
         _check_lattice(L, *_dense_kernel(gens, chain, n, F))
+    assert 0 < refused < len(cases)
 
 
 # -- shifts: products by monic powers of t -----------------------------------
@@ -886,21 +940,24 @@ def test_t_shift_is_the_monomial_product():
 
 def test_clear_skips_only_an_exact_unit_one():
     """c2 <- unit * c2 - col * q entry by entry; an exact unit 1 leaves the
-    rows col does not store as they are, 1 + O(t^2) lowers their precision."""
+    rows col does not store as they are, any other unit scales them, and an
+    entry that cancels is dropped."""
     from strata_kit.oracle import _clear
     F = base_field(3)
     one, g = F.residue.one, F.residue.gen_power(1)
     col = {0: F.one(), 1: TameElement(F, {2: g}, INF)}
-    start = {0: TameElement(F, {0: g}, INF), 2: TameElement(F, {1: g}, 5)}
+    start = {0: TameElement(F, {0: g}, INF), 2: TameElement(F, {1: g}, INF)}
     q = start[0]
-    for unit, prec2 in ((F.one(), 5), (TameElement(F, {0: one}, 2), 3)):
+    for unit in (F.one(), TameElement(F, {0: g}, INF),
+                 TameElement(F, {0: one, 2: g}, INF)):
         c2 = dict(start)
         _clear(c2, col, unit, q)
         zero = F.zero(INF)
         want = [unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)]
         assert _entries([[c2.get(u, zero) for u in range(3)]]) == _entries([want])
-        assert c2[2].prec == prec2
-        assert (c2[2] is start[2]) == (unit.prec is INF)
+        assert all(x.digits and x.prec is INF for x in c2.values())
+        assert (0 in c2) == bool(want[0].digits)
+        assert (c2[2] is start[2]) == (unit.digits == {0: one})
 
 
 # -- one echelon pass: the earlier algorithms as references ------------------
@@ -950,15 +1007,6 @@ def _ref_same_as(A, B):
     return A.pivots == B.pivots and all(_ref_contains(B, c) for c in A.cols)
 
 
-def _clean(L):
-    """Whether L's basis stores no entry without digits above a pivot.  On
-    such an entry, a zero to precision, the one-pass and the earlier
-    membership answers may differ; either answer then hangs on unknown
-    digits (ROADMAP item 3)."""
-    return all(x.digits for (r, _), c in zip(L.pivots, L.cols)
-               for u, x in c.items() if u < r)
-
-
 def _pool(F):
     one, g = F.residue.one, F.residue.gen_power(1)
     z = TameElement(F, {}, INF)
@@ -971,11 +1019,12 @@ def _pool(F):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data())
 def test_membership_pass_matches_the_update_loop(data):
-    """``contains_vector`` and ``same_as`` give the earlier loop's answers on
-    exact and inexact vectors, zeros to precision included, against random
-    lattices whose bases store no zero to precision above a pivot; the
-    vectors and the second lattice are often combinations of the first
-    lattice's generators, so both answers occur."""
+    """A lattice or vector with an inexact entry, a zero to precision
+    included, raises ``PrecisionError``; on every drawn lattice and vector,
+    or its exact completion when it was refused, ``contains_vector`` and
+    ``same_as`` give the earlier loop's answers.  The vectors and the second
+    lattice are often combinations of the first lattice's generators, so
+    both answers occur."""
     F = base_field(3)
     pool = _pool(F)
     z = pool[0]
@@ -994,19 +1043,29 @@ def test_membership_pass_matches_the_update_loop(data):
             vec[data.draw(st.integers(0, dim - 1))] = data.draw(entry)
         return vec
 
-    L = MatrixLattice(F, dim, gens)
+    def completed(cols):
+        return [{u: _completed(x) for u, x in c.items()} for c in cols]
+
+    def lattice(cols):
+        if _inexact(cols):
+            with pytest.raises(PrecisionError):
+                MatrixLattice(F, dim, cols)
+        return MatrixLattice(F, dim, completed(cols))
+
+    L = lattice(gens)
     vecs = [data.draw(column), combination(), combination()]
-    others = [MatrixLattice(F, dim, data.draw(st.lists(column, min_size=1,
-                                                        max_size=4))),
-              MatrixLattice(F, dim, gens + [combination()]),
-              MatrixLattice(F, dim, [combination() for _ in gens])]
-    if _clean(L):
-        for vec in vecs:
-            assert L.contains_vector(vec) == _ref_contains(L, vec)
+    others = [lattice(data.draw(st.lists(column, min_size=1, max_size=4))),
+              lattice(gens + [combination()]),
+              lattice([combination() for _ in gens])]
+    for vec in vecs:
+        if _inexact([vec]):
+            with pytest.raises(PrecisionError):
+                L.contains_vector(vec)
+        [vec] = completed([vec])
+        assert L.contains_vector(vec) == _ref_contains(L, vec)
     for M in others:
-        if _clean(L) and _clean(M):
-            assert M.same_as(L) == _ref_same_as(M, L)
-            assert L.same_as(M) == _ref_same_as(L, M)
+        assert M.same_as(L) == _ref_same_as(M, L)
+        assert L.same_as(M) == _ref_same_as(L, M)
 
 
 def _two_pass_centralizer(gens, chain, n, base):
@@ -1027,7 +1086,7 @@ def _two_pass_centralizer(gens, chain, n, base):
             for k in range(N):
                 col[off + i * N + k] = col.get(off + i * N + k, z) + G.rows[j][k] * t_d
                 col[off + k * N + j] = col.get(off + k * N + j, z) - G.rows[k][i] * t_d
-        cols.append({r: x for r, x in col.items() if x.digits or x.prec is not INF})
+        cols.append({r: x for r, x in col.items() if x.digits})
     _echelon(cols, top)
     return MatrixLattice(base, dim, [{u - top: x for u, x in c.items() if u >= top}
                                      for c in cols])
@@ -1057,13 +1116,18 @@ def test_one_pass_centralizer_matches_the_two_pass_kernel_on_the_bench_menu():
 
 
 def test_one_pass_centralizer_matches_the_two_pass_kernel_on_inexact_generators():
+    """Inexact generators are refused; their exact completions, with
+    multi-digit entries, give the two-pass kernel's basis."""
     F = base_field(3)
     for R, P in _inexact_reps(F):
         for gens in ([R], [R, P]):
+            exact = [_completed(G) for G in gens]
             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
                 for n in range(-1, chain.period + 1):
-                    _same_basis(intersect_with_centralizer(gens, chain, n, F),
-                                _two_pass_centralizer(gens, chain, n, F))
+                    with pytest.raises(PrecisionError):
+                        intersect_with_centralizer(gens, chain, n, F)
+                    _same_basis(intersect_with_centralizer(exact, chain, n, F),
+                                _two_pass_centralizer(exact, chain, n, F))
 
 
 def test_filt_lattice_is_the_echelon_basis_of_its_monomials():
@@ -1117,26 +1181,109 @@ def _item3_probes():
     F = base_field(3)
     one, t, lost = F.one(), mono(F, 1), TameElement(F, {}, 0)
     return {
-        # row 1 becomes t - O(t^0), a zero to precision, and is skipped
+        # row 1 becomes t - O(t^0): the rank hangs on the unknown entry
         "rank": lambda: MatrixLattice(F, 2, [{0: one, 1: lost}, {0: one, 1: t}]).pivots,
         # the unknown entry could be 1
         "contains": lambda: MatrixLattice(F, 2, [{0: one}]).contains_vector(
             {0: one, 1: lost}),
         # the basis column (O(t^0), 1) holds (t^5, 1) iff its unknown entry
-        # is t^5; the earlier update loop said True, the one pass says False
+        # is t^5
         "contains_above_pivot": lambda: MatrixLattice(
             F, 2, [{0: lost, 1: one}]).contains_vector({0: mono(F, 5), 1: one}),
     }
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
-    "ROADMAP item 3: the oracle answers pivot, rank and membership questions "
-    "that hang on digits below an entry's precision instead of raising "
-    "PrecisionError"))
 @pytest.mark.parametrize("probe", sorted(_item3_probes()))
 def test_a_decision_on_unknown_digits_raises(probe):
     with pytest.raises(PrecisionError):
         _item3_probes()[probe]()
+
+
+def test_the_refusal_names_the_site_the_row_and_the_precision():
+    """The constructor, ``contains_vector`` and ``intersect_with_centralizer``
+    refuse an inexact entry in row 2; a generator's rows are its entries in
+    row-major order."""
+    F = base_field(3)
+    one, z = F.one(), TameElement(F, {}, INF)
+    lost = TameElement(F, {0: F.residue.one}, 4)
+    probes = [lambda: MatrixLattice(F, 3, [{0: one}, {2: lost}]),
+              lambda: MatrixLattice(F, 3, [{0: one}]).contains_vector({2: lost}),
+              lambda: intersect_with_centralizer([Mat(F, [[one, z], [lost, z]])],
+                                                 uniform_chain(2, 1), 0, F)]
+    for probe in probes:
+        with pytest.raises(PrecisionError) as err:
+            probe()
+        assert str(err.value) == "oracle: row 2 holds an entry known only to O(t^4)"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_lattices_raise_exactly_on_inexact_entries(data):
+    """Every lattice entry point (the constructor, ``contains_vector`` and
+    ``intersect_with_centralizer``; ``same_as`` only meets lattices already
+    built) raises ``PrecisionError`` exactly when an entry it is given is
+    inexact, a zero to precision or not, over GF(3); on exact draws the
+    pivots and ``contains_vector`` answers are the dense reference's.  A
+    vector lies in L exactly when adding it leaves L's pivots, hence its
+    index, unchanged."""
+    F = base_field(3)
+    entry = st.sampled_from(_pool(F))
+    dim = data.draw(st.integers(1, 3))
+    column = st.fixed_dictionaries({u: entry for u in range(dim)})
+    cols = data.draw(st.lists(column, min_size=1, max_size=3))
+    vec = data.draw(column)
+    N = data.draw(st.integers(1, 2))
+    gens = [Mat(F, [[data.draw(entry) for _ in range(N)] for _ in range(N)])
+            for _ in range(data.draw(st.integers(1, 2)))]
+    chain = uniform_chain(N, data.draw(st.sampled_from((1, N))))
+    n = data.draw(st.integers(-1, chain.period))
+
+    def dense(c):
+        return [c[u] for u in range(dim)]
+
+    if _inexact(cols):
+        with pytest.raises(PrecisionError):
+            MatrixLattice(F, dim, cols)
+    else:
+        L = MatrixLattice(F, dim, cols)
+        pivots = _dense_hermite(F, dim, [dense(c) for c in cols])[0]
+        assert L.pivots == pivots
+        if _inexact([vec]):
+            with pytest.raises(PrecisionError):
+                L.contains_vector(vec)
+        else:
+            grown = _dense_hermite(F, dim, [dense(c) for c in cols + [vec]])[0]
+            assert L.contains_vector(vec) == (grown == pivots)
+    if _inexact(r for G in gens for r in G.rows):
+        with pytest.raises(PrecisionError):
+            intersect_with_centralizer(gens, chain, n, F)
+    else:
+        L = intersect_with_centralizer(gens, chain, n, F)
+        assert L.pivots == _dense_kernel(gens, chain, n, F)[0]
+
+
+def test_lattice_code_reads_precision_only_at_the_boundary():
+    """In oracle.py, ``.prec`` is read by ``_stored``, the lattice code's one
+    boundary check, by ``_t_shift`` and by the matrix code and closed forms
+    that take inexact entries, and by nothing else: the lattice code
+    (``_clear``, ``_echelon``, ``MatrixLattice``,
+    ``intersect_with_centralizer``) reads none, so no rule for inexact
+    entries can grow back in it."""
+    import ast
+    import pathlib
+
+    from strata_kit import oracle
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    readers = {name for name, node in defs.items()
+               if any(isinstance(a, ast.Attribute) and a.attr == "prec"
+                      for a in ast.walk(node))}
+    lattice = {"_clear", "_echelon", "MatrixLattice", "intersect_with_centralizer"}
+    assert lattice <= set(defs) and not readers & lattice
+    assert "_stored" in readers
+    assert readers <= {"_stored", "_t_shift", "Mat", "regular_rep", "v_A_direct",
+                       "eval_psi_c"}
 
 
 def test_the_exact_completion_keeps_its_pivots():
