@@ -10,26 +10,24 @@ and c the chain profile).  The symbolic layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
-Lattice entries are exact.  Columns are sparse ``{row: entry}`` dicts in
-and out, and ``_stored``, the one boundary check, copies each column and
-centralizer generator without its exact zeros (no digits, ``prec is
-INF``) and raises ``PrecisionError`` on an entry with a finite ``prec``,
-whose unknown digits could change a pivot, rank or membership answer.  So
-every stored entry is exact and nonzero, a row operation runs over the
-stored entries of the pivot column, and an entry that cancels is dropped
-at once.  ``regular_rep``, ``v_A_direct`` and ``eval_psi_c`` are closed
-forms that take inexact entries and raise exactly when their answer hangs
-on unknown digits.  Matrix products skip exact zeros over dense rows;
-elements are immutable, so a dense matrix may share one exact zero.
+The oracle takes exact entries only.  ``_exact`` is its one check on
+precision: it raises ``PrecisionError``, naming the site, the position and
+the precision, on an entry with a finite ``prec``, whose unknown digits
+could change an answer.  It guards the argument of ``regular_rep``, every
+entry of a ``Mat``, whose rows are tuples so a matrix stays exact once
+built, and every entry of a lattice column, which ``_stored`` copies
+without its exact zeros.  So every matrix entry is exact, every stored
+lattice entry is exact and nonzero, a row operation runs over the stored
+entries of the pivot column, and an entry that cancels is dropped at once.
+Matrix products skip exact zeros over dense rows; elements are immutable,
+so a dense matrix may share one exact zero.
 
 Row operations shift by powers of t instead of multiplying by them:
-``_t_shift(x, k)`` moves x's digits from v to v + k and its precision to
-``x.prec + k`` (INF stays INF).  Those are exactly the digits and the
-precision of x times the exact monomial t^k, so a shift changes no digit
-and no precision either; an exact zero is returned as it is.  The kernel
-pass of ``intersect_with_centralizer`` shifts each stored generator entry
-once for each value its bound D takes, and every bracket column with that
-value shares the shifted entry, which is safe since elements are immutable.
+``_t_shift(x, k)`` moves the digits of an exact nonzero x from v to v + k,
+exactly the digits of x times the monomial t^k.  The kernel pass of
+``intersect_with_centralizer`` shifts each stored generator entry once for
+each value its bound D takes, and every bracket column with that value
+shares the shifted entry, which is safe since elements are immutable.
 
 Every elimination is one fraction-free column-echelon pass, ``_echelon``,
 the only code that eliminates, and each lattice costs at most one pass:
@@ -64,6 +62,23 @@ def _exact_zero(base: TameField) -> TameElement:
     return TameElement(base, {}, INF)
 
 
+def _zero_rows(base: TameField, n: int):
+    """The rows of the n x n zero matrix, as lists to fill in."""
+    zero = _exact_zero(base)
+    return [[zero] * n for _ in range(n)]
+
+
+def _exact(x: TameElement, where: str, *at) -> TameElement:
+    """x, which must be exact: the oracle's one check on precision.  An
+    entry with a finite ``prec`` raises ``PrecisionError`` naming the site
+    and position, ``where`` formatted with ``at``, and the precision; the
+    message is built only then."""
+    if x.prec is not INF:
+        raise PrecisionError(f"oracle: {where.format(*at)} is known only "
+                             f"to O(t^{x.prec})")
+    return x
+
+
 def _check_size(n: int, m: int):
     """Raise unless a size-n matrix meets a size-m matrix or chain."""
     if n != m:
@@ -72,34 +87,40 @@ def _check_size(n: int, m: int):
 
 
 class Mat:
-    """A dense square matrix over the base Laurent-series field."""
+    """A dense square matrix over the base Laurent-series field, with exact
+    entries: the constructor refuses an inexact entry (``PrecisionError``)
+    and a ragged or non-square list of rows (``shape_mismatch``), and keeps
+    the rows as tuples, so the matrix cannot change once built."""
 
     __slots__ = ("base", "n", "rows")
 
     def __init__(self, base: TameField, rows):
         self.base = base
-        self.rows = [list(r) for r in rows]
+        rows = [[_exact(a, "Mat entry ({}, {})", i, k) for k, a in enumerate(r)]
+                for i, r in enumerate(rows)]
+        self.rows = tuple(map(tuple, rows))
         self.n = len(self.rows)
+        for r in self.rows:
+            _check_size(len(r), self.n)
 
     @classmethod
     def zero(cls, base: TameField, n: int) -> "Mat":
-        zero = _exact_zero(base)
-        return cls(base, [[zero] * n for _ in range(n)])
+        return cls(base, _zero_rows(base, n))
 
     @classmethod
     def identity(cls, base: TameField, n: int) -> "Mat":
-        m = cls.zero(base, n)
+        rows = _zero_rows(base, n)
         one = base.one()
         for i in range(n):
-            m.rows[i][i] = one
-        return m
+            rows[i][i] = one
+        return cls(base, rows)
 
     @classmethod
     def monomial_entry(cls, base: TameField, n: int, i: int, k: int, v: int,
                        coeff) -> "Mat":
-        m = cls.zero(base, n)
-        m.rows[i][k] = base.monomial(v, coeff)
-        return m
+        rows = _zero_rows(base, n)
+        rows[i][k] = base.monomial(v, coeff)
+        return cls(base, rows)
 
     def __add__(self, other):
         _check_size(self.n, other.n)
@@ -116,14 +137,13 @@ class Mat:
         zero = _exact_zero(self.base)
         out = []
         for r in self.rows:
-            terms = [(a, other.rows[j]) for j, a in enumerate(r)
-                     if a.digits or a.prec is not INF]
+            terms = [(a, other.rows[j]) for j, a in enumerate(r) if a.digits]
             row = []
             for k in range(self.n):
                 acc = zero
                 for a, orow in terms:
                     b = orow[k]
-                    if b.digits or b.prec is not INF:
+                    if b.digits:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
@@ -143,21 +163,21 @@ class Mat:
 
 
 def block_diag(base: TameField, mats) -> Mat:
-    n = sum(m.n for m in mats)
-    out = Mat.zero(base, n)
+    rows = _zero_rows(base, sum(m.n for m in mats))
     off = 0
     for m in mats:
-        for i in range(m.n):
-            for j in range(m.n):
-                out.rows[off + i][off + j] = m.rows[i][j]
+        for i, r in enumerate(m.rows):
+            rows[off + i][off:off + m.n] = r
         off += m.n
-    return out
+    return Mat(base, rows)
 
 
 def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     """The matrix of multiplication by x on its field viewed as a base
     vector space, in the basis {g^a pi^b} ordered pi-power-major; with
-    ``copies`` > 1, the block-diagonal sum of that many copies."""
+    ``copies`` > 1, the block-diagonal sum of that many copies.  x must be
+    exact."""
+    _exact(x, "the argument of regular_rep")
     E = x.owner
     base = E.base()
     if E.degree * copies > ORACLE_N_CAP:
@@ -167,7 +187,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     kF = base.residue
     T = E.acc_twist
     Tinv = T.inverse()
-    block = Mat.zero(base, E.degree)
+    block = _zero_rows(base, E.degree)
     for b_c in range(e):
         for a_c in range(f):
             col = b_c * f + a_c
@@ -181,22 +201,9 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
                     if c_a.is_zero():
                         continue
                     row = b * f + a
-                    entry = block.rows[row][col]
-                    term = base.monomial(m, c_a)
-                    block.rows[row][col] = entry + term
-            if y.prec is not INF:
-                # digits of y at valuations >= prec are unknown: cap the
-                # t-precision of every entry row accordingly
-                for b in range(e):
-                    cap = -((b - y.prec) // e)
-                    for a in range(f):
-                        row = b * f + a
-                        entry = block.rows[row][col]
-                        block.rows[row][col] = TameElement(
-                            base, entry.digits, min(entry.prec, cap))
-    if copies == 1:
-        return block
-    return block_diag(base, [block] * copies)
+                    block[row][col] = block[row][col] + base.monomial(m, c_a)
+    R = Mat(base, block)
+    return R if copies == 1 else block_diag(base, [R] * copies)
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +255,16 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
 
     Entry (i, k) of valuation w lies in the n-th radical power exactly when
     w >= filt_bound(n)[i][k], that is when n <= period * w + c_i - c_k, so
-    v_A is the least such bound over the entries with digits.  A zero to
-    precision raises ``PrecisionError`` when its bound period * prec + c_i -
-    c_k is below v_A, and when no entry has digits but some entry is inexact."""
+    v_A is the least such bound over the nonzero entries, which are exact
+    since x is a ``Mat``."""
     _check_size(x.n, chain.N)
     c, e = chain.profile, chain.period
-    cells = [(a, c[i] - c[k]) for i, row in enumerate(x.rows)
-             for k, a in enumerate(row)]
-    known = [e * min(a.digits) + d for a, d in cells if a.digits]
-    lost = [e * a.prec + d for a, d in cells
-            if not a.digits and a.prec is not INF]      # zeros to precision
+    known = [e * min(a.digits) + c[i] - c[k] for i, row in enumerate(x.rows)
+             for k, a in enumerate(row) if a.digits]
     if not known:
-        if lost:
-            raise PrecisionError("v_A of a matrix that is zero to precision "
-                                 "is uncertain")
         raise DomainError("v_A of the zero matrix is undefined",
                           clause="v_A_of_zero")
-    n = min(known)
-    if lost and min(lost) < n:
-        raise PrecisionError(f"v_A = {n} hangs on digits below an "
-                             "entry's precision")
-    return n
+    return min(known)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +272,10 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
 # ---------------------------------------------------------------------------
 
 def _t_shift(x: TameElement, k: int) -> TameElement:
-    """x * t^k: x's digits at valuations v + k, precision ``x.prec + k``."""
-    if x.prec is INF and not x.digits:
-        return x
+    """x * t^k for an exact nonzero x, a stored lattice or generator entry:
+    x's digits at valuations v + k."""
     return TameElement._unchecked(
-        x.owner, {v + k: a for v, a in x.digits.items()},
-        x.prec if x.prec is INF else x.prec + k)
+        x.owner, {v + k: a for v, a in x.digits.items()}, INF)
 
 
 def _clear(c2, col, unit, q):
@@ -336,17 +330,14 @@ def _echelon(cols, scanned):
 
 def _stored(vec, dim):
     """A copy of the sparse column vec without its exact zeros: the lattice
-    code's one boundary check.  A row outside 0 .. dim - 1 raises
-    ``shape_mismatch``, and an inexact entry ``PrecisionError``."""
+    code's boundary.  A row outside 0 .. dim - 1 raises ``shape_mismatch``,
+    and an inexact entry ``PrecisionError`` by :func:`_exact`."""
     out = {}
     for u, x in vec.items():
         if not 0 <= u < dim:
             raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
                               clause="shape_mismatch")
-        if x.prec is not INF:
-            raise PrecisionError(f"oracle: row {u} holds an entry known "
-                                 f"only to O(t^{x.prec})")
-        if x.digits:
+        if _exact(x, "the lattice entry in row {}", u).digits:
             out[u] = x
     return out
 
@@ -437,23 +428,21 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
 
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
-    o_F-basis of the graph of the bracket map.  The generators' entries
-    pass :func:`_stored`, so an inexact one raises ``PrecisionError``, and
-    each column is a sparse dict {row: entry} of the nonzero entries: a
-    bracket entry that cancels, such as t^d g - t^d g on the diagonal, is
-    not stored.  One :func:`_echelon` pass over all rows clears each
-    bracket row from all columns but its pivot column, and drops it.  Each
-    step is unimodular, and a kernel element has no part along a dropped
-    column, so the remaining columns' lower parts span the kernel over
-    o_F, saturated.  They store nothing in the bracket rows, so the same
-    pass goes on over the lower rows as an echelon pass over those lower
-    parts: its pivots there, with their lower parts, are the kernel's
-    echelon basis."""
+    o_F-basis of the graph of the bracket map.  The generators are ``Mat``s,
+    so their entries are exact, and each column is a sparse dict
+    {row: entry} of the nonzero entries: a bracket entry that cancels, such
+    as t^d g - t^d g on the diagonal, is not stored.  One :func:`_echelon`
+    pass over all rows clears each bracket row from all columns but its
+    pivot column, and drops it.  Each step is unimodular, and a kernel
+    element has no part along a dropped column, so the remaining columns'
+    lower parts span the kernel over o_F, saturated.  They store nothing in
+    the bracket rows, so the same pass goes on over the lower rows as an
+    echelon pass over those lower parts: its pivots there, with their lower
+    parts, are the kernel's echelon basis."""
     N = chain.N
     dim = N * N
     for G in gens:
         _check_size(G.n, N)
-        _stored(dict(enumerate(x for row in G.rows for x in row)), dim)
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
     one = base.residue.one
@@ -512,23 +501,17 @@ def absolute_trace(u) -> int:
 def eval_psi_c(c: Mat, y: Mat) -> int:
     """Exponent (mod p) of the standard character at trace(c*y): the
     absolute trace of the t^0 digit, read as the sum of the digit products
-    c[i][k]_v * y[k][i]_{-v} over the entry pairs.  That digit is certain
-    when every pair's product precision, min(a.prec + val(b),
-    b.prec + val(a)) with val of a zero to precision its prec, is above 0."""
+    c[i][k]_v * y[k][i]_{-v} over the entry pairs.  The entries of a
+    ``Mat`` are exact, so that digit is known."""
     _check_size(c.n, y.n)
     acc = c.base.residue.zero
-    prec = INF
     for i, row in enumerate(c.rows):
         for k, a in enumerate(row):
             b = y.rows[k][i]
-            prec = min(prec, a.prec + (min(b.digits) if b.digits else b.prec),
-                       b.prec + (min(a.digits) if a.digits else a.prec))
             for v, d in a.digits.items():
                 e = b.digits.get(-v)
                 if e is not None:
                     acc = acc + d * e
-    if prec <= 0:
-        raise PrecisionError("t^0 digit of the trace is below precision")
     return absolute_trace(acc)
 
 

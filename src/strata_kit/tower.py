@@ -208,9 +208,6 @@ class TameElement:
 
     # -- basic state --------------------------------------------------------
 
-    def is_zero_to_prec(self) -> bool:
-        return not self.digits
-
     def val(self):
         """Minimal digit valuation (owner-normalized), or None if zero-to-prec."""
         return min(self.digits) if self.digits else None

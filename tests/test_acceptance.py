@@ -42,7 +42,8 @@ from strata_kit.strata import compare_presentations
 from strata_kit.tower import (INF, base_field, embeddings, extend,
                               apply_embedding, sr, subfield_generated,
                               tower_subfield)
-from strata_kit.translate import roundtrip_check, secherre_to_yu
+from strata_kit.translate import (factchar_indices, roundtrip_check,
+                                 secherre_to_yu)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +573,7 @@ def random_matrix_above(rng, base, chain_bound, depth_budget=2):
     """A matrix whose (i,k) entry has a few digits at valuations at or
     above the per-entry bound."""
     N = len(chain_bound)
-    m = Mat.zero(base, N)
+    rows = [[base.zero(INF)] * N for _ in range(N)]
     kF = base.residue
     for i in range(N):
         for k in range(N):
@@ -580,9 +581,9 @@ def random_matrix_above(rng, base, chain_bound, depth_budget=2):
             for v in range(lo, lo + depth_budget):
                 a = rng.randrange(kF.q)
                 if a:
-                    m.rows[i][k] = m.rows[i][k] + \
+                    rows[i][k] = rows[i][k] + \
                         base.monomial(v, kF.gen_power(a - 1))
-    return m
+    return Mat(base, rows)
 
 
 def test_criterion_9_character_equality():
@@ -615,3 +616,42 @@ def test_criterion_9_character_equality():
         w = psi_witness(bad, chain, i + 1)
         assert w is not None
         assert eval_psi_c(c, w) != eval_psi_c(c3, w)
+
+
+def test_factchar_indices_against_the_oracle():
+    """Each chunk's truncation index t_i from ``factchar_indices`` is the
+    least depth at which psi_{c_i}(1 + x) = psi(tr(c_i x)) is a character
+    of U^{t_i + 1}: the pairing annihilates P^{2 t_i + 2}, and when t_i > 0
+    some x, y in P^{t_i} pair to a nonzero value.  The pair splits the
+    witness t^w e_ik in P^{2 t_i} into matrix units t^d e_ij and
+    t^(w - d) e_jk, d = D[i][j], with D[i][j] + D[j][k] <= w for the bound
+    D of P^{t_i}: a j with c_j = c_i - t_i mod the period makes the sum
+    the bound of P^{2 t_i} at (i, k), and the field's chain has every
+    class.  Fuzzed strata with N <= 4 and n > 0."""
+    rng = rng_from_seed(90_2)
+    strata = chunks = 0
+    while strata < 80:
+        st = random_stratum(rng)
+        if st.n == 0 or st.order.N > 4:
+            continue
+        E = st.beta.owner
+        F, chain = E.base(), chain_from_field(E)
+        strata += 1
+        for i, vA, t_i in factchar_indices(st, 0).rows:
+            R = regular_rep(st.fac.chunks[i])
+            assert v_A_direct(R, chain) == vA
+            assert psi_witness(R, chain, 2 * t_i + 2) is None, (vA, t_i)
+            chunks += 1
+            if t_i == 0:
+                continue
+            w = psi_witness(R, chain, 2 * t_i)
+            assert w is not None, (vA, t_i)
+            [(a, b, x)] = [(a, b, x) for a, row in enumerate(w.rows)
+                           for b, x in enumerate(row) if x.digits]
+            [(v, coeff)] = x.digits.items()
+            D = chain.filt_bound(t_i)
+            j = next(j for j in range(chain.N) if D[a][j] + D[j][b] <= v)
+            pair = (Mat.monomial_entry(F, chain.N, a, j, D[a][j], F.residue.one)
+                    @ Mat.monomial_entry(F, chain.N, j, b, v - D[a][j], coeff))
+            assert eval_psi_c(R, pair) != 0, (vA, t_i)
+    assert chunks >= strata

@@ -117,17 +117,18 @@ def test_v_A_uniform_chain():
 
 
 def test_v_A_direct_raises_when_the_answer_hangs_on_unknown_digits():
+    """A matrix with a zero to precision among its entries is refused when
+    it is built, whether or not the unknown digits could move v_A; its
+    exact completion, and the zero matrix, get v_A's answers."""
     F = base_field(3)
     t, z = mono(F, 1), TameElement(F, {}, INF)
     ch = uniform_chain(2, 1)
-    # an unknown t^0 digit at (0, 1) could make the answer 0
-    with pytest.raises(PrecisionError):
-        v_A_direct(Mat(F, [[t, TameElement(F, {}, 0)], [z, t]]), ch)
-    # known to t^1, that entry cannot lower the answer
-    assert v_A_direct(Mat(F, [[t, TameElement(F, {}, 1)], [z, t]]), ch) == 1
+    for rows in ([[t, TameElement(F, {}, 0)], [z, t]],
+                 [[t, TameElement(F, {}, 1)], [z, t]],
+                 [[TameElement(F, {}, 3), z], [z, z]]):
+        with pytest.raises(PrecisionError):
+            Mat(F, rows)
     assert v_A_direct(Mat(F, [[t, z], [z, t]]), ch) == 1
-    with pytest.raises(PrecisionError):
-        v_A_direct(Mat(F, [[TameElement(F, {}, 3), z], [z, z]]), ch)
     with pytest.raises(DomainError) as err:
         v_A_direct(Mat.zero(F, 2), ch)
     assert err.value.clause == "v_A_of_zero"
@@ -136,13 +137,10 @@ def test_v_A_direct_raises_when_the_answer_hangs_on_unknown_digits():
 def _scan_v_A(x, chain):
     """v_A by scanning n: the largest n with every entry that has digits in
     the n-th radical power (entry (i, k) of valuation w is in it when
-    w >= filt_bound(n)[i][k]), then the same zero-to-precision checks."""
-    cells = [(i, k, a) for i, row in enumerate(x.rows) for k, a in enumerate(row)]
-    known = [(i, k, a.val()) for i, k, a in cells if a.digits]
-    lost = [(i, k, a.prec) for i, k, a in cells if not a.digits and a.prec is not INF]
+    w >= filt_bound(n)[i][k])."""
+    known = [(i, k, a.val()) for i, row in enumerate(x.rows)
+             for k, a in enumerate(row) if a.digits]
     if not known:
-        if lost:
-            raise PrecisionError("zero to precision")
         raise DomainError("zero matrix", clause="v_A_of_zero")
 
     def ok(n):
@@ -154,13 +152,22 @@ def _scan_v_A(x, chain):
         n -= 1
     while ok(n + 1):
         n += 1
-    D = chain.filt_bound(n)
-    if any(prec < D[i][k] for i, k, prec in lost):
-        raise PrecisionError("hangs on unknown digits")
     return n
 
 
+def _exact_mat(F, rows):
+    """Mat(F, rows) when every entry is exact; otherwise, after checking
+    that Mat refuses rows, the Mat of their exact completion."""
+    if _inexact(rows):
+        with pytest.raises(PrecisionError):
+            Mat(F, rows)
+        rows = [[_completed(a) for a in r] for r in rows]
+    return Mat(F, rows)
+
+
 def test_v_A_direct_matches_the_period_scan():
+    """Matrices with an inexact entry are refused; exact ones, and the
+    exact completions of the refused ones, get the scan's v_A."""
     import random
     rng = random.Random(20)
     F = base_field(3)
@@ -175,22 +182,24 @@ def test_v_A_direct_matches_the_period_scan():
         digits = {v: F.residue.gen_power(rng.randrange(2))}
         return TameElement(F, digits, INF if kind == 2 else v + rng.randrange(1, 4))
 
-    outcomes = set()
+    outcomes, refused = set(), 0
     for _ in range(1500):
         N, period = rng.randrange(1, 7), rng.randrange(1, 7)
         chain = ChainRealized(N, period, [rng.randrange(-period, 2 * period)
                                           for _ in range(N)])
-        x = Mat(F, [[entry() for _ in range(N)] for _ in range(N)])
+        rows = [[entry() for _ in range(N)] for _ in range(N)]
+        refused += _inexact(rows)
+        x = _exact_mat(F, rows)
         try:
             want = _scan_v_A(x, chain)
-        except (DomainError, PrecisionError) as exc:
-            with pytest.raises(type(exc)):
+        except DomainError:
+            with pytest.raises(DomainError):
                 v_A_direct(x, chain)
-            outcomes.add(type(exc))
+            outcomes.add(DomainError)
         else:
             assert v_A_direct(x, chain) == want
             outcomes.add(int)
-    assert outcomes == {int, DomainError, PrecisionError}
+    assert outcomes == {int, DomainError} and 0 < refused < 1500
 
 
 def test_filt_lattice_indices():
@@ -307,15 +316,15 @@ def test_eval_psi_c_additive(E_ram2):
 def _dense_psi(c, y):
     """eval_psi_c by the dense pairing: the t^0 digit of trace(c @ y)."""
     z = (c @ y).trace()
-    if z.prec is not INF and z.prec <= 0:
-        raise PrecisionError("t^0 digit of the trace is below precision")
     return absolute_trace(z.digits[0]) if 0 in z.digits else 0
 
 
 def test_eval_psi_c_matches_the_dense_pairing():
+    """Matrices with an inexact entry are refused; on exact ones, and the
+    exact completions of the refused ones, the pairing is the dense one."""
     import random
     rng = random.Random(16)
-    seen = {"raise": 0, "zero": 0, "nonzero": 0}
+    seen = {"refused": 0, "zero": 0, "nonzero": 0}
     for q in (3, 9):
         F = base_field(q)
         z = TameElement(F, {}, INF)
@@ -332,15 +341,11 @@ def test_eval_psi_c_matches_the_dense_pairing():
 
         for _ in range(300):
             N = rng.randrange(1, 4)
-            c, y = (Mat(F, [[entry() for _ in range(N)] for _ in range(N)])
-                    for _ in range(2))
-            try:
-                want = _dense_psi(c, y)
-            except PrecisionError:
-                with pytest.raises(PrecisionError):
-                    eval_psi_c(c, y)
-                seen["raise"] += 1
-                continue
+            rows = [[[entry() for _ in range(N)] for _ in range(N)]
+                    for _ in range(2)]
+            seen["refused"] += _inexact(rows[0] + rows[1])
+            c, y = (_exact_mat(F, r) for r in rows)
+            want = _dense_psi(c, y)
             assert eval_psi_c(c, y) == want
             seen["nonzero" if want else "zero"] += 1
     assert min(seen.values()) >= 80, seen
@@ -367,6 +372,12 @@ def test_size_mismatches_are_domain_errors():
         probes += [lambda A=A, B=B: A @ B, lambda A=A, B=B: A + B,
                    lambda A=A, B=B: A - B]
     one = F.one()
+    wide, tall, ragged = [[one, one]], [[one], [one]], [[one, one], [one]]
+    probes += [lambda: Mat(F, ragged),
+               lambda: v_A_direct(Mat(F, wide), uniform_chain(1, 1)),
+               lambda: eval_psi_c(Mat(F, tall), R2), lambda: R2 @ Mat(F, tall),
+               lambda: intersect_with_centralizer([Mat(F, wide)],
+                                                  uniform_chain(1, 1), 0, F)]
     L = MatrixLattice(F, 2, [{0: one}])
     for row in (-1, 2):                 # rows of F^2 are 0 and 1
         probes += [lambda row=row: L.contains_vector({row: one}),
@@ -428,8 +439,7 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
     E = extend(extend(base_field(3), 1, 2, 1), 3, 1, 1)
     F, chain = E.base(), chain_from_field(E)
     gens = [regular_rep(g) for g in (E.uniformizer(), E.residue_gen_elem())]
-    stored = 2 * sum(bool(x.digits) or x.prec is not INF for G in gens
-                     for row in G.rows for x in row)
+    stored = 2 * sum(bool(x.digits) for G in gens for row in G.rows for x in row)
     assert chain.N == 6 and stored > 0
     for n in range(2 * chain.period):
         values = len({d for row in chain.filt_bound(n) for d in row})
@@ -637,15 +647,17 @@ def _check_lattice(L, pivots, want):
     assert _least_prec(L.cols) >= _least_prec(sparse)
 
 
-def _inexact_reps(F):
-    """Pairs (regular_rep(x), regular_rep(pi)) over F for inexact x: the
-    entries of the first include zeros to precision (no digits, finite
-    prec)."""
+def _completed_reps(F):
+    """Pairs (regular_rep(x'), regular_rep(pi)) over F, x' the exact
+    completion of an inexact x, whose regular representation would hold
+    zeros to precision: each x is checked to be refused."""
     out = []
     for E in (extend(F, 1, 2, 1), extend(F, 2, 1, 1), extend(F, 1, 4, 1)):
         for prec in (2, 5):
             x = TameElement(E, {-1: E.residue.one, 0: E.residue.gen_power(1)}, prec)
-            out.append((regular_rep(x), regular_rep(E.uniformizer())))
+            with pytest.raises(PrecisionError):
+                regular_rep(x)
+            out.append((regular_rep(_completed(x)), regular_rep(E.uniformizer())))
     return out
 
 
@@ -657,10 +669,8 @@ def _inexact(vecs):
 
 
 def _completed(x):
-    """The exact completion of an entry, or of a matrix entry by entry:
-    its known digits, with every unknown digit taken to be 0."""
-    if isinstance(x, Mat):
-        return Mat(x.base, [[_completed(a) for a in r] for r in x.rows])
+    """The exact completion of an entry: its known digits, with every
+    unknown digit taken to be 0."""
     return x if x.prec is INF else TameElement(x.owner, x.digits, INF)
 
 
@@ -672,7 +682,7 @@ def test_sparse_hermite_form_matches_dense_loops():
     F = base_field(3)
     z, lost = TameElement(F, {}, INF), TameElement(F, {}, 5)
     rng = random.Random(11)
-    cases = [R.rows for R, _ in _inexact_reps(F)]
+    cases = [R.rows for R, _ in _completed_reps(F)]
     for _ in range(40):
         dim = rng.randrange(2, 5)
         cases.append([[rng.choice([z, z, lost, mono(F, rng.randrange(-1, 3), 1),
@@ -694,7 +704,7 @@ def test_sparse_hermite_form_matches_dense_loops():
 def test_sparse_product_matches_dense_loops():
     F = base_field(3)
     z = TameElement(F, {}, INF)
-    for R, P in _inexact_reps(F):
+    for R, P in _completed_reps(F):
         for A, B in ((R, P), (P, R), (R, R)):
             want = [[sum((A.rows[i][j] * B.rows[j][k] for j in range(A.n)), z)
                      for k in range(A.n)] for i in range(A.n)]
@@ -838,19 +848,16 @@ def test_centralizer_of_random_exact_generators_matches_dense_loops():
 
 
 def test_centralizer_of_inexact_generators_raises():
-    """Generators with inexact entries, zeros to precision among them, are
-    refused; their exact completions, with multi-digit entries, give the
-    dense loops' lattice."""
+    """Inexact field elements are refused by regular_rep; the regular
+    representations of their exact completions, with multi-digit entries,
+    give the dense loops' lattice."""
     F = base_field(3)
-    for R, P in _inexact_reps(F):
+    for R, P in _completed_reps(F):
         for gens in ([R], [R, P]):
-            exact = [_completed(G) for G in gens]
-            basis = _dense_commutant(exact, R.n, F)
+            basis = _dense_commutant(gens, R.n, F)
             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
                 for n in range(-1, chain.period + 1):
-                    with pytest.raises(PrecisionError):
-                        intersect_with_centralizer(gens, chain, n, F)
-                    L = intersect_with_centralizer(exact, chain, n, F)
+                    L = intersect_with_centralizer(gens, chain, n, F)
                     _check_lattice(L, *_dense_centralizer(basis, chain, n, F))
 
 
@@ -890,13 +897,14 @@ def _dense_kernel(gens, chain, n, base):
 
 def test_sparse_kernel_pass_matches_dense_loops():
     """Generators with an inexact entry, a zero to precision or not, are
-    refused; exact generators, and the exact completions of the refused
-    ones, give the lattice of the dense kernel pass."""
+    refused when they are built; exact generators, and the exact
+    completions of the refused ones, give the lattice of the dense kernel
+    pass."""
     import random
     F = base_field(3)
     z, one = TameElement(F, {}, INF), F.residue.one
     rng = random.Random(16)
-    cases = [(gens, chain, n) for R, P in _inexact_reps(F)
+    cases = [([G.rows for G in gens], chain, n) for R, P in _completed_reps(F)
              for gens in ([R], [R, P])
              for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n))
              for n in range(-1, chain.period + 1)]
@@ -906,16 +914,13 @@ def test_sparse_kernel_pass_matches_dense_loops():
         entries = [z, z, TameElement(F, {}, rng.randrange(0, 4)),
                    mono(F, rng.randrange(-1, 2), 1),
                    TameElement(F, {0: one, 1: one}, rng.choice((3, 5)))]
-        gens = [Mat(F, [[rng.choice(entries) for _ in range(N)]
-                        for _ in range(N)]) for _ in range(rng.randrange(1, 3))]
+        gens = [[[rng.choice(entries) for _ in range(N)] for _ in range(N)]
+                for _ in range(rng.randrange(1, 3))]
         cases.append((gens, chain, rng.randrange(-1, chain.period + 1)))
     refused = 0
     for gens, chain, n in cases:
-        if _inexact(r for G in gens for r in G.rows):
-            with pytest.raises(PrecisionError):
-                intersect_with_centralizer(gens, chain, n, F)
-            refused += 1
-            gens = [_completed(G) for G in gens]
+        refused += _inexact(r for G in gens for r in G)
+        gens = [_exact_mat(F, G) for G in gens]
         L = intersect_with_centralizer(gens, chain, n, F)
         _check_lattice(L, *_dense_kernel(gens, chain, n, F))
     assert 0 < refused < len(cases)
@@ -924,14 +929,15 @@ def test_sparse_kernel_pass_matches_dense_loops():
 # -- shifts: products by monic powers of t -----------------------------------
 
 def test_t_shift_is_the_monomial_product():
+    """On the exact nonzero entries it is given: the oracle's matrices and
+    lattices hold no inexact entry, and the kernel pass shifts only
+    entries with digits."""
     from strata_kit.oracle import _t_shift
     for q in (3, 5, 9):
         F = base_field(q)
         one, g = F.residue.one, F.residue.gen_power(1)
-        for x in (TameElement(F, {-1: one, 0: g, 2: one}, INF),    # exact
-                  TameElement(F, {-2: g, 1: one}, 4),               # inexact
-                  TameElement(F, {}, 3), TameElement(F, {}, -1),   # zero to prec
-                  TameElement(F, {}, INF)):                         # exact zero
+        for x in (TameElement(F, {-1: one, 0: g, 2: one}, INF),
+                  TameElement(F, {-2: g, 1: one}, INF), F.one()):
             for k in range(-3, 4):
                 got, want = _t_shift(x, k), x * F.monomial(k, one)
                 assert _entries([[got]]) == _entries([[want]])
@@ -1116,18 +1122,16 @@ def test_one_pass_centralizer_matches_the_two_pass_kernel_on_the_bench_menu():
 
 
 def test_one_pass_centralizer_matches_the_two_pass_kernel_on_inexact_generators():
-    """Inexact generators are refused; their exact completions, with
-    multi-digit entries, give the two-pass kernel's basis."""
+    """Inexact field elements are refused by regular_rep; the regular
+    representations of their exact completions, with multi-digit entries,
+    give the two-pass kernel's basis."""
     F = base_field(3)
-    for R, P in _inexact_reps(F):
+    for R, P in _completed_reps(F):
         for gens in ([R], [R, P]):
-            exact = [_completed(G) for G in gens]
             for chain in (uniform_chain(R.n, 1), uniform_chain(R.n, R.n)):
                 for n in range(-1, chain.period + 1):
-                    with pytest.raises(PrecisionError):
-                        intersect_with_centralizer(gens, chain, n, F)
-                    _same_basis(intersect_with_centralizer(exact, chain, n, F),
-                                _two_pass_centralizer(exact, chain, n, F))
+                    _same_basis(intersect_with_centralizer(gens, chain, n, F),
+                                _two_pass_centralizer(gens, chain, n, F))
 
 
 def test_filt_lattice_is_the_echelon_basis_of_its_monomials():
@@ -1200,32 +1204,40 @@ def test_a_decision_on_unknown_digits_raises(probe):
 
 
 def test_the_refusal_names_the_site_the_row_and_the_precision():
-    """The constructor, ``contains_vector`` and ``intersect_with_centralizer``
-    refuse an inexact entry in row 2; a generator's rows are its entries in
-    row-major order."""
+    """The lattice constructor, ``contains_vector`` and ``same_as`` refuse
+    an inexact entry in row 2, ``Mat`` one at (1, 0), and ``regular_rep``
+    an inexact argument; ``same_as`` meets one only in columns changed
+    after the lattice was built."""
     F = base_field(3)
     one, z = F.one(), TameElement(F, {}, INF)
     lost = TameElement(F, {0: F.residue.one}, 4)
-    probes = [lambda: MatrixLattice(F, 3, [{0: one}, {2: lost}]),
-              lambda: MatrixLattice(F, 3, [{0: one}]).contains_vector({2: lost}),
-              lambda: intersect_with_centralizer([Mat(F, [[one, z], [lost, z]])],
-                                                 uniform_chain(2, 1), 0, F)]
-    for probe in probes:
+    changed = MatrixLattice(F, 3, [{0: one}])
+    changed.cols[0][2] = lost
+    row = "oracle: the lattice entry in row 2 is known only to O(t^4)"
+    probes = [(lambda: MatrixLattice(F, 3, [{0: one}, {2: lost}]), row),
+              (lambda: MatrixLattice(F, 3, [{0: one}]).contains_vector({2: lost}),
+               row),
+              (lambda: changed.same_as(MatrixLattice(F, 3, [{0: one}])), row),
+              (lambda: Mat(F, [[one, z], [lost, z]]),
+               "oracle: Mat entry (1, 0) is known only to O(t^4)"),
+              (lambda: regular_rep(lost),
+               "oracle: the argument of regular_rep is known only to O(t^4)")]
+    for probe, message in probes:
         with pytest.raises(PrecisionError) as err:
             probe()
-        assert str(err.value) == "oracle: row 2 holds an entry known only to O(t^4)"
+        assert str(err.value) == message
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_lattices_raise_exactly_on_inexact_entries(data):
-    """Every lattice entry point (the constructor, ``contains_vector`` and
-    ``intersect_with_centralizer``; ``same_as`` only meets lattices already
-    built) raises ``PrecisionError`` exactly when an entry it is given is
-    inexact, a zero to precision or not, over GF(3); on exact draws the
-    pivots and ``contains_vector`` answers are the dense reference's.  A
-    vector lies in L exactly when adding it leaves L's pivots, hence its
-    index, unchanged."""
+    """The lattice constructor, ``contains_vector`` and ``Mat``, which builds
+    the generators of ``intersect_with_centralizer``, raise
+    ``PrecisionError`` exactly when an entry they are given is inexact, a
+    zero to precision or not, over GF(3); on exact draws, and on the exact
+    completions of refused generators, the pivots and ``contains_vector``
+    answers are the dense reference's.  A vector lies in L exactly when
+    adding it leaves L's pivots, hence its index, unchanged."""
     F = base_field(3)
     entry = st.sampled_from(_pool(F))
     dim = data.draw(st.integers(1, 3))
@@ -1233,7 +1245,7 @@ def test_lattices_raise_exactly_on_inexact_entries(data):
     cols = data.draw(st.lists(column, min_size=1, max_size=3))
     vec = data.draw(column)
     N = data.draw(st.integers(1, 2))
-    gens = [Mat(F, [[data.draw(entry) for _ in range(N)] for _ in range(N)])
+    gens = [[[data.draw(entry) for _ in range(N)] for _ in range(N)]
             for _ in range(data.draw(st.integers(1, 2)))]
     chain = uniform_chain(N, data.draw(st.sampled_from((1, N))))
     n = data.draw(st.integers(-1, chain.period))
@@ -1254,21 +1266,15 @@ def test_lattices_raise_exactly_on_inexact_entries(data):
         else:
             grown = _dense_hermite(F, dim, [dense(c) for c in cols + [vec]])[0]
             assert L.contains_vector(vec) == (grown == pivots)
-    if _inexact(r for G in gens for r in G.rows):
-        with pytest.raises(PrecisionError):
-            intersect_with_centralizer(gens, chain, n, F)
-    else:
-        L = intersect_with_centralizer(gens, chain, n, F)
-        assert L.pivots == _dense_kernel(gens, chain, n, F)[0]
+    gens = [_exact_mat(F, G) for G in gens]
+    L = intersect_with_centralizer(gens, chain, n, F)
+    assert L.pivots == _dense_kernel(gens, chain, n, F)[0]
 
 
 def test_lattice_code_reads_precision_only_at_the_boundary():
-    """In oracle.py, ``.prec`` is read by ``_stored``, the lattice code's one
-    boundary check, by ``_t_shift`` and by the matrix code and closed forms
-    that take inexact entries, and by nothing else: the lattice code
-    (``_clear``, ``_echelon``, ``MatrixLattice``,
-    ``intersect_with_centralizer``) reads none, so no rule for inexact
-    entries can grow back in it."""
+    """In oracle.py, ``.prec`` is read and ``PrecisionError`` named only by
+    ``_exact``, the oracle's one check on precision, so no rule for inexact
+    entries can grow back in the matrix or lattice code."""
     import ast
     import pathlib
 
@@ -1279,11 +1285,10 @@ def test_lattice_code_reads_precision_only_at_the_boundary():
     readers = {name for name, node in defs.items()
                if any(isinstance(a, ast.Attribute) and a.attr == "prec"
                       for a in ast.walk(node))}
-    lattice = {"_clear", "_echelon", "MatrixLattice", "intersect_with_centralizer"}
-    assert lattice <= set(defs) and not readers & lattice
-    assert "_stored" in readers
-    assert readers <= {"_stored", "_t_shift", "Mat", "regular_rep", "v_A_direct",
-                       "eval_psi_c"}
+    raisers = {name for name, node in defs.items()
+               if any(isinstance(a, ast.Name) and a.id == "PrecisionError"
+                      for a in ast.walk(node))}
+    assert readers == raisers == {"_exact"}
 
 
 def test_the_exact_completion_keeps_its_pivots():
