@@ -10,17 +10,20 @@ and c the chain profile).  The symbolic layer is tested against these answers.
 
 Scope: split ambient algebras M_N(F) with N small (<= 6).
 
-The oracle takes exact entries only.  ``_exact`` is its one check on
-precision: it raises ``PrecisionError``, naming the site, the position and
-the precision, on an entry with a finite ``prec``, whose unknown digits
-could change an answer.  It guards the argument of ``regular_rep``, every
-entry of a ``Mat``, whose rows are tuples so a matrix stays exact once
-built, and every entry of a lattice column, which ``_stored`` copies
-without its exact zeros.  So every matrix entry is exact, every stored
-lattice entry is exact and nonzero, a row operation runs over the stored
-entries of the pivot column, and an entry that cancels is dropped at once.
-Matrix products skip exact zeros over dense rows; elements are immutable,
-so a dense matrix may share one exact zero.
+The oracle takes exact entries of its base field only.  ``_exact`` is its
+one check on entries: it raises ``PrecisionError``, naming the site, the
+position and the precision, on an entry with a finite ``prec``, whose
+unknown digits could change an answer, and ``DomainError``
+(``owner_mismatch``) on an element of another field, whose digits would be
+read as powers of the wrong uniformizer.  It guards the argument of
+``regular_rep``, every entry of a ``Mat``, whose rows are tuples so a
+matrix stays exact once built, and every entry of a lattice column, which
+``_stored`` copies without its exact zeros; ``intersect_with_centralizer``
+refuses a generator over another base.  So every matrix entry is exact,
+every stored lattice entry is exact and nonzero, a row operation runs over
+the stored entries of the pivot column, and an entry that cancels is
+dropped at once.  Matrix products skip exact zeros over dense rows;
+elements are immutable, so a dense matrix may share one exact zero.
 
 Row operations shift by powers of t instead of multiplying by them:
 ``_t_shift(x, k)`` moves the digits of an exact nonzero x from v to v + k,
@@ -35,11 +38,13 @@ the ``MatrixLattice`` constructor makes one, ``filt_lattice`` none (its
 monomial columns are already an echelon basis), and a centralizer lattice
 one, over the bracket rows and then the rows that carry the kernel.
 ``contains_vector`` and ``same_as`` make one pass over copies of the
-basis, so a lattice's columns never change.  Each pivot t^v * u is the
-entry of least valuation v in its row, and a column c with entry e in
-that row becomes u * c - t^-v * e * pivot column.  u is a unit of o_F and
-t^-v * e lies in o_F, so every column operation is unimodular and no
-inverse is taken: entries stay exact Laurent polynomials.  A
+basis, so a lattice's columns never change.  The pass files each column
+under its least stored row and takes a row's columns from that bucket,
+so it scans no row of a column that does not store it.  Each pivot
+t^v * u is the entry of least valuation v in its row, and a column c with
+entry e in that row becomes u * c - t^-v * e * pivot column.  u is a unit
+of o_F and t^-v * e lies in o_F, so every column operation is unimodular
+and no inverse is taken: entries stay exact Laurent polynomials.  A
 centralizer lattice C ∩ P^n is the kernel over o_F of the bracket map
 X -> ([X, G])_G on the radical power P^n; it comes out saturated, with no
 separate saturation step.
@@ -68,11 +73,15 @@ def _zero_rows(base: TameField, n: int):
     return [[zero] * n for _ in range(n)]
 
 
-def _exact(x: TameElement, where: str, *at) -> TameElement:
-    """x, which must be exact: the oracle's one check on precision.  An
-    entry with a finite ``prec`` raises ``PrecisionError`` naming the site
-    and position, ``where`` formatted with ``at``, and the precision; the
-    message is built only then."""
+def _exact(x: TameElement, owner: TameField, where: str, *at) -> TameElement:
+    """x, which must be an exact element of ``owner``: the oracle's one
+    check on its entries.  An element of another field raises
+    ``DomainError`` (``owner_mismatch``), and one with a finite ``prec``
+    ``PrecisionError``; each names the site and position, ``where``
+    formatted with ``at``, and the message is built only then."""
+    if x.owner is not owner:
+        raise DomainError(f"oracle: {where.format(*at)} lies in {x.owner!r}, "
+                          f"not in {owner!r}", clause="owner_mismatch")
     if x.prec is not INF:
         raise PrecisionError(f"oracle: {where.format(*at)} is known only "
                              f"to O(t^{x.prec})")
@@ -88,16 +97,17 @@ def _check_size(n: int, m: int):
 
 class Mat:
     """A dense square matrix over the base Laurent-series field, with exact
-    entries: the constructor refuses an inexact entry (``PrecisionError``)
-    and a ragged or non-square list of rows (``shape_mismatch``), and keeps
-    the rows as tuples, so the matrix cannot change once built."""
+    entries: the constructor refuses an inexact entry (``PrecisionError``),
+    an element of another field (``owner_mismatch``) and a ragged or
+    non-square list of rows (``shape_mismatch``), and keeps the rows as
+    tuples, so the matrix cannot change once built."""
 
     __slots__ = ("base", "n", "rows")
 
     def __init__(self, base: TameField, rows):
         self.base = base
-        rows = [[_exact(a, "Mat entry ({}, {})", i, k) for k, a in enumerate(r)]
-                for i, r in enumerate(rows)]
+        rows = [[_exact(a, base, "Mat entry ({}, {})", i, k)
+                 for k, a in enumerate(r)] for i, r in enumerate(rows)]
         self.rows = tuple(map(tuple, rows))
         self.n = len(self.rows)
         for r in self.rows:
@@ -177,8 +187,8 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     vector space, in the basis {g^a pi^b} ordered pi-power-major; with
     ``copies`` > 1, the block-diagonal sum of that many copies.  x must be
     exact."""
-    _exact(x, "the argument of regular_rep")
     E = x.owner
+    _exact(x, E, "the argument of regular_rep")
     base = E.base()
     if E.degree * copies > ORACLE_N_CAP:
         raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}",
@@ -305,39 +315,53 @@ def _echelon(cols, scanned):
     """One fraction-free column-echelon pass over rows 0 .. scanned - 1, in
     order, of the sparse columns ``cols``: the oracle's only elimination.
 
-    Each row's pivot is a stored entry of least valuation v, the first
-    such column on a tie; this is the one place where the oracle chooses a
-    pivot.  The pivot column leaves ``cols``, which keep their order, and
-    clears the row from the other columns that store an entry there by
-    :func:`_clear`.  Since v is least, every quotient lies in o_F.  Returns
-    the pivot columns with their (row, exponent) pairs; the columns left in
-    ``cols`` store no entry in the scanned rows."""
-    pivots = []
+    Each column is filed once under its least stored row.  Rows above r
+    are already cleared when the pass reaches r, so the columns filed
+    under r are exactly those that store an entry there, and no row or
+    column is scanned to find them.  The pivot is the entry of least
+    valuation v among them, the first column in the input order on a tie;
+    this is the one place where the oracle chooses a pivot.  It clears the
+    row from the other columns of the bucket by :func:`_clear`, and each
+    column left nonempty is filed again under its new least row, which
+    lies below r.  Since v is least, every quotient lies in o_F.  Returns
+    the pivot columns with their (row, exponent) pairs; the pivot columns
+    leave ``cols``, and the columns left there keep their order and store
+    no entry in the scanned rows."""
+    at = {}                                 # least stored row -> positions
+    for j, c in enumerate(cols):
+        if c:
+            at.setdefault(min(c), []).append(j)
+    pivots, taken = [], set()
     for r in range(scanned):
-        live = [(e.val(), j, c) for j, c in enumerate(cols)
-                if (e := c.get(r)) is not None]
-        if not live:
+        bucket = at.pop(r, None)
+        if bucket is None:
             continue
-        v, j, col = min(live)
-        del cols[j]
+        v, j = min((cols[j][r].val(), j) for j in bucket)
+        col = cols[j]
+        taken.add(j)
         unit = _t_shift(col[r], -v)
-        for _, _, c2 in live:
-            if c2 is not col:
+        for j2 in bucket:
+            if j2 != j:
+                c2 = cols[j2]
                 _clear(c2, col, unit, _t_shift(c2[r], -v))
+                if c2:
+                    at.setdefault(min(c2), []).append(j2)
         pivots.append(((r, v), col))
+    cols[:] = [c for j, c in enumerate(cols) if j not in taken]
     return pivots
 
 
-def _stored(vec, dim):
+def _stored(vec, dim, base):
     """A copy of the sparse column vec without its exact zeros: the lattice
     code's boundary.  A row outside 0 .. dim - 1 raises ``shape_mismatch``,
-    and an inexact entry ``PrecisionError`` by :func:`_exact`."""
+    and an entry that is not an exact element of base raises by
+    :func:`_exact`."""
     out = {}
     for u, x in vec.items():
         if not 0 <= u < dim:
             raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
                               clause="shape_mismatch")
-        if _exact(x, "the lattice entry in row {}", u).digits:
+        if _exact(x, base, "the lattice entry in row {}", u).digits:
             out[u] = x
     return out
 
@@ -351,18 +375,19 @@ class MatrixLattice:
     invariants of the lattice, the entries are not.
 
     The constructor runs one :func:`_echelon` pass over copies of its
-    columns made by :func:`_stored`, which refuses inexact entries.
-    Columns are sparse ``{row: entry}`` dicts in and out.  ``filt_lattice``
-    and ``intersect_with_centralizer``, which already hold an echelon
-    basis, store it as it is.  Membership and equality are one more pass
-    over copies, so ``cols`` is never changed."""
+    columns made by :func:`_stored`, which refuses inexact entries and
+    elements of another field.  Columns are sparse ``{row: entry}`` dicts
+    in and out.  ``filt_lattice`` and ``intersect_with_centralizer``,
+    which already hold an echelon basis, store it as it is.  Membership and
+    equality are one more pass over copies, so ``cols`` is never
+    changed."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
 
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        basis = _echelon([_stored(c, dim) for c in cols], dim)
+        basis = _echelon([_stored(c, dim, base) for c in cols], dim)
         self.pivots = [p for p, _ in basis]
         self.cols = [c for _, c in basis]
 
@@ -384,18 +409,28 @@ class MatrixLattice:
         """Whether the sparse vector vec lies in the lattice: one
         :func:`_echelon` pass over copies of the basis followed by vec finds
         no pivot but the basis's own."""
-        cols = [dict(c) for c in self.cols] + [_stored(vec, self.dim)]
+        cols = [dict(c) for c in self.cols] + [_stored(vec, self.dim, self.base)]
         return [p for p, _ in _echelon(cols, self.dim)] == self.pivots
 
     def same_as(self, other: "MatrixLattice") -> bool:
         """Equality: with equal pivots the index (other : self) is 1, so
         self inside other is enough: one pass over copies of other's basis
-        followed by self's finds no pivot but other's."""
+        followed by self's finds no pivot but other's.  Lattices over
+        different bases raise ``owner_mismatch``."""
+        _same_base(self, other)
         if self.pivots != other.pivots:
             return False
         cols = ([dict(c) for c in other.cols]
-                + [_stored(c, other.dim) for c in self.cols])
+                + [_stored(c, other.dim, other.base) for c in self.cols])
         return [p for p, _ in _echelon(cols, other.dim)] == other.pivots
+
+
+def _same_base(L1: MatrixLattice, L2: MatrixLattice):
+    """Refuse two lattices over different bases, whose pivot exponents are
+    powers of different uniformizers."""
+    if L1.base is not L2.base:
+        raise DomainError(f"oracle: a lattice over {L1.base!r} meets one over "
+                          f"{L2.base!r}", clause="owner_mismatch")
 
 
 def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice:
@@ -410,7 +445,9 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
     """q-exponent of the index (L1 : L2) for lattices spanning the same
-    space, as the difference of pivot exponent sums."""
+    space, as the difference of pivot exponent sums.  Lattices over
+    different bases raise ``owner_mismatch``."""
+    _same_base(L1, L2)
     if [r for r, _ in L1.pivots] != [r for r, _ in L2.pivots]:
         raise DomainError("lattices span different spaces: index undefined",
                           clause="index_undefined")
@@ -428,14 +465,15 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
 
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
-    o_F-basis of the graph of the bracket map.  The generators are ``Mat``s,
-    so their entries are exact, and each column is a sparse dict
-    {row: entry} of the nonzero entries: a bracket entry that cancels, such
-    as t^d g - t^d g on the diagonal, is not stored.  One :func:`_echelon`
-    pass over all rows clears each bracket row from all columns but its
-    pivot column, and drops it.  Each step is unimodular, and a kernel
-    element has no part along a dropped column, so the remaining columns'
-    lower parts span the kernel over o_F, saturated.  They store nothing in
+    o_F-basis of the graph of the bracket map.  The generators are ``Mat``s
+    over ``base``, so their entries are exact elements of it, and each
+    column is a sparse dict {row: entry} of the nonzero entries: a bracket
+    entry that cancels, such as t^d g - t^d g on the diagonal, is not
+    stored.  One :func:`_echelon` pass over all rows clears each bracket
+    row from all columns but its pivot column, and drops it.  Each step is
+    unimodular, and a kernel element has no part along a dropped column,
+    so the remaining columns' lower parts span the kernel over o_F,
+    saturated.  They store nothing in
     the bracket rows, so the same pass goes on over the lower rows as an
     echelon pass over those lower parts: its pivots there, with their lower
     parts, are the kernel's echelon basis."""
@@ -443,6 +481,9 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     dim = N * N
     for G in gens:
         _check_size(G.n, N)
+        if G.base is not base:
+            raise DomainError(f"oracle: a generator over {G.base!r} meets the "
+                              f"base {base!r}", clause="owner_mismatch")
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
     one = base.residue.one

@@ -182,7 +182,9 @@ class TameElement:
     ``+``, ``-``, unary ``-`` and ``*`` (and the oracle's shift by a power
     of t) build their result digits already filtered and construct the
     result through :meth:`_unchecked`, which skips that second scan.
-    Elements are immutable, so results may share digit objects.
+    The product of two exact elements is exact, and ``*`` takes no
+    precision arithmetic for it.  Elements are immutable, so results may
+    share digit objects.
     """
 
     __slots__ = ("owner", "digits", "prec")
@@ -257,10 +259,13 @@ class TameElement:
 
     def __mul__(self, other):
         self._check(other)
-        prec = min(self.prec + other._val_lower_bound(),
-                   other.prec + self._val_lower_bound())
-        if prec == INF:
+        if self.prec is INF and other.prec is INF:
             prec = INF
+        else:
+            prec = min(self.prec + other._val_lower_bound(),
+                       other.prec + self._val_lower_bound())
+            if prec == INF:
+                prec = INF
         sd, od = self.digits, other.digits
         digits = {}
         for v, a in sd.items():

@@ -2,6 +2,8 @@
 centralizer lattices as kernels of the bracket map, and the trace-pairing
 character."""
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -386,6 +388,38 @@ def test_size_mismatches_are_domain_errors():
         with pytest.raises(DomainError) as err:
             probe()
         assert err.value.clause == "shape_mismatch"
+
+
+def test_entries_of_another_field_are_refused():
+    """An element of an extension of the base is refused with clause
+    ``owner_mismatch``: as a lattice entry (the constructor read pi_E's
+    digit as a t-exponent, pivots [(0, 1), (1, 0)]), as a vector or as the
+    columns of another lattice, as a ``Mat`` entry (``v_A_direct`` of
+    diag(pi_E, 1) read 0), and as a generator of
+    ``intersect_with_centralizer`` over another base, which returned
+    pivots.  ``same_as`` and ``lattice_index`` refuse two lattices over
+    different bases also when their pivots differ: the index read 1."""
+    F = base_field(3)
+    E = extend(F, 1, 2, 1)              # pi^2 = t
+    pi, zF, zE = E.uniformizer(), TameElement(F, {}, INF), TameElement(E, {}, INF)
+    L = MatrixLattice(F, 2, [{0: F.one()}])
+    L_E = MatrixLattice(E, 2, [{0: pi}])
+    over_E = Mat(E, [[E.one(), zE], [zE, E.one()]])
+    probes = [lambda: MatrixLattice(F, 2, [{0: pi}, {1: F.one()}]),
+              lambda: L.contains_vector({0: E.one()}),
+              lambda: MatrixLattice(E, 2, [{0: E.one()}]).same_as(L),
+              lambda: L_E.same_as(L),
+              lambda: L.same_as(L_E),
+              lambda: lattice_index(L, L_E),
+              lambda: v_A_direct(Mat(F, [[pi, zF], [zF, F.one()]]),
+                                 uniform_chain(2, 1)),
+              lambda: Mat(F, over_E.rows),
+              lambda: intersect_with_centralizer([over_E], uniform_chain(2, 1),
+                                                 0, F)]
+    for probe in probes:
+        with pytest.raises(DomainError) as err:
+            probe()
+        assert err.value.clause == "owner_mismatch"
 
 
 def test_one_echelon_pass_per_lattice(monkeypatch):
@@ -1146,6 +1180,98 @@ def test_filt_lattice_is_the_echelon_basis_of_its_monomials():
             monomials = [{i * N + k: F.monomial(D[i][k], F.residue.one)}
                          for i in range(N) for k in range(N)]
             _same_basis(filt_lattice(chain, n, F), MatrixLattice(F, N * N, monomials))
+
+
+def _row_scan_echelon(cols, scanned):
+    """The earlier ``_echelon``: at each row, scan every remaining column for
+    a stored entry, take the least (valuation, position) as the pivot,
+    remove it with ``del``, which keeps the order, and clear the row from
+    the other live columns."""
+    from strata_kit.oracle import _clear, _t_shift
+    pivots = []
+    for r in range(scanned):
+        live = [(e.val(), j, c) for j, c in enumerate(cols)
+                if (e := c.get(r)) is not None]
+        if not live:
+            continue
+        v, j, col = min(live)
+        del cols[j]
+        unit = _t_shift(col[r], -v)
+        for _, _, c2 in live:
+            if c2 is not col:
+                _clear(c2, col, unit, _t_shift(c2[r], -v))
+        pivots.append(((r, v), col))
+    return pivots
+
+
+def _column_digits(cols):
+    return [sorted((u, sorted((v, a.log) for v, a in x.digits.items()))
+                   for u, x in c.items()) for c in cols]
+
+
+@contextlib.contextmanager
+def _against_the_row_scan():
+    """Within the block, every ``oracle._echelon`` call also runs the row
+    scan on copies of its columns, and checks that both passes give the
+    same pivots, the same entry digits in each pivot column and the same
+    columns left in ``cols``, in order; yields the list of the calls'
+    ``scanned`` arguments."""
+    from strata_kit import oracle
+    echelon, compared = oracle._echelon, []
+
+    def both(cols, scanned):
+        left = [dict(c) for c in cols]
+        want = _row_scan_echelon(left, scanned)
+        got = echelon(cols, scanned)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert _column_digits(c for _, c in got) == _column_digits(c for _, c in want)
+        assert _column_digits(cols) == _column_digits(left)
+        compared.append(scanned)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_echelon", both)
+        yield compared
+
+
+def test_bucketed_pass_matches_the_row_scan_on_the_bench_menu():
+    """Every pass made while building the 170 menu lattices: one per
+    centralizer lattice, none per radical power."""
+    with _against_the_row_scan() as compared:
+        for q, levels, copies in BENCH_MENU:
+            E = _menu_tower(q, levels)
+            F, chain = E.base(), chain_from_field(E, copies)
+            gens = [regular_rep(g, copies)
+                    for g in (E.uniformizer(), E.residue_gen_elem())]
+            for n in range(2 * chain.period + 1):
+                filt_lattice(chain, n, F)
+                intersect_with_centralizer(gens, chain, n, F)
+    assert len(compared) == 85
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_bucketed_pass_matches_the_row_scan_on_sparse_columns(data):
+    """Sparse exact columns over GF(3), empty ones among them, whose entries
+    are mostly of valuation 0 or 1, so that a row often holds several
+    entries of its least valuation: the constructor's pass, a membership
+    pass and a pass over only the first rows, which leaves columns with
+    entries in the rows below."""
+    from strata_kit import oracle
+    F = base_field(3)
+    one, g = F.residue.one, F.residue.gen_power(1)
+    entry = st.sampled_from([F.one(), F.monomial(0, g), F.monomial(1, one),
+                             F.monomial(1, g), F.monomial(-1, one),
+                             TameElement(F, {0: one, 1: g}, INF),
+                             TameElement(F, {1: g, 3: one}, INF)])
+    dim = data.draw(st.integers(1, 5))
+    column = st.dictionaries(st.integers(0, dim - 1), entry, max_size=dim)
+    cols = data.draw(st.lists(column, min_size=1, max_size=7))
+    with _against_the_row_scan() as compared:
+        L = MatrixLattice(F, dim, cols)
+        L.contains_vector(data.draw(column))
+        oracle._echelon([dict(c) for c in cols], data.draw(st.integers(0, dim)))
+    assert len(compared) == 3
 
 
 def test_elimination_is_one_routine():

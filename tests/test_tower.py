@@ -699,6 +699,34 @@ def test_operator_results_keep_the_element_invariant(E, data):
         assert not results["add"].digits
 
 
+@pytest.mark.parametrize("E", _OPERATOR_FIELDS[1:], ids=lambda E: repr(E))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_products_have_the_schoolbook_digits_and_precision(E, data):
+    """x * y over GF(3), GF(5) and the twisted GF(25)-digit tower, for
+    exact, inexact, zero-to-precision and exact-zero operands: the
+    schoolbook digits below min(x.prec + vlb(y), y.prec + vlb(x)), vlb
+    being the least digit valuation, or prec when there is none.  The
+    product is exact, ``prec is INF``, exactly when both operands are exact
+    or one is an exact zero, whose vlb is infinite."""
+    x, y = _operand(data, E), _operand(data, E)
+
+    def vlb(z):
+        return min(z.digits) if z.digits else z.prec
+
+    prec = min(x.prec + vlb(y), y.prec + vlb(x))
+    digits = {}
+    for v, a in x.digits.items():
+        for w, b in y.digits.items():
+            if v + w < prec:
+                digits[v + w] = digits[v + w] + a * b if v + w in digits else a * b
+    r = x * y
+    assert _state(r) == (sorted((v, a.log) for v, a in digits.items()
+                                if not a.is_zero()), prec)
+    exact_zero = any(z.prec is INF and not z.digits for z in (x, y))
+    assert (r.prec is INF) == ((x.prec is INF and y.prec is INF) or exact_zero)
+
+
 def test_unchecked_elements_are_built_only_by_the_operators():
     """``TameElement._unchecked`` keeps its digits and precision as given,
     so only code that builds them already filtered may name it: the four
