@@ -202,17 +202,13 @@ def cmd_groups(args):
 
 
 def cmd_indices(args):
-    from .strata import FiltDepth, GroupPresentation, index_card, presentation_secherre
+    from .strata import index_card, j1_presentation, presentation_secherre
     from .translate import factchar_indices
     st = ser.stratum_from_json(_read_doc(args), default_prec=args.prec)
     h1, j, _ = presentation_secherre(st)
-    j1 = GroupPresentation(
-        "J1", j.tower_degrees, j.e_A, j.N,
-        [(0, FiltDepth(j.normal_form[0][1].value, True))]
-        + [(l, d) for l, d in j.normal_form if l >= 1])
     tab = factchar_indices(st, t=args.t)
     out = {"schema": ser.SCHEMA,
-           "J1_H1_q_exponent": index_card(j1, h1),
+           "J1_H1_q_exponent": index_card(j1_presentation(j), h1),
            "factchar": [{"chunk": i, "v_A": vA, "t_i": ti}
                         for i, vA, ti in tab.rows]}
     _emit(out)

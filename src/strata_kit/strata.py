@@ -346,6 +346,12 @@ def presentation_secherre(stratum: StratumSkeleton):
             GroupPresentation("Jhat", degs, e_A, N, jhat))
 
 
+def j1_presentation(j: GroupPresentation) -> GroupPresentation:
+    """J^1 = J cap U^1: J with its level-0 unit window deepened from 0 to 0+."""
+    factors = [(0, FiltDepth(Fraction(0), True))] + [f for f in j.factors if f[0] >= 1]
+    return GroupPresentation("J1", j.tower_degrees, j.e_A, j.N, factors)
+
+
 def presentation_yu(yu):
     """The three concrete product presentations on the other side, from a
     datum skeleton (duck-typed: needs tower_degrees, depths, d, e_A, N)."""

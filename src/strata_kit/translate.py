@@ -48,14 +48,12 @@ class YuSkeleton:
             if not a < b:
                 raise DomainError("depths must be strictly increasing",
                                   clause="depths_not_increasing")
+        if self.trivial_top and self.d < 1:
+            raise DomainError("a trivial final step needs a step before it",
+                              clause="trivial_top_depth")
         if self.trivial_top and self.depths[-1] != self.depths[-2]:
             raise DomainError("a trivial final step must repeat the last depth",
                               clause="trivial_top_depth")
-
-
-def _jump_depths(stages, n: int, e_A: int) -> list:
-    """Datum depths of a defining sequence: the jumps r_{i+1}/e_A, then n/e_A."""
-    return [Fraction(st.r, e_A) for st in stages[1:]] + [Fraction(n, e_A)]
 
 
 def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
@@ -70,7 +68,8 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
     """
     fac = stratum.fac
     order = stratum.order
-    depths = _jump_depths(defining_sequence(stratum), stratum.n, order.e_A)
+    depths = [Fraction(st.r, order.e_A) for st in defining_sequence(stratum)[1:]]
+    depths.append(Fraction(stratum.n, order.e_A))
     degrees = tuple(K.degree for K in fac.levels)
     chunks = list(fac.chunks)
     trivial_top = len(degrees) > len(fac.fields)
@@ -113,34 +112,32 @@ def _check_presentations(stratum: StratumSkeleton, yu: YuSkeleton):
 
 
 def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
-    """Tower datum -> stratum: beta is the sum of the realizing chunks,
-    n = -v_order(beta), and the jump sequence is re-derived and checked
-    against the stated depths, as are the stated tower degrees, N = [E:F]
-    and depth-zero flag."""
+    """Tower datum -> stratum: beta is the sum of the realizing chunks and
+    n = -v_order(beta).  The stated depths, tower degrees, N = [E:F] and
+    depth-zero flag are checked, in that order, against the datum that
+    secherre_to_yu derives from the rebuilt stratum."""
     real = [c for c in yu.chunks if c is not None]
     if not real:
         raise DomainError("datum carries no realizing chunks", clause="no_chunks")
     E = real[0].owner
     # the standard order of E, at the datum's period e_A
     order = OrderSkeleton(m=E.degree, d=1, e_A=yu.e_A, pure_over=E)
-    beta = real[0]
-    for c in real[1:]:
-        beta = beta + c
-    st = make_stratum(order, beta, r=r)
-    derived = _jump_depths(defining_sequence(st), st.n, order.e_A)
+    st = make_stratum(order, sum(real[1:], real[0]), r=r)
+    derived = secherre_to_yu(st, check=False)
+    # the depths of the realizing steps, a trivial final step's repeat left out
     stated = yu.depths[:yu.d] if yu.trivial_top else list(yu.depths)
-    if derived != stated:
-        raise DomainError(f"stated depths {stated} disagree with derived {derived}",
+    steps = derived.depths[:len(st.fac.chunks)]
+    if stated != steps:
+        raise DomainError(f"stated depths {stated} disagree with derived {steps}",
                           clause="depth_mismatch")
-    degrees = tuple(K.degree for K in st.fac.levels)
-    if tuple(yu.tower_degrees) != degrees:
+    if tuple(yu.tower_degrees) != derived.tower_degrees:
         raise DomainError(f"stated tower degrees {list(yu.tower_degrees)} disagree "
-                          f"with derived {list(degrees)}",
+                          f"with derived {list(derived.tower_degrees)}",
                           clause="tower_degrees_mismatch")
-    if yu.N != order.N:
-        raise DomainError(f"stated N = {yu.N} disagrees with [E:F] = {order.N}",
+    if yu.N != derived.N:
+        raise DomainError(f"stated N = {yu.N} disagrees with [E:F] = {derived.N}",
                           clause="N_mismatch")
-    if yu.depth_zero != (st.n == 0):
+    if yu.depth_zero != derived.depth_zero:
         raise DomainError(f"stated depth_zero = {yu.depth_zero} disagrees with "
                           f"n = {st.n}", clause="depth_zero_mismatch")
     return st

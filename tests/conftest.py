@@ -28,11 +28,3 @@ def towers():
     out.append(extend(F5, 1, 4, 2))                 # twisted quartic
     out.append(extend(extend(base_field(3), 2, 1, 1), 1, 4, 1))  # degree 8
     return out
-
-
-def one_of(field):
-    return field.residue.one
-
-
-def monomial(field, v, dlog_exp=0):
-    return field.monomial(v, field.residue.gen_power(dlog_exp))

@@ -120,6 +120,16 @@ MUTANTS = {
         "t_i = max(t, (-vA) // 2)",
         "t_i = max(t, -(vA // 2))",
         "t_i is the floor of -v_A / 2, not its ceiling"),
+    "yu_to_secherre_skips_N": (
+        "src/strata_kit/translate.py",
+        "if yu.N != derived.N:",
+        "if False:",
+        "a datum's stated N = [E:F] is checked against the derived datum"),
+    "j1_not_deepened": (
+        "src/strata_kit/strata.py",
+        "factors = [(0, FiltDepth(Fraction(0), True))]",
+        "factors = [(0, FiltDepth(Fraction(0), False))]",
+        "J^1 = J cap U^1 starts at depth 0+ at level 0, not at the units"),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -21,7 +21,6 @@ import copy
 import itertools
 import time
 from fractions import Fraction
-from math import ceil
 
 import pytest
 
@@ -34,10 +33,10 @@ from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice,
                                psi_witness, regular_rep, uniform_chain,
                                v_A_direct)
 from strata_kit.strata import (STAB_MARKER, FiltDepth, GroupPresentation,
-                               OrderSkeleton, defining_sequence,
-                               depth_of_index, index_card, index_of_depth, k0,
-                               presentation_secherre, presentation_yu,
-                               standard_order, v_order)
+                               OrderSkeleton, _first_index, defining_sequence,
+                               depth_of_index, index_card, index_of_depth,
+                               j1_presentation, k0, presentation_secherre,
+                               presentation_yu, standard_order, v_order)
 from strata_kit.strata import compare_presentations
 from strata_kit.tower import (INF, base_field, embeddings, extend,
                               apply_embedding, sr, subfield_generated,
@@ -381,24 +380,7 @@ def test_criterion_5_centralizer_intersections():
 # presentation -> Lie-lattice realization (shared by criteria 6 and 8)
 # ---------------------------------------------------------------------------
 
-def window_index(dep, e_A):
-    """Smallest radical-power index inside a depth window."""
-    n0 = ceil(dep.value * e_A)
-    if dep.plus and n0 == dep.value * e_A:
-        n0 += 1
-    return int(n0)
-
-
-def level_subfields(stratum):
-    stages = defining_sequence(stratum)
-    fields = [sg.level_field for sg in stages]
-    ambient = stratum.beta.owner
-    if fields[-1].degree != 1:
-        fields.append(tower_subfield(ambient.base(), ambient))
-    return fields
-
-
-def centralizer_gens(field_sub, ambient):
+def centralizer_gens(field_sub):
     return [regular_rep(g) for g in field_sub.generators]
 
 
@@ -410,9 +392,8 @@ def lie_lattice(pres, fields, chain, base):
     for lvl, dep in pres.factors:
         if dep == STAB_MARKER:
             continue
-        idx = window_index(dep, pres.e_A)
-        sub = intersect_with_centralizer(centralizer_gens(fields[lvl], None),
-                                         chain, idx, base)
+        sub = intersect_with_centralizer(centralizer_gens(fields[lvl]), chain,
+                                         _first_index(dep, pres.e_A), base)
         cols.extend(sub.cols)
     return MatrixLattice(base, N * N, cols)
 
@@ -456,10 +437,9 @@ def test_criterion_6_presentations_equal(fuzzed_strata):
         base = ambient.base()
         chain = chain_from_field(ambient)
         assert chain.period == st.order.e_A
-        fields = level_subfields(st)
         for a, b in zip(sec, yup):
-            La = lie_lattice(a, fields, chain, base)
-            Lb = lie_lattice(b, fields, chain, base)
+            La = lie_lattice(a, st.fac.levels, chain, base)
+            Lb = lie_lattice(b, st.fac.levels, chain, base)
             assert La.same_as(Lb), (a.label, st.n)
         small_checked += 1
     assert small_checked >= 20
@@ -479,14 +459,8 @@ def test_criterion_7_roundtrips():
         rep = roundtrip_check(st)
         assert rep.ok, rep.checks
         # genericity of every emitted realizer, by both tests, which agree
-        fac = st.fac
-        ambient = st.beta.owner
-        for i, c in enumerate(fac.chunks):
-            big = fac.fields[i]
-            if big.degree == 1:
-                continue
-            small = (fac.fields[i + 1] if i + 1 < len(fac.fields)
-                     else tower_subfield(ambient.base(), ambient))
+        levels = st.fac.levels
+        for c, big, small in zip(st.fac.chunks, levels, levels[1:]):
             g_rep = is_generic(c, (big, small))
             assert g_rep.equivalence_holds()
             assert g_rep.ge1 and g_rep.minimal_consensus and g_rep.generates
@@ -496,16 +470,6 @@ def test_criterion_7_roundtrips():
 # ---------------------------------------------------------------------------
 # 8. index identity
 # ---------------------------------------------------------------------------
-
-def j1_presentation(stratum):
-    """J cap U^1: the level-0 unit factor of J deepened to the principal
-    units of the centralizer order."""
-    _, j, _ = presentation_secherre(stratum)
-    zero = FiltDepth(Fraction(0), False)
-    factors = [(l, FiltDepth(Fraction(0), True) if (l, d) == (0, zero) else d)
-               for l, d in j.factors]
-    return GroupPresentation("J1", j.tower_degrees, j.e_A, j.N, factors)
-
 
 def pair_index_symbolic(yu, i, degs, e_A, N):
     """(J^i : J^i_plus) exponent as a difference of two index cards."""
@@ -525,11 +489,11 @@ def pair_index_symbolic(yu, i, degs, e_A, N):
 
 def pair_index_oracle(yu, i, fields, chain, base, e_A):
     s = Fraction(yu.depths[i - 1], 2)
-    lo = window_index(FiltDepth(s, False), e_A)
-    hi = window_index(FiltDepth(s, True), e_A)
+    lo = _first_index(FiltDepth(s, False), e_A)
+    hi = _first_index(FiltDepth(s, True), e_A)
 
     def step(level):
-        gens = centralizer_gens(fields[level], None)
+        gens = centralizer_gens(fields[level])
         L1 = intersect_with_centralizer(gens, chain, lo, base)
         L2 = intersect_with_centralizer(gens, chain, hi, base)
         return lattice_index(L1, L2)
@@ -543,8 +507,8 @@ def test_criterion_8_index_identity(fuzzed_strata):
         if st.n == 0 or st.order.N > 4:
             continue
         yu = secherre_to_yu(st, check=False)
-        h1, _, _ = presentation_secherre(st)
-        j1 = j1_presentation(st)
+        h1, j, _ = presentation_secherre(st)
+        j1 = j1_presentation(j)
         degs, e_A, N = h1.tower_degrees, h1.e_A, h1.N
         lhs_sym = index_card(j1, h1)
         rhs_sym = sum(pair_index_symbolic(yu, i, degs, e_A, N)
@@ -554,7 +518,7 @@ def test_criterion_8_index_identity(fuzzed_strata):
         ambient = st.beta.owner
         base = ambient.base()
         chain = chain_from_field(ambient)
-        fields = level_subfields(st)
+        fields = st.fac.levels
         L_j1 = lie_lattice(j1, fields, chain, base)
         L_h1 = lie_lattice(h1, fields, chain, base)
         lhs_lat = lattice_index(L_j1, L_h1)

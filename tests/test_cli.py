@@ -458,3 +458,64 @@ def test_non_split_order_is_refused(capsys, monkeypatch, cmd):
     code, out, err = run(capsys, monkeypatch, [cmd], doc)
     assert code == 2 and out == ""
     assert err.startswith("domain error [non_split_order]:")
+
+
+def test_trivial_final_step_needs_a_step_before_it(capsys, monkeypatch):
+    doc = {"schema": "strata-kit/v1", "tower": {"base_q": 5, "levels": []},
+           "tower_degrees": [1], "depths": ["0/1"],
+           "chunks": [{"field": 0, "digits": [[0, [4]]], "prec": None}],
+           "d": 0, "e_A": 1, "N": 1, "trivial_top": True, "depth_zero": True}
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], doc)
+    assert code == 2 and out == ""
+    assert err == ("domain error [trivial_top_depth]: a trivial final step "
+                   "needs a step before it\n")
+
+
+#: a valid datum for STRATUM's beta
+DATUM = {"tower": TOWER, "tower_degrees": [2, 1], "depths": ["1/2", "2/1"],
+         "chunks": [{"field": 1, "digits": [[-1, [1]]], "prec": None},
+                    {"field": 1, "digits": [[-4, [1]]], "prec": None}],
+         "d": 1, "e_A": 2, "N": 2}
+
+
+def test_datum_is_valid(capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, ["yu2stratum"], DATUM)
+    assert code == 0 and json.loads(out)["n"] == 4
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("cmd,doc,code,prefix", [
+    ("yu2stratum", dict(DATUM, depths=["1/2"]), 2, "domain error [datum_length]:"),
+    ("yu2stratum", dict(DATUM, tower_degrees=[2, 2]), 2,
+     "domain error [tower_not_at_base]:"),
+    ("yu2stratum", dict(DATUM, trivial_top=True), 2,
+     "domain error [trivial_top_depth]:"),
+    ("expand", {"tower": {}, "element": ELT}, 1,
+     "schema error: tower document needs base_q"),
+    ("expand", {"tower": {"base_q": 3, "levels": 5}, "element": ELT}, 1,
+     "schema error: tower levels must be a list"),
+    ("expand", {"tower": {"base_q": 3, "levels": [{"f": 1}]}, "element": ELT}, 1,
+     "schema error: tower level needs f and e"),
+    ("expand", {"tower": {"base_q": 3, "levels": [{"f": 1, "e": 2, "twist": 1}]},
+                "element": ELT}, 1,
+     "schema error: residue coordinates must be a list"),
+    ("expand", {"tower": TOWER, "element": {"field": 1}}, 1,
+     "schema error: element document needs digits"),
+    ("expand", {"tower": TOWER, "element": {"field": 1, "digits": 5}}, 1,
+     "schema error: digits must be [valuation, coords] pairs"),
+    ("groups", [], 1, "schema error: stratum document must be an object"),
+    ("groups", dict(STRATUM, schema="v0"), 1, "schema error: unknown schema tag 'v0'"),
+    ("groups", {"tower": TOWER}, 1, "schema error: stratum document needs tower and beta"),
+    ("groups", dict(STRATUM, order=5), 1, "schema error: order must be an object"),
+    ("yu2stratum", [], 1, "schema error: datum document must be an object"),
+    ("yu2stratum", dict(DATUM, schema="v0"), 1, "schema error: unknown schema tag 'v0'"),
+    *(("yu2stratum", without(DATUM, key), 1, f"schema error: datum document needs {key}")
+      for key in ("tower", "depths", "chunks", "d", "e_A", "N")),
+])
+def test_refusals_write_one_line(capsys, monkeypatch, cmd, doc, code, prefix):
+    got, out, err = run(capsys, monkeypatch, [cmd], doc)
+    assert got == code and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
