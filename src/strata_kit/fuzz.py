@@ -15,7 +15,7 @@ from .errors import DomainError
 from .residue import SIZE_CAP, make_field
 from .strata import StratumSkeleton, make_stratum, standard_order
 from .tower import (INF, TameElement, TameField, base_field, coerce, extend,
-                    monomial_degree)
+                    generating_log)
 
 Q_CHOICES = (3, 5, 9)
 MAX_DEGREE = 8      # largest [E:F] of a random tower
@@ -84,17 +84,23 @@ def generating_monomial(rng: random.Random, level: TameField,
                         ambient: TameField, v_ambient: int):
     """A monomial of the given tower level, coerced into the ambient field
     at the given ambient valuation, that generates the level over the base;
-    None if no digit choice works at this valuation."""
+    None if no digit choice works at this valuation.
+
+    The q - 1 digit logs are always shuffled first, so the random stream
+    does not depend on the answer.  :func:`tower.generating_log` then
+    refuses a valuation that shares a factor with e(E/F) at once, and
+    otherwise tries the first 24 shuffled logs, each with one check per
+    maximal subfield of the level's residue field."""
     step = ambient.e_abs // level.e_abs
     if v_ambient % step != 0:
         return None
     v_lvl = v_ambient // step
     order = list(range(level.residue.q - 1))
     rng.shuffle(order)
-    for a in order[:24]:
-        if monomial_degree(level, v_lvl, a) == level.degree:
-            return coerce(level.monomial(v_lvl, level.residue.gen_power(a)), ambient)
-    return None
+    a = generating_log(level, v_lvl, order[:24])
+    if a is None:
+        return None
+    return coerce(level.monomial(v_lvl, level.residue.gen_power(a)), ambient)
 
 
 def random_beta(rng: random.Random, E: TameField):

@@ -38,10 +38,10 @@ ROADMAP.md is the fix.
 Residue degrees are read off logs too: GF(p^n) inside GF(q) is zero and
 the powers of g^((q - 1)/(p^n - 1)), so :func:`degree_over` gives the
 degree of g^k over GF(p^m) as the least d dividing f/m for which
-(q - 1)/(p^(m d) - 1) divides k.  Coefficients over a subfield are read
-off logs as well: :func:`decompose` writes an element over the basis
-1, g, g^2, ... by one lookup in a table keyed by log, built once per pair
-of fields.
+(q - 1)/(p^(m d) - 1) divides k, dividing the primes of f/m out of d one
+at a time.  Coefficients over a subfield are read off logs as well:
+:func:`decompose` writes an element over the basis 1, g, g^2, ... by one
+lookup in a table keyed by log, built once per pair of fields.
 
 Fields are capped at p^f <= 2^16 so that the tables stay small.
 """
@@ -505,9 +505,15 @@ def _decomposition(fld: FqField, sub: FqField) -> dict:
 def degree_over(fld: FqField, log: int, m: int) -> int:
     """[GF(p^m)(a) : GF(p^m)] for a = g^log in fld, m dividing fld.f: the
     least d dividing f/m with (q - 1)/(p^(m d) - 1) dividing log; 1 for
-    zero (log -1)."""
+    zero (log -1).
+
+    Starting from d = f/m, each prime l of f/m is divided out of d while
+    a lies in GF(p^(m d/l)), so a generator costs one check per maximal
+    subfield."""
     if log < 0:
         return 1
-    k = fld.f // m
-    return next(d for d in range(1, k + 1)
-                if k % d == 0 and log % ((fld.q - 1) // (fld.p ** (m * d) - 1)) == 0)
+    d = fld.f // m
+    for ell in _prime_factors(d):
+        while d % ell == 0 and log % ((fld.q - 1) // (fld.p ** (m * d // ell) - 1)) == 0:
+            d //= ell
+    return d

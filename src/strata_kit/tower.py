@@ -699,12 +699,25 @@ def monomial_degree(E: TameField, v: int, k: int) -> int:
     With e = e(E/F) and d = gcd(v, e), pi^e*acc_twist = t gives
     x^(e/d) = u*t^(v/d) for the residue unit u = g^(k*e/d)*acc_twist^(-v/d),
     and v/d is prime to e/d, so [F[x]:F] = (e/d)*[k_F(u):k_F], read off
-    dlog(u) by :func:`residue.degree_over`.
+    dlog(u) by :func:`residue.degree_over`.  This is [E:F] = e*f only if
+    d = 1, which :func:`generating_log` checks once per valuation.
     """
     e, res = E.e_abs, E.residue
     d = gcd(v, e)
     u = (k * e // d - v // d * res.dlog(E.acc_twist)) % (res.q - 1)
     return e // d * residue.degree_over(res, u, E.base_f)
+
+
+def generating_log(E: TameField, v: int, logs):
+    """The first k in ``logs`` for which the monomial g^k*pi^v generates E
+    over F, ``monomial_degree(E, v, k) == E.degree``; None if none does.
+    By :func:`monomial_degree` that degree is [E:F] = e*f only if
+    gcd(v, e) = 1, so for any other v no k is tried; otherwise
+    :func:`residue.degree_over` settles each k with one check per maximal
+    subfield of k_E over k_F."""
+    if gcd(v, E.e_abs) != 1:
+        return None
+    return next((k for k in logs if monomial_degree(E, v, k) == E.degree), None)
 
 
 def subfield_generated(S, ambient: TameField) -> Subfield:

@@ -80,12 +80,12 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
                     order.e_A, order.N, trivial_top=trivial_top,
                     depth_zero=stratum.n == 0)
     if check:
-        _check_genericity(stratum, yu)
+        _check_genericity(stratum)
         _check_presentations(stratum, yu)
     return yu
 
 
-def _check_genericity(stratum: StratumSkeleton, yu: YuSkeleton):
+def _check_genericity(stratum: StratumSkeleton):
     """Every realizing chunk must be generic for the pair (its field, the
     next smaller field), at its stated depth."""
     fac = stratum.fac

@@ -105,6 +105,20 @@ MUTANTS = {
         "d // e + k * step",
         "d // e + k",
         "the uniformizer images are the e-th roots of unity, step apart"),
+    "generating_exit_before_shuffle": (
+        "src/strata_kit/fuzz.py",
+        "    rng.shuffle(order)\n",
+        "    if generating_log(level, v_lvl, order) is None:\n"
+        "        return None\n"
+        "    rng.shuffle(order)\n",
+        "the logs are shuffled before the valuation is decided, so the "
+        "random stream does not depend on the answer"),
+    "generation_skips_a_maximal_subfield": (
+        "src/strata_kit/residue.py",
+        "for ell in _prime_factors(d):",
+        "for ell in _prime_factors(d)[:1]:",
+        "a residue degree divides out every prime of f/m, one maximal "
+        "subfield each"),
     "criterion_1_times": (
         "src/strata_kit/minimal.py",
         "r0 = a ** e_rel / b ** v",

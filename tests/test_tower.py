@@ -611,6 +611,39 @@ def test_monomial_degree_matches_embedding_scan():
     assert checked > 10000
 
 
+def test_generating_log_agrees_with_monomial_degree():
+    # g^k*pi^v generates a level exactly when monomial_degree says [E:F]:
+    # every log k for residue fields up to GF(729), else a sample with the
+    # ends 0, 1 and q - 2
+    import random
+
+    from strata_kit.fuzz import random_tower
+    from strata_kit.tower import generating_log, monomial_degree
+    rng = random.Random(30)
+    towers = _fuzzed_towers(30, 120) + [random_tower(rng, q=3) for _ in range(40)]
+    checked = generating = shared = twisted = two_primes = 0
+    for E in towers:
+        for level in E.levels:
+            n = level.residue.q - 1
+            logs = (range(n) if n < 729
+                    else sorted({0, 1, n - 1} | set(rng.sample(range(n), 60))))
+            e, f = level.e_abs, level.degree // level.e_abs
+            for v in range(-2 * e, 2 * e + 1):
+                for k in logs:
+                    want = monomial_degree(level, v, k) == level.degree
+                    assert (generating_log(level, v, [k]) == k) == want, (level, v, k)
+                    checked += 1
+                    generating += want
+                    shared += math.gcd(v, e) > 1
+                    twisted += level.acc_twist != level.residue.one
+                    two_primes += f == 6
+                first = next((k for k in logs
+                              if monomial_degree(level, v, k) == level.degree), None)
+                assert generating_log(level, v, logs) == first
+    assert checked > 100000 and generating > 50000
+    assert shared > 20000 and twisted > 50000 and two_primes > 5000
+
+
 # -- operator results: filtered digits, built without a second scan ------------
 
 _OPERATOR_FIELDS = (base_field(2), base_field(3), base_field(5),
