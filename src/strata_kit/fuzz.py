@@ -13,7 +13,7 @@ import random
 
 from .errors import DomainError
 from .residue import SIZE_CAP, make_field
-from .strata import StratumSkeleton, make_stratum, standard_order
+from .strata import StratumSkeleton, standard_order
 from .tower import (INF, TameElement, TameField, base_field, coerce, extend,
                     generating_log)
 
@@ -147,7 +147,7 @@ def random_stratum(rng: random.Random, q: int | None = None) -> StratumSkeleton:
         if E.degree == 1:
             return random_depth_zero(rng, q=E.q)
         try:
-            return make_stratum(standard_order(E), random_beta(rng, E))
+            return StratumSkeleton(standard_order(E), random_beta(rng, E))
         except DomainError:
             continue
     raise DomainError("fuzzer failed to build a stratum", clause="fuzz_stratum_exhausted")
@@ -159,4 +159,4 @@ def random_depth_zero(rng: random.Random, q: int | None = None) -> StratumSkelet
     F = base_field(q)
     digit = F.residue.gen_power(rng.randrange(F.residue.q - 1))
     beta = F.monomial(0, digit)
-    return make_stratum(standard_order(F), beta)
+    return StratumSkeleton(standard_order(F), beta)

@@ -144,7 +144,7 @@ def stratum_to_json(st) -> dict:
 
 
 def stratum_from_json(obj, default_prec=None):
-    from .strata import OrderSkeleton, make_stratum
+    from .strata import OrderSkeleton, StratumSkeleton
     if not isinstance(obj, dict):
         raise SchemaError("stratum document must be an object")
     if obj.get("schema", SCHEMA) != SCHEMA:
@@ -166,7 +166,7 @@ def stratum_from_json(obj, default_prec=None):
         raise DomainError(f"order d = {d}: only split orders (d = 1) are "
                           "supported", clause="non_split_order")
     order = OrderSkeleton(m=m, d=d, e_A=e_A, pure_over=E, b_maximal=b_maximal)
-    st = make_stratum(order, beta, r=_int(obj.get("r", 0), "r"))
+    st = StratumSkeleton(order, beta, r=_int(obj.get("r", 0), "r"))
     if "n" in obj and _int(obj["n"], "n") != st.n:
         raise DomainError(f"stated n = {obj['n']} disagrees with the derived "
                           f"n = -v_A(beta) = {st.n}", clause="n_mismatch")

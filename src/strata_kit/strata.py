@@ -9,6 +9,9 @@ maximal.  On top of that this module computes:
 - valuations of field elements relative to the order (v_order),
 - the critical exponent k0 of each tail of the chunk factorization (one
   helper, _tail_k0, decides it from Factorization.levels),
+- strata [order, n, r, beta], whose one constructor derives n, the
+  certified chunk factorization and the kind, so that nothing built on a
+  stratum checks them again,
 - defining sequences of simple strata with their jump indices,
 - the four index <-> depth correspondences between radical powers and
   Moy-Prasad-style depths (depth_of_index is the one place that decides
@@ -114,55 +117,40 @@ def k0(beta: TameElement, order: OrderSkeleton, fac: Factorization | None = None
 
 
 class StratumSkeleton:
-    """The numerical data [order, n, r, beta] of a stratum, with the chunk
-    factorization of beta attached; ``kind`` is always derived."""
+    """The stratum [order, n, r, beta]: n = -v_order(beta), which is 0 for
+    the depth-zero stratum of a central unit, the chunk factorization of
+    beta, certified by howe_factorize, and the kind are all derived here."""
 
-    def __init__(self, order: OrderSkeleton, n: int, r: int, beta: TameElement,
-                 fac: Factorization):
+    def __init__(self, order: OrderSkeleton, beta: TameElement, r: int = 0):
+        E = order.pure_over
+        if beta.owner is not E:
+            raise DomainError("beta must be owned by the order's pure field",
+                              clause="owner_mismatch")
+        fac = howe_factorize(beta, E.base())
+        if fac.fields[0].degree != E.degree:
+            raise DomainError("order is not pure over F[beta] "
+                              f"(degree {fac.fields[0].degree} != {E.degree})",
+                              clause="order_not_pure_over_beta")
+        v = v_order(beta, order)
+        if v > 0:
+            raise DomainError("beta must have non-positive order valuation",
+                              clause="positive_valuation")
+        n = -v
+        if n == 0 and not fac.degenerate:
+            raise DomainError("depth-zero strata require a central unit beta",
+                              clause="depth_zero_not_central")
+        if n < r:
+            raise DomainError("stratum requires n >= r", clause="n_below_r")
+        if r < 0:
+            raise DomainError(f"stratum requires r >= 0, not {r}", clause="negative_r")
         self.order, self.n, self.r, self.beta, self.fac = order, n, r, beta, fac
-        self.kind = classify_stratum(self)
-
-
-def classify_stratum(st: StratumSkeleton) -> str:
-    if st.n < st.r:
-        raise DomainError("stratum requires n >= r", clause="n_below_r")
-    if st.r < 0:
-        raise DomainError(f"stratum requires r >= 0, not {st.r}", clause="negative_r")
-    v = v_order(st.beta, st.order)
-    if st.n == 0 and st.r == 0 and v == 0:
-        return "simple"     # depth-zero stratum with a unit entry
-    if st.n == st.r:
-        return "null"
-    if v != -st.n:
-        raise DomainError("pure stratum requires v_order(beta) = -n", clause="bad_n")
-    kk = k0(st.beta, st.order, st.fac)
-    if kk is None or st.r < -kk:
-        return "simple"
-    return "pure"
-
-
-def make_stratum(order: OrderSkeleton, beta: TameElement,
-                 r: int = 0) -> StratumSkeleton:
-    """Build [order, n, r, beta] with n = -v_order(beta) (or the depth-zero
-    stratum n = 0 for a unit of the base ring)."""
-    E = order.pure_over
-    if beta.owner is not E:
-        raise DomainError("beta must be owned by the order's pure field",
-                          clause="owner_mismatch")
-    fac = howe_factorize(beta, E.base())
-    if fac.fields[0].degree != E.degree:
-        raise DomainError("order is not pure over F[beta] "
-                          f"(degree {fac.fields[0].degree} != {E.degree})",
-                          clause="order_not_pure_over_beta")
-    v = v_order(beta, order)
-    n = max(0, -v)
-    if v > 0:
-        raise DomainError("beta must have non-positive order valuation",
-                          clause="positive_valuation")
-    if n == 0 and not fac.degenerate:
-        raise DomainError("depth-zero strata require a central unit beta",
-                          clause="depth_zero_not_central")
-    return StratumSkeleton(order, n, r, beta, fac)
+        if n == 0:
+            self.kind = "simple"    # depth-zero stratum with a unit entry
+        elif n == r:
+            self.kind = "null"
+        else:
+            kk = _tail_k0(fac, 0, order)
+            self.kind = "simple" if kk is None or r < -kk else "pure"
 
 
 class DefiningStage:
@@ -176,8 +164,11 @@ class DefiningStage:
 def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
     """Stages beta_i = sum_{j >= i} c_j with jumps r_{i+1} = -k0(beta_i).
 
-    The jump sequence is strictly increasing, bounded by n, and the last
-    tail is minimal (or central); every condition is re-verified here.
+    The jumps strictly increase and, for n > 0, stay below n with no
+    check here: r_1 > r_0 because the stratum is simple, each later step
+    because the certified chunk ords strictly decrease, and the last jump,
+    -e_A ord(c_{s-1}) (or r < n for a single stage), is below
+    -e_A ord(c_s) = n.
     """
     if stratum.kind != "simple":
         raise DomainError("defining sequences are attached to simple strata",
@@ -188,17 +179,6 @@ def defining_sequence(stratum: StratumSkeleton) -> list[DefiningStage]:
     for i in range(len(fac.chunks)):
         r_i = stratum.r if i == 0 else -stages[-1].k0_value
         stages.append(DefiningStage(r_i, fac.fields[i], _tail_k0(fac, i, order)))
-    # strictness and the bound by n
-    rs = [st.r for st in stages]
-    for i in range(1, len(rs)):
-        if rs[i] <= rs[i - 1]:
-            raise DomainError("jump sequence is not strictly increasing",
-                              clause="jumps_not_increasing")
-    if stages[-1].k0_value is not None and stratum.n != -v_order(stratum.beta, order):
-        raise DomainError("n does not match -v_order(beta)", clause="bad_n")
-    if rs and rs[-1] >= stratum.n and stratum.n > 0:
-        raise DomainError("last jump must be strictly below n",
-                          clause="jump_exceeds_n")
     return stages
 
 

@@ -2,11 +2,12 @@
 
 One direction turns a simple stratum (order, n, r, beta) into the tower
 datum (nested fields, increasing depths, realizing chunk per step); the
-other re-assembles beta from the chunks and rebuilds the stratum.  Both
-directions re-verify their postconditions: genericity of every chunk,
-equality of the attached group presentations, and on a roundtrip the
-agreement of all numerical data with realizers matching up to principal
-units.
+other re-assembles beta from the chunks and rebuilds the stratum.  Every
+chunk is generic (GE1) by construction: the stratum's certified
+factorization proved it minimal on the embedding pairs GE1 reads.  What
+is re-verified is the equality of the attached group presentations and,
+on a roundtrip, the agreement of all numerical data with realizers
+matching up to principal units.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .minimal import is_generic
 from .strata import (OrderSkeleton, StratumSkeleton, compare_presentations,
-                     defining_sequence, k0, make_stratum, presentation_secherre,
-                     presentation_yu, v_order)
+                     defining_sequence, k0, presentation_secherre, presentation_yu,
+                     v_order)
 from .tower import TameElement, TameField, sr
 
 
@@ -61,10 +61,9 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
 
     The tower is the factorization's level chain (the chunk fields, then
     the base when the last chunk is not already central); depths are the
-    normalized jumps r_{i+1}/e_A capped by n/e_A.  Postconditions (on by
-    default): every chunk with a level below it is generic for that pair
-    of neighbouring levels, and the three product presentations agree
-    across the translation.
+    normalized jumps r_{i+1}/e_A capped by n/e_A.  Postcondition (on by
+    default): the three product presentations agree across the
+    translation.
     """
     fac = stratum.fac
     order = stratum.order
@@ -80,25 +79,8 @@ def secherre_to_yu(stratum: StratumSkeleton, check: bool = True) -> YuSkeleton:
                     order.e_A, order.N, trivial_top=trivial_top,
                     depth_zero=stratum.n == 0)
     if check:
-        _check_genericity(stratum)
         _check_presentations(stratum, yu)
     return yu
-
-
-def _check_genericity(stratum: StratumSkeleton):
-    """Every realizing chunk must be generic for the pair (its field, the
-    next smaller field), at its stated depth."""
-    fac = stratum.fac
-    levels = fac.levels
-    for i, (big, small) in enumerate(zip(levels, levels[1:])):
-        rep = is_generic(fac.chunks[i], (big, small))
-        if not rep.ge1:
-            raise DomainError(f"chunk {i} fails genericity for its field pair",
-                              clause="chunk_not_generic")
-        if not rep.equivalence_holds():
-            raise DomainError(
-                "genericity and minimality+generation disagree on a chunk",
-                clause="criteria_disagree")
 
 
 def _check_presentations(stratum: StratumSkeleton, yu: YuSkeleton):
@@ -113,16 +95,16 @@ def _check_presentations(stratum: StratumSkeleton, yu: YuSkeleton):
 
 def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
     """Tower datum -> stratum: beta is the sum of the realizing chunks and
-    n = -v_order(beta).  The stated depths, tower degrees, N = [E:F] and
-    depth-zero flag are checked, in that order, against the datum that
-    secherre_to_yu derives from the rebuilt stratum."""
+    n = -v_order(beta), at the E-pure order of M_N(F) with the datum's N
+    and period e_A.  The stated depths, tower degrees and depth-zero flag
+    are checked, in that order, against the datum that secherre_to_yu
+    derives from the rebuilt stratum."""
     real = [c for c in yu.chunks if c is not None]
     if not real:
         raise DomainError("datum carries no realizing chunks", clause="no_chunks")
     E = real[0].owner
-    # the standard order of E, at the datum's period e_A
-    order = OrderSkeleton(m=E.degree, d=1, e_A=yu.e_A, pure_over=E)
-    st = make_stratum(order, sum(real[1:], real[0]), r=r)
+    order = OrderSkeleton(m=yu.N, d=1, e_A=yu.e_A, pure_over=E)
+    st = StratumSkeleton(order, sum(real[1:], real[0]), r=r)
     derived = secherre_to_yu(st, check=False)
     # the depths of the realizing steps, a trivial final step's repeat left out
     stated = yu.depths[:yu.d] if yu.trivial_top else list(yu.depths)
@@ -134,9 +116,6 @@ def yu_to_secherre(yu: YuSkeleton, r: int = 0) -> StratumSkeleton:
         raise DomainError(f"stated tower degrees {list(yu.tower_degrees)} disagree "
                           f"with derived {list(derived.tower_degrees)}",
                           clause="tower_degrees_mismatch")
-    if yu.N != derived.N:
-        raise DomainError(f"stated N = {yu.N} disagrees with [E:F] = {derived.N}",
-                          clause="N_mismatch")
     if yu.depth_zero != derived.depth_zero:
         raise DomainError(f"stated depth_zero = {yu.depth_zero} disagrees with "
                           f"n = {st.n}", clause="depth_zero_mismatch")

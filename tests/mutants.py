@@ -134,11 +134,24 @@ MUTANTS = {
         "t_i = max(t, (-vA) // 2)",
         "t_i = max(t, -(vA // 2))",
         "t_i is the floor of -v_A / 2, not its ceiling"),
-    "yu_to_secherre_skips_N": (
+    "yu_to_secherre_ignores_N": (
         "src/strata_kit/translate.py",
-        "if yu.N != derived.N:",
+        "m=yu.N",
+        "m=E.degree",
+        "the rebuilt order lives in M_N(F) for the datum's N, which can "
+        "exceed [E:F]"),
+    "crit3_ignores_violations": (
+        "src/strata_kit/minimal.py",
+        "crit3 = not violations",
+        "crit3 = True",
+        "criterion 3 is the genericity of each chunk, which nothing after "
+        "the certificate checks again"),
+    "ords_not_checked": (
+        "src/strata_kit/minimal.py",
+        "if not ords[i] > ords[i + 1]:",
         "if False:",
-        "a datum's stated N = [E:F] is checked against the derived datum"),
+        "the certified chunk ords strictly decrease, which makes the jumps "
+        "of a defining sequence strictly increase"),
     "j1_not_deepened": (
         "src/strata_kit/strata.py",
         "factors = [(0, FiltDepth(Fraction(0), True))]",

@@ -26,7 +26,8 @@ import pytest
 
 from strata_kit.fuzz import perturb, random_depth_zero, random_stratum, rng_from_seed
 from strata_kit.minimal import (Factorization, check_factorization,
-                                howe_factorize, is_generic, is_minimal)
+                                howe_factorize, is_generic, is_minimal,
+                                separating_pairs)
 from strata_kit.oracle import (ChainRealized, Mat, MatrixLattice,
                                chain_from_field, eval_psi_c, filt_lattice,
                                intersect_with_centralizer, lattice_index,
@@ -416,13 +417,20 @@ def fuzzed_strata():
 def test_k0_is_the_first_stage_k0(fuzzed_strata):
     for st in fuzzed_strata:
         assert st.kind == "simple"
-        assert k0(st.beta, st.order, st.fac) == defining_sequence(st)[0].k0_value
+        stages = defining_sequence(st)
+        assert k0(st.beta, st.order, st.fac) == stages[0].k0_value
+        # the laws the certified factorization and the derived n imply
+        rs = [stage.r for stage in stages]
+        assert all(a < b for a, b in zip(rs, rs[1:])), rs
+        if st.n > 0:
+            assert rs[-1] < st.n, (rs, st.n)
+        assert st.n == -v_order(st.beta, st.order)
 
 
 def test_criterion_6_presentations_equal(fuzzed_strata):
     small_checked = 0
     for st in fuzzed_strata:
-        yu = secherre_to_yu(st)     # re-checks genericity + presentations
+        yu = secherre_to_yu(st)     # re-checks the presentations
         if st.n == 0:
             continue
         sec = presentation_secherre(st)
@@ -464,6 +472,10 @@ def test_criterion_7_roundtrips():
             g_rep = is_generic(c, (big, small))
             assert g_rep.equivalence_holds()
             assert g_rep.ge1 and g_rep.minimal_consensus and g_rep.generates
+            # base[c] splits the embeddings as its level does, so criterion
+            # 3 reads the pairs GE1 reads
+            Ec = small.adjoin(c)
+            assert separating_pairs(Ec, small, big) == separating_pairs(Ec, small, Ec)
     assert depth_zero_seen >= 20
 
 

@@ -346,7 +346,7 @@ def test_negative_r_is_domain_error(capsys, monkeypatch, cmd):
 
 @pytest.mark.parametrize("edits,clause", [
     ({"tower_degrees": [7, 1]}, "tower_degrees_mismatch"),
-    ({"N": 99}, "N_mismatch"),
+    ({"N": 99}, "degree_not_dividing_N"),
     ({"depth_zero": True}, "depth_zero_mismatch"),
 ])
 def test_datum_keys_are_checked_against_chunks(capsys, monkeypatch, edits,
@@ -355,6 +355,25 @@ def test_datum_keys_are_checked_against_chunks(capsys, monkeypatch, edits,
     code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, **edits})
     assert code == 2 and out == ""
     assert err.startswith(f"domain error [{clause}]:")
+
+
+#: an order with m = 2 [E:F], so that the centralizer of E is M_2(E)
+WIDE_STRATUM = dict(MINIMAL_STRATUM, order=dict(STRATUM["order"], m=4))
+
+
+def test_datum_of_a_wider_order_round_trips(capsys, monkeypatch):
+    """yu2stratum rebuilds the order of M_N(F) from the datum's N, so the
+    datum that stratum2yu prints for m > [E:F] gives back its stratum."""
+    yu = datum(capsys, monkeypatch, WIDE_STRATUM)
+    assert yu["N"] == 4
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], yu)
+    assert (code, err) == (0, "")
+    st = json.loads(out)
+    assert (st["order"], st["n"], st["r"], st["kind"]) == \
+        (WIDE_STRATUM["order"], 1, 0, "simple")
+    assert st["tower"] == TOWER
+    assert st["beta"]["digits"] == WIDE_STRATUM["beta"]["digits"]
+    assert datum(capsys, monkeypatch, st) == yu
 
 
 def test_fractional_numbers_are_schema_errors(capsys, monkeypatch):

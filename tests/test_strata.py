@@ -14,7 +14,7 @@ from strata_kit.strata import (MODES, STAB_MARKER, FiltDepth,
                                _effective_depth, _first_index, _normalize,
                                compare_presentations,
                                defining_sequence, depth_of_index, index_card,
-                               index_of_depth, k0, make_stratum,
+                               index_of_depth, k0,
                                presentation_secherre, presentation_yu,
                                standard_order, v_order)
 from strata_kit.tower import base_field, extend
@@ -66,19 +66,21 @@ def test_k_F_and_k0(running):
 
 def test_stratum_and_kind(running):
     _, E, beta, order = running
-    st = make_stratum(order, beta)
+    st = StratumSkeleton(order, beta)
     assert (st.n, st.r, st.kind) == (4, 0, "simple")
-    st_pure = make_stratum(order, beta, r=2)
+    st_pure = StratumSkeleton(order, beta, r=2)
     assert st_pure.kind == "pure"               # r = 2 >= -k0 = 1
-    with pytest.raises(TypeError):              # the kind is always derived
-        StratumSkeleton(order, 4, 2, beta, st_pure.fac, "simple")
-    st_null = make_stratum(order, beta, r=4)
+    # n, the factorization and the kind are always derived
+    for stated in ({"n": 4}, {"fac": st_pure.fac}, {"kind": "simple"}):
+        with pytest.raises(TypeError):
+            StratumSkeleton(order, beta, r=2, **stated)
+    st_null = StratumSkeleton(order, beta, r=4)
     assert st_null.kind == "null"
 
 
 def test_defining_sequence(running):
     _, E, beta, order = running
-    st = make_stratum(order, beta)
+    st = StratumSkeleton(order, beta)
     stages = defining_sequence(st)
     assert [s.r for s in stages] == [0, 1]
     assert [s.level_field.degree for s in stages] == [2, 1]
@@ -88,7 +90,7 @@ def test_defining_sequence(running):
 def test_defining_sequence_requires_simple(running):
     _, E, beta, order = running
     with pytest.raises(DomainError):
-        defining_sequence(make_stratum(order, beta, r=2))
+        defining_sequence(StratumSkeleton(order, beta, r=2))
 
 
 def test_depth_index_modes(running):
@@ -125,7 +127,7 @@ def test_filtdepth_ordering():
 
 def test_presentations_running_example(running):
     _, E, beta, order = running
-    st = make_stratum(order, beta)
+    st = StratumSkeleton(order, beta)
     h1, j, jhat = presentation_secherre(st)
     assert h1.normal_form == [(0, FiltDepth(Fraction(0), True)),
                               (1, FiltDepth(Fraction(1, 4), True))]
@@ -179,7 +181,7 @@ def test_index_card_rejects_non_inclusion():
 def test_yu_presentations_match(running):
     from strata_kit.translate import secherre_to_yu
     _, E, beta, order = running
-    st = make_stratum(order, beta)
+    st = StratumSkeleton(order, beta)
     h1, j, jhat = presentation_secherre(st)
     yu = secherre_to_yu(st, check=False)
     kp, kc, kk = presentation_yu(yu)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from strata_kit.errors import DomainError
-from strata_kit.strata import make_stratum, standard_order
+from strata_kit.strata import StratumSkeleton, standard_order
 from strata_kit.translate import (YuSkeleton, factchar_indices,
                                   roundtrip_check, secherre_to_yu,
                                   yu_to_secherre)
@@ -20,7 +20,7 @@ def mono(E, v, a=0):
 def running_stratum():
     F = base_field(3)
     E = extend(F, 1, 2, 1)
-    return make_stratum(standard_order(E), mono(E, -4) + mono(E, -1))
+    return StratumSkeleton(standard_order(E), mono(E, -4) + mono(E, -1))
 
 
 def test_secherre_to_yu_frozen_values(running_stratum):
@@ -33,7 +33,7 @@ def test_secherre_to_yu_frozen_values(running_stratum):
 def test_minimal_beta_gets_trivial_top():
     F = base_field(3)
     E = extend(F, 1, 2, 1)
-    st = make_stratum(standard_order(E), mono(E, -1))
+    st = StratumSkeleton(standard_order(E), mono(E, -1))
     yu = secherre_to_yu(st)
     assert yu.trivial_top and yu.d == 1
     assert yu.tower_degrees == (2, 1)
@@ -43,7 +43,7 @@ def test_minimal_beta_gets_trivial_top():
 
 def test_depth_zero_datum():
     F = base_field(5)
-    st = make_stratum(standard_order(F), F.monomial(0, F.residue.gen_power(1)))
+    st = StratumSkeleton(standard_order(F), F.monomial(0, F.residue.gen_power(1)))
     yu = secherre_to_yu(st)
     assert yu.depth_zero and yu.d == 0 and yu.depths == [Fraction(0)]
     st2 = yu_to_secherre(yu)
@@ -75,7 +75,7 @@ def test_roundtrip_quartic_tower():
     U = extend(F, 2, 1, 1)
     E = extend(U, 1, 2, U.residue.gen_power(1))
     beta = mono(E, -3, 1) + mono(E, -1, 0)
-    st = make_stratum(standard_order(E), beta)
+    st = StratumSkeleton(standard_order(E), beta)
     rep = roundtrip_check(st)
     assert rep.ok, rep.checks
 
