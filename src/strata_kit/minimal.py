@@ -45,12 +45,14 @@ def as_subfield(base, ambient: TameField) -> Subfield:
 def separating_pairs(Ec: Subfield, small: Subfield, big: Subfield):
     """The embedding-pair table behind criterion 3 and GE1.
 
-    Returns ``[((i, j), ord(sigma_i(c) - sigma_j(c))), ...]`` over the pairs
-    i < j that agree on ``small`` but not on ``big``, where c is the last
-    generator of ``Ec``.  The ord is the least valuation where c's image
-    keys differ, decided below ``Ec.cut``: None when they agree and the cut
-    is infinite (an exact zero), :class:`PrecisionError` when they agree
-    below a finite cut.
+    Returns ``[((i, j), v), ...]`` over the pairs i < j that agree on
+    ``small`` but not on ``big``, where c is the last generator of ``Ec``
+    and v is the valuation of sigma_i(c) - sigma_j(c) in the ambient
+    field's units: ord(sigma_i(c) - sigma_j(c)) = v / e_abs, compared with
+    ``min(c.digits)``.  v is the least valuation where c's image keys
+    differ, decided below ``Ec.cut``: None when they agree and the cut is
+    infinite (an exact zero), :class:`PrecisionError` when they agree below
+    a finite cut.
     """
     images = [row[-1] for row in Ec.restriction_keys]
     small_keys, big_keys = small.restriction_keys, big.restriction_keys
@@ -60,7 +62,7 @@ def separating_pairs(Ec: Subfield, small: Subfield, big: Subfield):
             continue
         diff = set(images[i]).symmetric_difference(images[j])
         if diff:
-            table.append(((i, j), Fraction(min(diff)[0], Ec.ambient.e_abs)))
+            table.append(((i, j), min(diff)[0]))
         elif Ec.cut is INF:
             table.append(((i, j), None))
         else:
@@ -115,11 +117,12 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
         raise DomainError("inconsistent ramification between base and base[c]",
                           clause="ramification_inconsistent")
     e_rel = Ec.e_over_base // base_sub.e_over_base
-    v_frac = c.ord() * Ec.e_over_base
-    if v_frac.denominator != 1:
+    e_amb = c.owner.e_abs
+    c_val = min(c.digits)           # ord(c) = c_val / e_amb
+    v, rem = divmod(c_val * Ec.e_over_base, e_amb)
+    if rem:
         raise DomainError("valuation of c is not integral in base[c] (inconsistency)",
                           clause="valuation_not_integral")
-    v = int(v_frac)
     # with lead(c) = a*pi^w and the base's uniformizer b*pi^u, the unit part
     # c^e / (b*pi^u)^v has leading term (a^e / b^v)*pi^(w*e - u*v)
     w, a = c.leading()
@@ -142,14 +145,14 @@ def _minimality(c: TameElement, base_sub: Subfield, Ec: Subfield) -> MinimalityR
     witnesses["crit2"] = {"deg_sr": Esr.degree, "deg_c": Ec.degree}
 
     # --- criterion 3: embedding differences sit at the critical ord --------
-    c_ord = c.ord()
-    violations = [{"pair": pair, "ord": None if d_ord is None else str(d_ord),
-                   "expected": str(c_ord)}
-                  for pair, d_ord in separating_pairs(Ec, base_sub, Ec)
-                  if d_ord != c_ord]
+    violations = [(pair, d_val) for pair, d_val in separating_pairs(Ec, base_sub, Ec)
+                  if d_val != c_val]
     crit3 = not violations
     if violations:
-        witnesses["crit3_violations"] = violations
+        witnesses["crit3_violations"] = [
+            {"pair": pair, "ord": None if d_val is None else str(Fraction(d_val, e_amb)),
+             "expected": str(c.ord())}
+            for pair, d_val in violations]
     return MinimalityReport(in_base, crit1, crit2, crit3, witnesses)
 
 
@@ -276,11 +279,13 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
     if not total.equals(fac.beta):
         return fail("sum_mismatch", "sum of chunks differs from beta")
 
-    ords = [c.ord() for c in fac.chunks]
+    e_amb = ambient.e_abs
+    ords = [min(c.digits) for c in fac.chunks]      # ord(c_i) = ords[i] / e_amb
     for i in range(n - 1):
         if not ords[i] > ords[i + 1]:
             return fail("ord_not_decreasing",
-                        f"ord(c_{i}) = {ords[i]} !> ord(c_{i+1}) = {ords[i+1]}")
+                        f"ord(c_{i}) = {Fraction(ords[i], e_amb)} !> "
+                        f"ord(c_{i+1}) = {Fraction(ords[i + 1], e_amb)}")
 
     for i, (c, K) in enumerate(zip(fac.chunks, fac.fields)):
         if not K.contains(c):
@@ -322,10 +327,9 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
         beta_i = fac.partial_tail(i)
         beta_next = fac.partial_tail(i + 1) if i + 1 < n else ambient.zero(INF)
         diff = beta_i - beta_next
-        if not diff.digits or diff.ord() != ords[i]:
+        if not diff.digits or min(diff.digits) != ords[i]:
             return fail("jump_mismatch", f"ord(beta_{i} - beta_{i+1}) != ord(c_{i})")
-        vE = ords[i] * fac.fields[i].e_over_base
-        if vE.denominator != 1:
+        if ords[i] * fac.fields[i].e_over_base % e_amb:
             return fail("jump_mismatch",
                         f"v of chunk {i} is not integral in its field")
     return FactorizationReport(True)
@@ -361,10 +365,11 @@ def is_generic(c: TameElement, levels) -> GenericityReport:
     if not Eprime.contains(c):
         raise DomainError("element does not lie in the bigger level E'",
                           clause="not_in_level")
-    c_ord = c.ord()
+    depth = -c.ord()
+    c_val = min(c.digits)
     Ec = Esmall.adjoin(c)
-    ge1 = all(d_ord == c_ord for _, d_ord in separating_pairs(Ec, Esmall, Eprime))
+    ge1 = all(d_val == c_val for _, d_val in separating_pairs(Ec, Esmall, Eprime))
     rep = _minimality(c, Esmall, Ec)
-    return GenericityReport(depth=-c_ord, ge1=ge1,
+    return GenericityReport(depth=depth, ge1=ge1,
                             minimal_consensus=rep.agree() and rep.minimal,
                             generates=Ec.degree == Eprime.degree)

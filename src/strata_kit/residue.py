@@ -49,6 +49,7 @@ Fields are capped at p^f <= 2^16 so that the tables stay small.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 
 from .errors import DomainError
@@ -56,8 +57,10 @@ from .errors import DomainError
 SIZE_CAP = 2 ** 16
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n <= 2^16 here)."""
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n by trial division (n <= 2^16 here),
+    cached: :func:`degree_over` asks for the same few n on every call."""
     out = []
     d = 2
     while d * d <= n:
@@ -68,7 +71,7 @@ def _prime_factors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +161,12 @@ class FqField:
     constructor directly: fields are compared by identity, so there must be
     one object per (p, f), and construction builds the full tables.
 
-    The tables are lists of integers.  ``_pow[k]`` is the index of g^k,
-    ``_dlog[n]`` the log of the element with index n (-1 for n = 0, the
-    zero element) and ``_zech[k]`` the Zech log dlog(1 + g^k), -1 where
-    g^k = -1.  ``_half`` is the log of -1 for odd p and 0 for p = 2.
+    The tables are ``array('i')`` integer arrays, 4 bytes an entry, where
+    a list holds a pointer and, above 256, an int object per entry.
+    ``_pow[k]`` is the index of g^k, ``_dlog[n]`` the log of the element
+    with index n (-1 for n = 0, the zero element) and ``_zech[k]`` the Zech
+    log dlog(1 + g^k), -1 where g^k = -1.  ``_half`` is the log of -1 for
+    odd p and 0 for p = 2.
     """
 
     __slots__ = ("p", "f", "q", "modulus", "generator", "_pow", "_dlog", "_zech",
@@ -174,7 +179,7 @@ class FqField:
         if f >= SIZE_CAP.bit_length() or p ** f > SIZE_CAP:
             raise DomainError(f"GF({p}^{f}) exceeds the size cap {SIZE_CAP}",
                               clause="size_cap")
-        if _prime_factors(p) != [p]:    # [] for p < 2
+        if _prime_factors(p) != (p,):   # () for p < 2
             raise DomainError(f"p = {p} is not prime", clause="not_prime")
         q = p ** f
         self.p = p
@@ -286,9 +291,11 @@ class FqField:
         if n != 1:
             raise DomainError("generator does not have full order (unreachable)",
                               clause="generator_order")
-        self._pow = powers
-        self._dlog = dlog
-        self._zech = [dlog[n + 1 if n % p != p - 1 else n + 1 - p] for n in powers]
+        # built as lists, which step faster than arrays, then stored compactly
+        self._pow = array("i", powers)
+        self._dlog = array("i", dlog)
+        self._zech = array("i", [dlog[n + 1 if n % p != p - 1 else n + 1 - p]
+                                 for n in powers])
 
     # -- public helpers -----------------------------------------------------
 

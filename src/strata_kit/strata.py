@@ -98,14 +98,17 @@ def v_order(x: TameElement, order: OrderSkeleton) -> int:
 def _tail_k0(fac: Factorization, i: int, order: OrderSkeleton):
     """k0 of the tail beta_i = sum_{j >= i} c_j at the order: None encodes
     -infinity when chunk i has no level below it (the tail is central),
-    otherwise e_A * ord(c_i)."""
+    otherwise e_A * ord(c_i).  That is an integer when c_i lies in the
+    order's pure field, but the public :func:`k0` takes any beta, so the
+    remainder is checked."""
     if i + 1 == len(fac.levels):
         return None
-    scaled = fac.chunks[i].ord() * order.e_A
-    if scaled.denominator != 1:
+    c = fac.chunks[i]
+    k, rem = divmod(min(c.digits) * order.e_A, c.owner.e_abs)
+    if rem:
         raise DomainError("jump index is not integral at the order",
                           clause="jump_not_integral")
-    return int(scaled)
+    return k
 
 
 def k0(beta: TameElement, order: OrderSkeleton, fac: Factorization | None = None):

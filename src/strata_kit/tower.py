@@ -21,7 +21,6 @@ the identity-like embedding first.
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 from math import gcd
@@ -493,14 +492,18 @@ def _enumerate_embeddings(E: TameField, L: TameField):
     return homs
 
 
-def _image_key(sigma: Embedding, x: TameElement, cut=INF) -> tuple:
-    """The digits of sigma(x) below ``cut`` as sorted ``(v, dlog)`` pairs,
-    for x owned by sigma's source: equal keys mean equal images below
-    ``cut``, and two keys first differ at the valuation of the difference."""
-    scale, mu_dlog = sigma.res_scale, sigma.mu_dlog
-    order = sigma.target.residue.q - 1
-    return tuple(sorted((v, (a.log * scale + v * mu_dlog) % order)
-                        for v, a in x.digits.items() if v < cut))
+def _image_keys(homs, x: TameElement, cut=INF) -> list:
+    """One key per embedding h in ``homs``, for x owned by their source:
+    the digits of h(x) below ``cut`` as ``(v, dlog)`` pairs sorted by v.
+    Equal keys mean equal images below ``cut``, and two keys first differ
+    at the valuation of the difference.  x's digits are read and sorted
+    once for all of ``homs``."""
+    digits = [(v, a.log) for v, a in sorted(x.digits.items()) if v < cut]
+    keys = []
+    for h in homs:
+        scale, mu, order = h.res_scale, h.mu_dlog, h.target.residue.q - 1
+        keys.append(tuple([(v, (k * scale + v * mu) % order) for v, k in digits]))
+    return keys
 
 
 def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
@@ -512,8 +515,8 @@ def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
             raise DomainError("element is not owned by the embedding's source",
                               clause="not_in_source")
     gen_power = sigma.target.residue.gen_power
-    return TameElement(sigma.target, {v: gen_power(d) for v, d in _image_key(sigma, x)},
-                       x.prec)
+    return TameElement(sigma.target,
+                       {v: gen_power(d) for v, d in _image_keys([sigma], x)[0]}, x.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +544,7 @@ class Subfield:
     congruence solving.
 
     Incremental invariant: ``cut`` is the least generator precision and
-    ``restriction_keys[i][k]`` is ``_image_key(homs[i], generator k, cut)``,
+    ``restriction_keys[i][k]`` is ``_image_keys(homs, generator k, cut)[i]``,
     the image of generator k under ambient embedding i below ``cut``.  The
     constructor adjoins its generators one at a time, and :meth:`adjoin`
     embeds only the new generator, so ``K.adjoin(x)`` has the degree,
@@ -570,9 +573,12 @@ class Subfield:
     def adjoin(self, x: TameElement) -> "Subfield":
         """The subfield generated by this one and x; applies the ambient
         embeddings to x only."""
-        K = copy.copy(self)
+        K = object.__new__(Subfield)
+        K.ambient, K.splitting, K.homs = self.ambient, self.splitting, self.homs
+        K.generators, K.cut = self.generators, self.cut
+        K.restriction_keys = self.restriction_keys
         K._invariants = None
-        K._push(coerce(x, self.ambient))
+        K._push(coerce(x, self.ambient))     # sets degree and stabilizer
         return K
 
     def _push(self, x: TameElement):
@@ -595,7 +601,7 @@ class Subfield:
         if dropped:
             keys = [tuple(tuple(d for d in key if d[0] < cut) for key in row)
                     for row in keys]
-        keys = [row + (_image_key(h, x, cut),) for row, h in zip(keys, self.homs)]
+        keys = [row + (key,) for row, key in zip(keys, _image_keys(self.homs, x, cut))]
         self.cut = cut
         self.restriction_keys = keys
         self.degree = len(set(keys))
@@ -609,8 +615,8 @@ class Subfield:
                 raise DomainError("element does not live in the ambient field",
                                   clause="not_in_ambient")
             x = coerce(x, self.ambient)
-        ref = _image_key(self.homs[self.stabilizer[0]], x)
-        return all(_image_key(self.homs[i], x) == ref for i in self.stabilizer[1:])
+        ref, *rest = _image_keys([self.homs[i] for i in self.stabilizer], x)
+        return all(key == ref for key in rest)
 
     # -- numerical invariants ----------------------------------------------
 

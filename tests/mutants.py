@@ -152,6 +152,24 @@ MUTANTS = {
         "if False:",
         "the certified chunk ords strictly decrease, which makes the jumps "
         "of a defining sequence strictly increase"),
+    "crit3_int_never_violates": (
+        "src/strata_kit/minimal.py",
+        "if d_val != c_val]",
+        "if d_val is None]",
+        "criterion 3 compares each pair's valuation with c's, both in the "
+        "ambient field's units; an integer difference is still a violation"),
+    "image_keys_no_mu": (
+        TOWER,
+        "(k * scale + v * mu) % order",
+        "(k * scale) % order",
+        "an embedding sends pi^v to mu^v pi_L^v, so the digit at v gains "
+        "v times the log of mu"),
+    "tail_k0_no_remainder": (
+        "src/strata_kit/strata.py",
+        "    if rem:\n        raise DomainError(\"jump index is not integral",
+        "    if rem and False:\n        raise DomainError(\"jump index is not integral",
+        "k0 takes any beta, and e_A * ord(c_i) need not be an integer at "
+        "an order its field is not pure over"),
     "j1_not_deepened": (
         "src/strata_kit/strata.py",
         "factors = [(0, FiltDepth(Fraction(0), True))]",

@@ -220,6 +220,45 @@ def test_minimal_dump_returns_witnesses(capsys, monkeypatch):
         "{'v': -1, 'e_rel': 2, 'f_rel': 1, 'residue_degree': 1}"
 
 
+NOT_MINIMAL = [
+    # (tower, element, the crit3_violations witness)
+    ({"base_q": 5, "levels": [{"f": 2, "e": 3, "twist": [3, 1]}]},
+     {"field": 1, "digits": [[-4, [1, 1]], [-1, [0, 1]]], "prec": None},
+     "[{'pair': (0, 5), 'ord': '-1/3', 'expected': '-4/3'}, "
+     "{'pair': (1, 3), 'ord': '-1/3', 'expected': '-4/3'}, "
+     "{'pair': (2, 4), 'ord': '-1/3', 'expected': '-4/3'}]"),
+    ({"base_q": 9, "levels": [{"f": 1, "e": 4, "twist": [1, 1]}]},
+     {"field": 1, "digits": [[-6, [1, 2]], [-5, [2, 2]], [-1, [0, 1]]], "prec": None},
+     "[{'pair': (0, 2), 'ord': '-5/4', 'expected': '-3/2'}, "
+     "{'pair': (1, 3), 'ord': '-5/4', 'expected': '-3/2'}]"),
+    ({"base_q": 5, "levels": [{"f": 3, "e": 1, "twist": [3, 4, 3]},
+                              {"f": 1, "e": 2, "twist": [0, 1, 4]}]},
+     {"field": 2, "digits": [[-6, [1, 1, 2]], [-2, [1, 3, 2]], [-1, [0, 3, 1]]],
+      "prec": None},
+     "[{'pair': (0, 1), 'ord': '-1/2', 'expected': '-3'}, "
+     "{'pair': (2, 3), 'ord': '-1/2', 'expected': '-3'}, "
+     "{'pair': (4, 5), 'ord': '-1/2', 'expected': '-3'}]"),
+    ({"base_q": 3, "levels": [{"f": 3, "e": 2, "twist": [2, 2, 2]}]},
+     {"field": 1, "digits": [[-4, [0, 1, 1]], [-3, [1, 1, 1]], [0, [0, 0, 1]]],
+      "prec": 6},
+     "[{'pair': (0, 1), 'ord': '-3/2', 'expected': '-2'}, "
+     "{'pair': (2, 3), 'ord': '-3/2', 'expected': '-2'}, "
+     "{'pair': (4, 5), 'ord': '-3/2', 'expected': '-2'}]"),
+]
+
+
+@pytest.mark.parametrize("tower, element, violations", NOT_MINIMAL)
+def test_minimal_dump_prints_crit3_violations_as_ords(capsys, monkeypatch, tower,
+                                                      element, violations):
+    # criterion 3 compares valuations in the ambient field's units; the
+    # witness still prints each as a reduced ord, ord(c) = v / e_abs
+    code, out, _ = run(capsys, monkeypatch, ["minimal", "--dump"],
+                       {"tower": tower, "element": element})
+    doc = json.loads(out)
+    assert code == 0 and doc["criteria"] == [False, False, False]
+    assert doc["witnesses"]["crit3_violations"] == violations
+
+
 @pytest.mark.parametrize("argv", [["factorize", "--dump"],
                                   ["fuzz", "--in", "x"],
                                   ["verify", "--suite", "sr", "--in", "x"]])

@@ -1,5 +1,6 @@
 """Import graph of a cold CLI call: each subcommand loads only the
-strata_kit modules it runs, and none loads the oracle or dataclasses.
+strata_kit modules it runs, and none loads the oracle, dataclasses or
+copy.
 
 Every cold ``strata-kit`` process imports and compiles each module it
 loads, so a module pulled in by a subcommand that does not use it costs
@@ -38,7 +39,8 @@ for argv, doc in json.loads(sys.argv[1]):
     code = main(argv)
     sys.stdout = sys.__stdout__
     snapshots.append([code, sorted(m for m in sys.modules
-                                   if m.split(".")[0] in ("strata_kit", "dataclasses"))])
+                                   if m.split(".")[0] in ("strata_kit", "dataclasses",
+                                                          "copy"))])
 print(json.dumps(snapshots))
 """
 
@@ -70,5 +72,5 @@ def test_subcommand_loads_only_what_it_runs(group):
     assert proc.returncode == 0, proc.stderr
     for (argv, _), (code, loaded) in zip(calls, json.loads(proc.stdout)):
         assert code == 0, argv
-        assert not {"strata_kit.oracle", "dataclasses"} & set(loaded), argv
+        assert not {"strata_kit.oracle", "dataclasses", "copy"} & set(loaded), argv
         assert set(loaded) == want, argv

@@ -64,6 +64,15 @@ def test_k_F_and_k0(running):
     assert k0(mono(E, -1), order) == -1         # minimal: e_A * ord
 
 
+def test_k0_refuses_a_jump_the_order_cannot_index(running):
+    # k0 takes any beta: ord(pi^-1) = -1/2 has no integer index at the
+    # order of F, whose e_A is 1
+    F, E, _, _ = running
+    with pytest.raises(DomainError) as err:
+        k0(E.uniformizer().inverse(), standard_order(F))
+    assert err.value.clause == "jump_not_integral"
+
+
 def test_stratum_and_kind(running):
     _, E, beta, order = running
     st = StratumSkeleton(order, beta)

@@ -401,7 +401,8 @@ def test_key_table_matches_embedded_images(seed):
                     continue
                 diff = images[i] - images[j]
                 exact_zero = not diff.digits and diff.prec is INF
-                out.append(((i, j), None if exact_zero else diff.ord()))
+                out.append(((i, j), None if exact_zero
+                            else diff.ord() * Ec.ambient.e_abs))
         return out
 
     pairs = zeros = raised = 0
@@ -431,6 +432,25 @@ def test_key_table_matches_embedded_images(seed):
                 pairs += len(want)
                 zeros += sum(d is None for _, d in want)
     assert pairs and zeros and raised    # every branch was exercised
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_image_keys_of_all_embeddings_match_one_at_a_time(seed):
+    """The one-pass key list equals the keys taken one embedding at a
+    time, at an infinite cut and at cuts inside and below x's digits."""
+    from strata_kit.tower import _image_keys
+    checked = cut_inside = 0
+    for E, _, x in _adjoin_cases(seed, 60):
+        x = coerce(x, E)
+        homs = embeddings(E)
+        for cut in (INF, x.prec, *(v + 1 for v in x.digits), min(x.digits, default=0)):
+            keys = _image_keys(homs, x, cut)
+            assert len(keys) == len(homs)
+            for i, h in enumerate(homs):
+                assert keys[i] == _image_keys([h], x, cut)[0]
+            checked += len(homs)
+            cut_inside += 0 < len(keys[0]) < len(x.digits)
+    assert checked and cut_inside
 
 
 def test_adjoin_precision_drop_rechecks_old_generators(E_ram2):
