@@ -155,7 +155,7 @@ def cmd_embeddings(args):
 
 def cmd_generic(args):
     from .minimal import is_generic
-    from .tower import coerce, tower_subfield
+    from .tower import coerce
     E, x = _element_ctx(_read_doc(args), args.prec)
     x = coerce(x, E)        # the levels below are built as subfields of E
     levels = E.levels
@@ -163,7 +163,7 @@ def cmd_generic(args):
     if not (0 <= big < len(levels) and 0 <= args.small < len(levels)):
         raise SchemaError("level index out of range")
     big, small = levels[big], levels[args.small]
-    rep = is_generic(x, (tower_subfield(big, E), tower_subfield(small, E)))
+    rep = is_generic(x, (big, small))
     out = {"schema": ser.SCHEMA,
            "ge1": rep.ge1,
            "generic": rep.ge1,

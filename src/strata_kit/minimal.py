@@ -166,28 +166,26 @@ class Factorization:
     ``chunks[i]`` is c_i and ``fields[i]`` is E_i; index 0 is the shallowest
     correction (largest field E_0 = base[beta]) and index s the leading
     chunk (smallest field), so ord(c_0) > ... > ord(c_s) = ord(beta).
-    :attr:`levels` is the field chain E_0 > ... > E_s, ending at the base.
+
+    ``levels`` is the field chain E_0 > ... > E_s as a tuple, followed by
+    the base when E_s is bigger than it, set once here (empty when
+    ``fields`` is).  Chunk i lies in ``levels[i]`` and, unless it is
+    central (no level below it), generates ``levels[i]`` over
+    ``levels[i + 1]``.
     """
 
     def __init__(self, beta: TameElement, base: TameField, chunks: list, fields: list):
         self.beta, self.base, self.chunks, self.fields = beta, base, chunks, fields
+        self.levels = tuple(fields)
+        if fields:
+            base_sub = tower_subfield(base, beta.owner)
+            if fields[-1].degree > base_sub.degree:
+                self.levels += (base_sub,)
 
     @property
     def degenerate(self) -> bool:
         """Whether beta is central: no level below E_0."""
         return len(self.levels) == 1
-
-    @property
-    def levels(self) -> tuple:
-        """``fields``, followed by the base when E_s is bigger than it.
-
-        Chunk i lies in ``levels[i]`` and, unless it is central (no level
-        below it), generates ``levels[i]`` over ``levels[i + 1]``.
-        """
-        base_sub = tower_subfield(self.base, self.beta.owner)
-        if self.fields[-1].degree > base_sub.degree:
-            return (*self.fields, base_sub)
-        return tuple(self.fields)
 
     def partial_tail(self, i: int) -> TameElement:
         """beta_i = sum_{j >= i} c_j."""
@@ -214,9 +212,6 @@ def howe_factorize(beta: TameElement, base: TameField) -> Factorization:
                            clause="factor_of_zero") if beta.prec is INF
                else PrecisionError("beta is zero to precision"))
     ambient = beta.owner
-    if not base.is_ancestor_of(ambient):
-        raise DomainError("base is not an ancestor of beta's field",
-                          clause="not_an_ancestor")
     base_sub = tower_subfield(base, ambient)
     K = base_sub
     groups = []          # scan order: deepest chunk first
@@ -309,7 +304,7 @@ def check_factorization(fac: Factorization) -> FactorizationReport:
 
     for i, c in enumerate(fac.chunks):
         # a central chunk has no level below it: its own field is the base
-        next_base = as_subfield(levels[min(i + 1, len(levels) - 1)], c.owner)
+        next_base = levels[min(i + 1, len(levels) - 1)]
         Ec = gens[i] if i < len(gens) else next_base.adjoin(c)
         rep = _minimality(c, next_base, Ec)
         if not rep.agree():

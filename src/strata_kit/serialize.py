@@ -124,6 +124,8 @@ def element_from_json(obj, tower: TameField, default_prec=None) -> TameElement:
                 or type(pair[0]) is not int or not isinstance(pair[1], list)):
             raise SchemaError("digits must be [valuation, coords] pairs")
         v, coords = pair
+        if v in digits:
+            raise SchemaError(f"digits name valuation {v} twice")
         digits[v] = owner.residue.elem(_coords(coords, owner.residue.f))
     prec = obj.get("prec")
     if prec is None:

@@ -508,12 +508,7 @@ def _image_keys(homs, x: TameElement, cut=INF) -> list:
 
 def apply_embedding(sigma: Embedding, x: TameElement) -> TameElement:
     """Digit-wise image: a pi^v  ->  tau(a) mu^v pi_L^v."""
-    if x.owner is not sigma.source:
-        if x.owner.is_ancestor_of(sigma.source):
-            x = coerce(x, sigma.source)
-        else:
-            raise DomainError("element is not owned by the embedding's source",
-                              clause="not_in_source")
+    x = coerce(x, sigma.source)
     gen_power = sigma.target.residue.gen_power
     return TameElement(sigma.target,
                        {v: gen_power(d) for v, d in _image_keys([sigma], x)[0]}, x.prec)
@@ -545,19 +540,17 @@ class Subfield:
 
     Incremental invariant: ``cut`` is the least generator precision and
     ``restriction_keys[i][k]`` is ``_image_keys(homs, generator k, cut)[i]``,
-    the image of generator k under ambient embedding i below ``cut``.  The
-    constructor adjoins its generators one at a time, and :meth:`adjoin`
-    embeds only the new generator, so ``K.adjoin(x)`` has the degree,
-    stabilizer and keys of ``subfield_generated(K.generators + [x])`` and
-    raises :class:`PrecisionError` on exactly the same inputs.  A Subfield
+    the image of generator k under ambient embedding i below ``cut``.
+    ``Subfield(ambient)`` is the base field viewed as a subfield, with no
+    generators, and :meth:`adjoin` is the only code that embeds a
+    generator; :func:`subfield_generated` folds it from there.  A Subfield
     is immutable apart from its lazily resolved invariants.
     """
 
     __slots__ = ("ambient", "generators", "splitting", "homs", "cut",
                  "degree", "stabilizer", "restriction_keys", "_invariants")
 
-    def __init__(self, ambient: TameField, generators):
-        generators = [coerce(g, ambient) for g in generators]
+    def __init__(self, ambient: TameField):
         self.ambient = ambient
         self.splitting, self.homs = _splitting_data(ambient)
         n = len(self.homs)
@@ -567,24 +560,16 @@ class Subfield:
         self.degree = 1
         self.stabilizer = list(range(n))
         self._invariants = None
-        for g in generators:
-            self._push(g)
 
     def adjoin(self, x: TameElement) -> "Subfield":
-        """The subfield generated by this one and x; applies the ambient
-        embeddings to x only."""
-        K = object.__new__(Subfield)
-        K.ambient, K.splitting, K.homs = self.ambient, self.splitting, self.homs
-        K.generators, K.cut = self.generators, self.cut
-        K.restriction_keys = self.restriction_keys
-        K._invariants = None
-        K._push(coerce(x, self.ambient))     # sets degree and stabilizer
-        return K
+        """The subfield generated by this one and x, which is coerced into
+        the ambient field; applies the ambient embeddings to x only.
 
-    def _push(self, x: TameElement):
-        """Append x as the last generator.  Rebinds, never mutates, the
-        per-generator lists, which copies made by :meth:`adjoin` share."""
-        self.generators = self.generators + [x]
+        Raises :class:`PrecisionError` when some generator, old or new,
+        has fewer than :data:`GUARD_DIGITS` certain digits above its lead
+        at the new cut."""
+        x = coerce(x, self.ambient)
+        generators = self.generators + [x]
         cut = min(self.cut, x.prec)
         dropped = cut < self.cut
         if cut is not INF:
@@ -592,7 +577,7 @@ class Subfield:
             # valuations and precision, so the guard over all images is a
             # guard over the generators; the old ones passed it at the old
             # cut and only need re-checking when the cut drops
-            for g in (self.generators if dropped else (x,)):
+            for g in (generators if dropped else (x,)):
                 lead = min(g.digits) if g.digits else cut
                 if cut - lead < GUARD_DIGITS:
                     raise PrecisionError(
@@ -602,19 +587,18 @@ class Subfield:
             keys = [tuple(tuple(d for d in key if d[0] < cut) for key in row)
                     for row in keys]
         keys = [row + (key,) for row, key in zip(keys, _image_keys(self.homs, x, cut))]
-        self.cut = cut
-        self.restriction_keys = keys
-        self.degree = len(set(keys))
-        self.stabilizer = [i for i, k in enumerate(keys) if k == keys[0]]
+        K = object.__new__(Subfield)
+        K.ambient, K.splitting, K.homs = self.ambient, self.splitting, self.homs
+        K.generators, K.cut, K.restriction_keys = generators, cut, keys
+        K.degree = len(set(keys))
+        K.stabilizer = [i for i, k in enumerate(keys) if k == keys[0]]
+        K._invariants = None
+        return K
 
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: TameElement) -> bool:
-        if x.owner is not self.ambient:
-            if not x.owner.is_ancestor_of(self.ambient):
-                raise DomainError("element does not live in the ambient field",
-                                  clause="not_in_ambient")
-            x = coerce(x, self.ambient)
+        x = coerce(x, self.ambient)
         ref, *rest = _image_keys([self.homs[i] for i in self.stabilizer], x)
         return all(key == ref for key in rest)
 
@@ -640,23 +624,16 @@ class Subfield:
                 return None
         return sol
 
-    def monomial_at(self, v: int):
-        """Some monomial a*pi^v in this subfield, or None (a nonzero)."""
-        sol = self._monomial_congruences(v)
-        if sol is None:
-            return None
-        coeff = self.ambient.residue.gen_power(sol[0])
-        return self.ambient.monomial(v, coeff)
-
     def _resolve_invariants(self):
         if self._invariants is not None:
             return self._invariants
         e_amb = self.ambient.e_abs
         v_min, unif = None, None
         for v in range(1, e_amb + 1):
-            m = self.monomial_at(v)
-            if m is not None:
-                v_min, unif = v, m
+            sol = self._monomial_congruences(v)
+            if sol is not None:       # a*pi^v lies here for a = g^sol[0]
+                v_min = v
+                unif = self.ambient.monomial(v, self.ambient.residue.gen_power(sol[0]))
                 break
         f_amb = self.ambient.f_over_base
         f_g = 0
@@ -727,18 +704,24 @@ def generating_log(E: TameField, v: int, logs):
 
 
 def subfield_generated(S, ambient: TameField) -> Subfield:
-    """The subfield of the ambient field generated by the elements of S."""
-    return Subfield(ambient, list(S))
+    """The subfield of the ambient field generated by the elements of S:
+    every element is coerced first, so a foreign one is refused with
+    ``not_a_descendant`` before the embeddings are enumerated, then
+    :meth:`Subfield.adjoin` is folded over S from ``Subfield(ambient)``."""
+    S = [coerce(x, ambient) for x in S]
+    K = Subfield(ambient)
+    for x in S:
+        K = K.adjoin(x)
+    return K
 
 
 def tower_subfield(level: TameField, ambient: TameField) -> Subfield:
-    """A tower ancestor viewed as a Subfield of the ambient field (cached
-    on the ambient field)."""
+    """A tower level viewed as a Subfield of the ambient field: the one
+    generated by its residue generator and uniformizer, cached on the
+    ambient field.  A level that is not an ancestor is refused by
+    :func:`coerce` (``not_a_descendant``)."""
     K = ambient._subfields.get(level)
     if K is None:
-        if not level.is_ancestor_of(ambient):
-            raise DomainError("level is not an ancestor of the ambient field",
-                              clause="not_an_ancestor")
-        K = Subfield(ambient, [level.residue_gen_elem(), level.uniformizer()])
-        ambient._subfields[level] = K
+        K = ambient._subfields[level] = subfield_generated(
+            [level.residue_gen_elem(), level.uniformizer()], ambient)
     return K

@@ -164,6 +164,18 @@ MUTANTS = {
         "(k * scale) % order",
         "an embedding sends pi^v to mu^v pi_L^v, so the digit at v gains "
         "v times the log of mu"),
+    "coerce_skips_the_ancestor_check": (
+        TOWER,
+        "if not x.owner.is_ancestor_of(target):",
+        "if False:",
+        "coerce is the one ancestry check, so an element of a sibling "
+        "tower must be refused there, not read as the target's"),
+    "adjoin_rechecks_new_generator_only": (
+        TOWER,
+        "for g in (generators if dropped else (x,)):",
+        "for g in (x,):",
+        "when the cut drops, an old generator can lose the guard digits "
+        "it had at the old cut"),
     "tail_k0_no_remainder": (
         "src/strata_kit/strata.py",
         "    if rem:\n        raise DomainError(\"jump index is not integral",

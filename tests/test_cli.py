@@ -476,6 +476,23 @@ def test_element_digit_count_is_capped(capsys, monkeypatch, count, code):
         assert out == "" and err.startswith("domain error [too_many_digits]:")
 
 
+@pytest.mark.parametrize("second", [[2], [0]])
+def test_repeated_valuation_is_refused(capsys, monkeypatch, second):
+    # the last pair used to win silently: [2] printed a digit 2, [0] a zero
+    twice = {"field": 1, "digits": [[-1, [1]], [-1, second]], "prec": None}
+    want = "schema error: digits name valuation -1 twice\n"
+    code, out, err = run(capsys, monkeypatch, ["expand"],
+                         {"tower": TOWER, "element": twice})
+    assert (code, out, err) == (1, "", want)
+    code, out, err = run(capsys, monkeypatch, ["groups"], dict(STRATUM, beta=twice))
+    assert (code, out, err) == (1, "", want)
+    yu = datum(capsys, monkeypatch, STRATUM)
+    chunks = [dict(c, digits=c["digits"] + c["digits"][:1]) for c in yu["chunks"]]
+    code, out, err = run(capsys, monkeypatch, ["yu2stratum"], {**yu, "chunks": chunks})
+    assert code == 1 and out == ""
+    assert err.startswith("schema error: digits name valuation ")
+
+
 def test_datum_digit_count_is_capped_over_all_chunks(capsys, monkeypatch):
     yu = datum(capsys, monkeypatch, STRATUM)
     chunks = [dict(c, digits=c["digits"] + [[v, [1]] for v in range(100, 229)])

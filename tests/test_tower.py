@@ -278,6 +278,29 @@ def test_levels_of_an_equal_shaped_tower_are_foreign():
                 element_to_json(x, B)
 
 
+def test_every_entry_refuses_a_sibling_with_one_clause():
+    """coerce is the one ancestry check: every entry that takes an element
+    or a level refuses one from a sibling tower with ``not_a_descendant``."""
+    from strata_kit.minimal import howe_factorize, is_minimal
+    F = base_field(3)
+    E = extend(F, 1, 2, 1)
+    G = extend(F, 2, 1, 1)
+    y, pi_E = G.residue_gen_elem(), E.uniformizer()
+    K = tower_subfield(F, E)
+    calls = [lambda: coerce(y, E),
+             lambda: apply_embedding(embeddings(E)[0], y),
+             lambda: K.adjoin(y),
+             lambda: K.contains(y),
+             lambda: subfield_generated([pi_E, y], E),
+             lambda: tower_subfield(G, E),
+             lambda: howe_factorize(pi_E, G),
+             lambda: is_minimal(pi_E, G)]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.clause == "not_a_descendant"
+
+
 def test_element_json_roundtrip_at_every_level():
     import random
 
@@ -368,21 +391,36 @@ def _adjoin_cases(seed, count):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_adjoin_matches_rebuild(seed):
-    raised = 0
+    """K.adjoin(x) against a reference built from apply_embedding images of
+    K.generators + [x] below their least precision: the degree counts the
+    distinct rows, the stabilizer is the rows equal to row 0, and the
+    precision guard fires exactly when a generator has fewer than
+    GUARD_DIGITS certain digits above its lead at that cut."""
+    from strata_kit.tower import GUARD_DIGITS
+    raised = dropped = 0
     for E, K, x in _adjoin_cases(seed, 60):
-        try:
-            ref = subfield_generated(K.generators + [x], E)
-        except PrecisionError:
+        gens = K.generators + [coerce(x, E)]
+        cut = min(g.prec for g in gens)
+        dropped += cut < K.cut
+        if cut is not INF and any(
+                cut - (min(g.digits) if g.digits else cut) < GUARD_DIGITS
+                for g in gens):
             raised += 1
             with pytest.raises(PrecisionError):
                 K.adjoin(x)
             continue
+        kL = K.splitting.residue
+        rows = [tuple(tuple(sorted((v, kL.dlog(a))
+                                   for v, a in apply_embedding(h, g).digits.items()
+                                   if v < cut))
+                      for g in gens)
+                for h in embeddings(E)]
         got = K.adjoin(x)
-        assert got.degree == ref.degree
-        assert got.stabilizer == ref.stabilizer
-        assert got.restriction_keys == ref.restriction_keys
-        assert got.signature() == ref.signature()
-    assert raised                       # the precision guard was exercised
+        assert got.degree == len(set(rows))
+        assert got.stabilizer == [i for i, row in enumerate(rows) if row == rows[0]]
+        assert got.restriction_keys == rows
+        assert got.e_over_base * got.f_over_base == got.degree
+    assert raised and dropped       # the guard and the cut drop were exercised
 
 
 @pytest.mark.parametrize("seed", [3, 11])
