@@ -18,19 +18,28 @@ unknown digits could change an answer, and ``DomainError``
 read as powers of the wrong uniformizer.  It guards the argument of
 ``regular_rep``, every entry of a ``Mat``, whose rows are tuples so a
 matrix stays exact once built, and every entry of a lattice column, which
-``_stored`` copies without its exact zeros; ``intersect_with_centralizer``
+``_stored`` converts for the pass without its exact zeros;
+``intersect_with_centralizer``
 refuses a generator over another base.  So every matrix entry is exact,
 every stored lattice entry is exact and nonzero, a row operation runs over
 the stored entries of the pivot column, and an entry that cancels is
 dropped at once.  Matrix products skip exact zeros over dense rows;
 elements are immutable, so a dense matrix may share one exact zero.
 
-Row operations shift by powers of t instead of multiplying by them:
-``_t_shift(x, k)`` moves the digits of an exact nonzero x from v to v + k,
-exactly the digits of x times the monomial t^k.  The kernel pass of
-``intersect_with_centralizer`` shifts each stored generator entry once for
-each value its bound D takes, and every bracket column with that value
+The bracket columns of ``intersect_with_centralizer`` are assembled from
+shifts by powers of t instead of products with them: ``_t_shift(x, k)``
+moves the digits of an exact nonzero x from v to v + k, exactly the digits
+of x times the monomial t^k.  Each stored generator entry is shifted once
+for each value its bound D takes, and every bracket column with that value
 shares the shifted entry, which is safe since elements are immutable.
+
+Inside the elimination pass an entry is a digit-log map {valuation: log},
+each digit g^log of the base residue field, so the pass runs in integers:
+a product adds valuations and logs, negation adds the log of -1, and a sum
+is one ``residue.log_sum``.  Its callers convert where they check entries
+anyway: the ``MatrixLattice`` methods through ``_stored``, and
+``intersect_with_centralizer`` once per assembled bracket column, turning
+back only the kernel's lower rows.  A lattice's ``cols`` hold elements.
 
 Every elimination is one fraction-free column-echelon pass, ``_echelon``,
 the only code that eliminates, and each lattice costs at most one pass:
@@ -288,32 +297,59 @@ def _t_shift(x: TameElement, k: int) -> TameElement:
         x.owner, {v + k: a for v, a in x.digits.items()}, INF)
 
 
-def _clear(c2, col, unit, q):
+def _add_product(z, x, y, fld):
+    """z + x * y, in place in z, for a digit-log map x and the
+    (valuation, log) pairs y of another: a product adds valuations and
+    adds logs mod q - 1, and a sum is one :func:`residue.log_sum`; a digit
+    that cancels is dropped from z."""
+    order = fld.q - 1
+    for v, a in x.items():
+        for w, b in y:
+            k, c = v + w, (a + b) % order
+            s = z.get(k)
+            if s is None:
+                z[k] = c
+            elif (s := residue.log_sum(fld, s, c)) < 0:
+                del z[k]
+            else:
+                z[k] = s
+    return z
+
+
+def _clear(c2, col, unit, q, fld):
     """Clear a row of sparse column c2 by pivot column col, whose pivot
     entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is t^-v
-    times c2's entry in the pivot row.  q is negated once, so each entry is
-    x * -q where c2 stores no entry and y + x * -q where it stores y.
+    times c2's entry in the pivot row.  All four are digit-log maps over
+    fld, the base residue field.  q is negated once, by adding the log of
+    -1 to each digit, so each entry is x * -q where c2 stores no entry and
+    y + x * -q where it stores y, summed by :func:`_add_product`.
 
     The one update step, called only by :func:`_echelon`.  It takes no
     inverse: unit is a unit of o_F, so the step is unimodular, and entries
-    stay exact.  A unit 1 scales nothing.  x and q are nonzero, so only a
-    sum y + x * -q can cancel, and it is then dropped from c2."""
-    if unit.digits != {0: unit.owner.residue.one}:
+    stay exact.  A unit 1, the map {0: 0}, scales nothing.  x and q are
+    nonzero, so only a sum y + x * -q can cancel, and it is then dropped
+    from c2."""
+    if unit != {0: 0}:
+        unit = unit.items()
         for u, y in c2.items():
-            c2[u] = y * unit
-    q = -q
+            c2[u] = _add_product({}, y, unit, fld)
+    minus, order = (-fld.one).log, fld.q - 1
+    q = [(w, (b + minus) % order) for w, b in q.items()]
     for u, x in col.items():
-        y = c2.get(u)
-        z = x * q if y is None else y + x * q
-        if z.digits:
+        z = _add_product(dict(c2.get(u, ())), x, q, fld)
+        if z:
             c2[u] = z
         else:
             del c2[u]
 
 
-def _echelon(cols, scanned):
+def _echelon(cols, scanned, fld):
     """One fraction-free column-echelon pass over rows 0 .. scanned - 1, in
     order, of the sparse columns ``cols``: the oracle's only elimination.
+    A column is a dict {row: digit-log map} and a digit-log map
+    {valuation: log} is a nonzero exact element over fld, the base residue
+    field, each digit g^log: the pass runs in integers, and its callers
+    convert at the boundary, where they check entries anyway.
 
     Each column is filed once under its least stored row.  Rows above r
     are already cleared when the pass reaches r, so the columns filed
@@ -323,7 +359,8 @@ def _echelon(cols, scanned):
     this is the one place where the oracle chooses a pivot.  It clears the
     row from the other columns of the bucket by :func:`_clear`, and each
     column left nonempty is filed again under its new least row, which
-    lies below r.  Since v is least, every quotient lies in o_F.  Returns
+    lies below r.  Since v is least, every quotient lies in o_F, and
+    shifting a map's valuations by -v is its product with t^-v.  Returns
     the pivot columns with their (row, exponent) pairs; the pivot columns
     leave ``cols``, and the columns left there keep their order and store
     no entry in the scanned rows."""
@@ -336,14 +373,14 @@ def _echelon(cols, scanned):
         bucket = at.pop(r, None)
         if bucket is None:
             continue
-        v, j = min((cols[j][r].val(), j) for j in bucket)
+        v, j = min((min(cols[j][r]), j) for j in bucket)
         col = cols[j]
         taken.add(j)
-        unit = _t_shift(col[r], -v)
+        unit = {w - v: a for w, a in col[r].items()}
         for j2 in bucket:
             if j2 != j:
                 c2 = cols[j2]
-                _clear(c2, col, unit, _t_shift(c2[r], -v))
+                _clear(c2, col, unit, {w - v: a for w, a in c2[r].items()}, fld)
                 if c2:
                     at.setdefault(min(c2), []).append(j2)
         pivots.append(((r, v), col))
@@ -352,18 +389,28 @@ def _echelon(cols, scanned):
 
 
 def _stored(vec, dim, base):
-    """A copy of the sparse column vec without its exact zeros: the lattice
-    code's boundary.  A row outside 0 .. dim - 1 raises ``shape_mismatch``,
-    and an entry that is not an exact element of base raises by
-    :func:`_exact`."""
+    """The sparse column vec as the pass takes it, without its exact
+    zeros, each entry a digit-log map {valuation: log}: the lattice code's
+    boundary.  A row outside 0 .. dim - 1 raises ``shape_mismatch``, and an
+    entry that is not an exact element of base raises by :func:`_exact`.
+    vec itself is never changed, so a refusal leaves the caller's dicts as
+    they were."""
     out = {}
     for u, x in vec.items():
         if not 0 <= u < dim:
             raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
                               clause="shape_mismatch")
         if _exact(x, base, "the lattice entry in row {}", u).digits:
-            out[u] = x
+            out[u] = {v: a.log for v, a in x.digits.items()}
     return out
+
+
+def _elements(base, col):
+    """The column col of digit-log maps over base's residue field as a
+    column of exact elements of base: the way back from :func:`_echelon`."""
+    k = base.residue
+    return {u: TameElement(base, {v: k.gen_power(a) for v, a in x.items()}, INF)
+            for u, x in col.items()}
 
 
 class MatrixLattice:
@@ -374,12 +421,13 @@ class MatrixLattice:
     in the rows above.  The basis is not canonical: the pivots are
     invariants of the lattice, the entries are not.
 
-    The constructor runs one :func:`_echelon` pass over copies of its
-    columns made by :func:`_stored`, which refuses inexact entries and
-    elements of another field.  Columns are sparse ``{row: entry}`` dicts
-    in and out.  ``filt_lattice`` and ``intersect_with_centralizer``,
-    which already hold an echelon basis, store it as it is.  Membership and
-    equality are one more pass over copies, so ``cols`` is never
+    The constructor runs one :func:`_echelon` pass over the digit-log
+    copies of its columns made by :func:`_stored`, which refuses inexact
+    entries and elements of another field, and turns the pivot columns
+    back into elements.  Columns are sparse ``{row: entry}`` dicts in and
+    out.  ``filt_lattice`` and ``intersect_with_centralizer``, which
+    already hold an echelon basis, store it as it is.  Membership and
+    equality are one more pass over such copies, so ``cols`` is never
     changed."""
 
     __slots__ = ("base", "dim", "cols", "pivots")
@@ -387,9 +435,9 @@ class MatrixLattice:
     def __init__(self, base: TameField, dim: int, cols):
         self.base = base
         self.dim = dim
-        basis = _echelon([_stored(c, dim, base) for c in cols], dim)
+        basis = _echelon([_stored(c, dim, base) for c in cols], dim, base.residue)
         self.pivots = [p for p, _ in basis]
-        self.cols = [c for _, c in basis]
+        self.cols = [_elements(base, c) for _, c in basis]
 
     @classmethod
     def _of_basis(cls, base: TameField, dim: int, basis) -> "MatrixLattice":
@@ -409,8 +457,9 @@ class MatrixLattice:
         """Whether the sparse vector vec lies in the lattice: one
         :func:`_echelon` pass over copies of the basis followed by vec finds
         no pivot but the basis's own."""
-        cols = [dict(c) for c in self.cols] + [_stored(vec, self.dim, self.base)]
-        return [p for p, _ in _echelon(cols, self.dim)] == self.pivots
+        cols = [_stored(c, self.dim, self.base) for c in [*self.cols, vec]]
+        return ([p for p, _ in _echelon(cols, self.dim, self.base.residue)]
+                == self.pivots)
 
     def same_as(self, other: "MatrixLattice") -> bool:
         """Equality: with equal pivots the index (other : self) is 1, so
@@ -420,9 +469,9 @@ class MatrixLattice:
         _same_base(self, other)
         if self.pivots != other.pivots:
             return False
-        cols = ([dict(c) for c in other.cols]
-                + [_stored(c, other.dim, other.base) for c in self.cols])
-        return [p for p, _ in _echelon(cols, other.dim)] == other.pivots
+        cols = [_stored(c, other.dim, other.base) for c in other.cols + self.cols]
+        return ([p for p, _ in _echelon(cols, other.dim, other.base.residue)]
+                == other.pivots)
 
 
 def _same_base(L1: MatrixLattice, L2: MatrixLattice):
@@ -469,14 +518,15 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     over ``base``, so their entries are exact elements of it, and each
     column is a sparse dict {row: entry} of the nonzero entries: a bracket
     entry that cancels, such as t^d g - t^d g on the diagonal, is not
-    stored.  One :func:`_echelon` pass over all rows clears each bracket
-    row from all columns but its pivot column, and drops it.  Each step is
-    unimodular, and a kernel element has no part along a dropped column,
-    so the remaining columns' lower parts span the kernel over o_F,
-    saturated.  They store nothing in
-    the bracket rows, so the same pass goes on over the lower rows as an
-    echelon pass over those lower parts: its pivots there, with their lower
-    parts, are the kernel's echelon basis."""
+    stored.  Each column is converted to digit-log maps once, and one
+    :func:`_echelon` pass over all rows clears each bracket row from all
+    columns but its pivot column, and drops it.  Each step is unimodular,
+    and a kernel element has no part along a dropped column, so the
+    remaining columns' lower parts span the kernel over o_F, saturated.
+    They store nothing in the bracket rows, so the same pass goes on over
+    the lower rows as an echelon pass over those lower parts: its pivots
+    there, with their lower parts, turned back into elements, are the
+    kernel's echelon basis."""
     N = chain.N
     dim = N * N
     for G in gens:
@@ -515,10 +565,11 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                         del col[r]
                         continue
                 col[r] = x
-        cols.append(col)
-    return MatrixLattice._of_basis(
-        base, dim, [((r - top, v), {u - top: x for u, x in c.items() if u >= top})
-                    for (r, v), c in _echelon(cols, top + dim) if r >= top])
+        cols.append({r: {v: a.log for v, a in x.digits.items()}
+                     for r, x in col.items()})
+    return MatrixLattice._of_basis(base, dim, [
+        ((r - top, v), _elements(base, {u - top: x for u, x in c.items() if u >= top}))
+        for (r, v), c in _echelon(cols, top + dim, base.residue) if r >= top])
 
 
 # ---------------------------------------------------------------------------

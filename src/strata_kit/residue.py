@@ -18,8 +18,10 @@ quotients, powers, Frobenius and embeddings are then integer arithmetic
 mod q - 1.  Sums go through the Zech table Z, Z[n] = dlog(1 + g^n)
 (K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory
 36(4), 1990): g^a + g^b = g^(a + Z[b - a]), where Z[n] = -1 marks
-1 + g^n = 0.  Negation adds (q - 1)/2 to the log for odd p, since that
-power of g is -1, and is the identity for p = 2.
+1 + g^n = 0.  :func:`log_sum` is that one rule, on bare logs: ``+`` and
+``-`` call it, and so does code outside this module that keeps digits as
+logs, so no other module reads the tables.  Negation adds (q - 1)/2 to the
+log for odd p, since that power of g is -1, and is the identity for p = 2.
 
 Each field keeps three integer tables, all built from the integer index
 n = sum(c_i p^i) of the coordinate vector (c_0, ..., c_{f-1}) in the
@@ -339,16 +341,20 @@ def _owner_mismatch():
                       clause="owner_mismatch")
 
 
-def _sum(fld: FqField, a: int, b: int) -> "FqElem":
-    """g^a + g^b in fld, for logs a, b in [-1, q - 2], -1 standing for 0."""
+def log_sum(fld: FqField, a: int, b: int) -> int:
+    """The log of g^a + g^b in fld, for logs a, b in [-1, q - 2], -1
+    standing for 0 both ways: the one Zech rule, a + Z[b - a] mod q - 1,
+    or -1 where the two terms cancel.  ``+``, ``-`` and
+    :func:`_decomposition` add through it, and so does code that keeps
+    residue digits as bare logs, such as the oracle's elimination pass."""
     if a < 0:
-        return FqElem(fld, b)
+        return b
     if b < 0:
-        return FqElem(fld, a)
+        return a
     z = fld._zech[b - a]        # the table has q - 1 entries: b - a < 0 wraps
     if z < 0:
-        return fld.zero
-    return FqElem(fld, (a + z) % (fld.q - 1))
+        return -1
+    return (a + z) % (fld.q - 1)
 
 
 class FqElem:
@@ -383,14 +389,15 @@ class FqElem:
         fld = self.owner
         if other.owner is not fld:
             _owner_mismatch()
-        return _sum(fld, self.log, other.log)
+        return FqElem(fld, log_sum(fld, self.log, other.log))
 
     def __sub__(self, other):
         fld = self.owner
         if other.owner is not fld:
             _owner_mismatch()
         b = other.log
-        return _sum(fld, self.log, (b + fld._half) % (fld.q - 1) if b >= 0 else b)
+        return FqElem(fld, log_sum(fld, self.log,
+                                   (b + fld._half) % (fld.q - 1) if b >= 0 else b))
 
     def __neg__(self):
         fld = self.owner
@@ -492,7 +499,7 @@ def _decomposition(fld: FqField, sub: FqField) -> dict:
     log of each element of fld (-1 for zero) -> its coefficient tuple.
 
     Built by summing every coefficient tuple, one power of g at a time,
-    through the Zech table of fld: q sums in all.  The powers of g below
+    by :func:`log_sum` in fld: q sums in all.  The powers of g below
     the degree are a basis over sub, so the table has q keys; fewer would
     mean a singular basis."""
     elems = list(sub.elements())
@@ -500,7 +507,7 @@ def _decomposition(fld: FqField, sub: FqField) -> dict:
              for a in range(fld.f // sub.f)]
     sums = [(t, (c,)) for t, c in zip(terms[0], elems)]
     for row in terms[1:]:
-        sums = [(_sum(fld, s, t).log, cs + (c,)) for s, cs in sums
+        sums = [(log_sum(fld, s, t), cs + (c,)) for s, cs in sums
                 for t, c in zip(row, elems)]
     dec = dict(sums)
     if len(dec) != fld.q:

@@ -56,8 +56,8 @@ TOWER = "src/strata_kit/tower.py"
 MUTANTS = {
     "echelon_last_on_tie": (
         ORACLE,
-        "v, j = min((cols[j][r].val(), j) for j in bucket)",
-        "v, j = max((-cols[j][r].val(), j) for j in bucket); v = -v",
+        "v, j = min((min(cols[j][r]), j) for j in bucket)",
+        "v, j = max((-min(cols[j][r]), j) for j in bucket); v = -v",
         "the pivot is the first column of least valuation, not the last, "
         "so the basis stays the one the row scan gave"),
     "echelon_no_refile": (
@@ -68,8 +68,8 @@ MUTANTS = {
         "never reduced again"),
     "echelon_greatest_valuation": (
         ORACLE,
-        "v, j = min((cols[j][r].val(), j) for j in bucket)",
-        "v, j = max((cols[j][r].val(), j) for j in bucket)",
+        "v, j = min((min(cols[j][r]), j) for j in bucket)",
+        "v, j = max((min(cols[j][r]), j) for j in bucket)",
         "a pivot that is not of least valuation makes quotients outside "
         "o_F"),
     "mul_exact_self_only": (
@@ -84,14 +84,20 @@ MUTANTS = {
         "the reciprocal recurrence subtracts the convolution"),
     "clear_no_unit_scaling": (
         ORACLE,
-        "if unit.digits != {0: unit.owner.residue.one}:",
+        "if unit != {0: 0}:",
         "if False:",
         "without the unit, u * c2 - q * col is not a unimodular step"),
+    "clear_no_negation": (
+        ORACLE,
+        "q = [(w, (b + minus) % order) for w, b in q.items()]",
+        "q = [(w, (b + 0 * minus) % order) for w, b in q.items()]",
+        "the step subtracts col * q; over an odd characteristic adding it "
+        "leaves the pivot row uncleared"),
     "same_as_pivots_only": (
         ORACLE,
-        "cols = ([dict(c) for c in other.cols]\n"
-        "                + [_stored(c, other.dim, other.base) for c in self.cols])\n"
-        "        return [p for p, _ in _echelon(cols, other.dim)] == other.pivots",
+        "cols = [_stored(c, other.dim, other.base) for c in other.cols + self.cols]\n"
+        "        return ([p for p, _ in _echelon(cols, other.dim, other.base.residue)]\n"
+        "                == other.pivots)",
         "return True",
         "equal pivots give equal indices, not equal lattices"),
     "v_A_profile_swapped": (
@@ -113,6 +119,11 @@ MUTANTS = {
         "    rng.shuffle(order)\n",
         "the logs are shuffled before the valuation is decided, so the "
         "random stream does not depend on the answer"),
+    "log_sum_ignores_cancellation": (
+        "src/strata_kit/residue.py",
+        "    if z < 0:\n        return -1\n",
+        "",
+        "Z[b - a] = -1 marks g^a + g^b = 0, not a log to add"),
     "generation_skips_a_maximal_subfield": (
         "src/strata_kit/residue.py",
         "for ell in _prime_factors(d):",

@@ -500,7 +500,7 @@ def test_lattice_columns_are_copied_without_exact_zeros():
     assert L.pivots == [(0, 0), (1, 0)]
     assert all(x.digits and x.prec is INF for c in L.cols for x in c.values())
     assert 2 not in L.cols[0] and 0 not in L.cols[1]
-    assert L.cols[1][2] is cols[1][2]
+    assert _entries([[L.cols[1][2]]]) == _entries([[cols[1][2]]])
     inexact_one = TameElement(F, {0: F.residue.one}, 3)
     for bad in ([{0: one, 2: lost}], [{0: one}, {1: inexact_one}]):
         kept = [list(c.items()) for c in bad]
@@ -978,10 +978,17 @@ def test_t_shift_is_the_monomial_product():
                 assert (got.prec is INF) == (want.prec is INF)
 
 
+def _digit_logs(col):
+    """A column of exact nonzero elements as digit-log maps, the form the
+    elimination pass takes."""
+    return {u: {v: a.log for v, a in x.digits.items()} for u, x in col.items()}
+
+
 def test_clear_skips_only_an_exact_unit_one():
-    """c2 <- unit * c2 - col * q entry by entry; an exact unit 1 leaves the
-    rows col does not store as they are, any other unit scales them, and an
-    entry that cancels is dropped."""
+    """c2 <- unit * c2 - col * q entry by entry, on digit-log maps, is the
+    element arithmetic; a unit 1 leaves the rows col does not store as they
+    are, any other unit scales them, and an entry that cancels is
+    dropped."""
     from strata_kit.oracle import _clear
     F = base_field(3)
     one, g = F.residue.one, F.residue.gen_power(1)
@@ -990,14 +997,15 @@ def test_clear_skips_only_an_exact_unit_one():
     q = start[0]
     for unit in (F.one(), TameElement(F, {0: g}, INF),
                  TameElement(F, {0: one, 2: g}, INF)):
-        c2 = dict(start)
-        _clear(c2, col, unit, q)
+        c2 = _digit_logs(start)
+        kept = c2[2]
+        _clear(c2, _digit_logs(col), _digit_logs({0: unit})[0],
+               _digit_logs({0: q})[0], F.residue)
         zero = F.zero(INF)
-        want = [unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)]
-        assert _entries([[c2.get(u, zero) for u in range(3)]]) == _entries([want])
-        assert all(x.digits and x.prec is INF for x in c2.values())
+        want = {u: unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)}
+        assert c2 == _digit_logs({u: x for u, x in want.items() if x.digits})
         assert (0 in c2) == bool(want[0].digits)
-        assert (c2[2] is start[2]) == (unit.digits == {0: one})
+        assert (c2[2] is kept) == (unit.digits == {0: one})
 
 
 # -- one echelon pass: the earlier algorithms as references ------------------
@@ -1110,10 +1118,9 @@ def test_membership_pass_matches_the_update_loop(data):
 
 def _two_pass_centralizer(gens, chain, n, base):
     """The earlier ``intersect_with_centralizer``: the bracket columns, built
-    by products with monomials, one ``_echelon`` pass over the bracket rows
-    only, and a second pass, the constructor's, over the lower parts of the
-    columns left."""
-    from strata_kit.oracle import _echelon
+    by products with monomials, one element-arithmetic pass over the
+    bracket rows only, and a second pass, the constructor's, over the lower
+    parts of the columns left."""
     N, one = chain.N, base.residue.one
     dim, z = N * N, TameElement(base, {}, INF)
     top = len(gens) * dim
@@ -1127,7 +1134,7 @@ def _two_pass_centralizer(gens, chain, n, base):
                 col[off + i * N + k] = col.get(off + i * N + k, z) + G.rows[j][k] * t_d
                 col[off + k * N + j] = col.get(off + k * N + j, z) - G.rows[k][i] * t_d
         cols.append({r: x for r, x in col.items() if x.digits})
-    _echelon(cols, top)
+    _row_scan_echelon(cols, top)
     return MatrixLattice(base, dim, [{u - top: x for u, x in c.items() if u >= top}
                                      for c in cols])
 
@@ -1182,12 +1189,29 @@ def test_filt_lattice_is_the_echelon_basis_of_its_monomials():
             _same_basis(filt_lattice(chain, n, F), MatrixLattice(F, N * N, monomials))
 
 
+def _ref_clear(c2, col, unit, q):
+    """The earlier ``_clear``, on columns of exact elements: c2 becomes
+    unit * c2 - col * q by the element operators, an exact unit 1 scales
+    nothing, and an entry that cancels is dropped."""
+    if unit.digits != {0: unit.owner.residue.one}:
+        for u, y in c2.items():
+            c2[u] = y * unit
+    q = -q
+    for u, x in col.items():
+        y = c2.get(u)
+        z = x * q if y is None else y + x * q
+        if z.digits:
+            c2[u] = z
+        else:
+            del c2[u]
+
+
 def _row_scan_echelon(cols, scanned):
-    """The earlier ``_echelon``: at each row, scan every remaining column for
-    a stored entry, take the least (valuation, position) as the pivot,
-    remove it with ``del``, which keeps the order, and clear the row from
-    the other live columns."""
-    from strata_kit.oracle import _clear, _t_shift
+    """The earlier ``_echelon``, in element arithmetic: at each row, scan
+    every remaining column for a stored entry, take the least (valuation,
+    position) as the pivot, remove it with ``del``, which keeps the order,
+    and clear the row from the other live columns by :func:`_ref_clear`."""
+    from strata_kit.oracle import _t_shift
     pivots = []
     for r in range(scanned):
         live = [(e.val(), j, c) for j, c in enumerate(cols)
@@ -1199,30 +1223,36 @@ def _row_scan_echelon(cols, scanned):
         unit = _t_shift(col[r], -v)
         for _, _, c2 in live:
             if c2 is not col:
-                _clear(c2, col, unit, _t_shift(c2[r], -v))
+                _ref_clear(c2, col, unit, _t_shift(c2[r], -v))
         pivots.append(((r, v), col))
     return pivots
 
 
 def _column_digits(cols):
-    return [sorted((u, sorted((v, a.log) for v, a in x.digits.items()))
+    """Each column as sorted (row, sorted (valuation, log) digits) pairs,
+    from columns of elements or of digit-log maps alike."""
+    return [sorted((u, sorted(x.items() if isinstance(x, dict) else
+                              ((v, a.log) for v, a in x.digits.items())))
                    for u, x in c.items()) for c in cols]
 
 
 @contextlib.contextmanager
 def _against_the_row_scan():
     """Within the block, every ``oracle._echelon`` call also runs the row
-    scan on copies of its columns, and checks that both passes give the
-    same pivots, the same entry digits in each pivot column and the same
-    columns left in ``cols``, in order; yields the list of the calls'
-    ``scanned`` arguments."""
+    scan, in element arithmetic, on element copies of its digit-log
+    columns, and checks that both passes give the same pivots, the same
+    entry digits in each pivot column and the same columns left in
+    ``cols``, in order; yields the list of the calls' ``scanned``
+    arguments."""
     from strata_kit import oracle
     echelon, compared = oracle._echelon, []
 
-    def both(cols, scanned):
-        left = [dict(c) for c in cols]
+    def both(cols, scanned, fld):
+        base = base_field(fld.q)
+        left = [{u: TameElement(base, {v: fld.gen_power(a) for v, a in x.items()},
+                                INF) for u, x in c.items()} for c in cols]
         want = _row_scan_echelon(left, scanned)
-        got = echelon(cols, scanned)
+        got = echelon(cols, scanned, fld)
         assert [p for p, _ in got] == [p for p, _ in want]
         assert _column_digits(c for _, c in got) == _column_digits(c for _, c in want)
         assert _column_digits(cols) == _column_digits(left)
@@ -1270,19 +1300,22 @@ def test_bucketed_pass_matches_the_row_scan_on_sparse_columns(data):
     with _against_the_row_scan() as compared:
         L = MatrixLattice(F, dim, cols)
         L.contains_vector(data.draw(column))
-        oracle._echelon([dict(c) for c in cols], data.draw(st.integers(0, dim)))
+        oracle._echelon([_digit_logs(c) for c in cols],
+                        data.draw(st.integers(0, dim)), F.residue)
     assert len(compared) == 3
 
 
 def test_elimination_is_one_routine():
-    """``_clear`` is called only by ``_echelon``, and ``_echelon`` only by
-    the ``MatrixLattice`` methods and ``intersect_with_centralizer``, so no
-    second elimination loop can grow beside the one pass."""
+    """``_add_product`` is called only by ``_clear``, ``_clear`` only by
+    ``_echelon``, and ``_echelon`` only by the ``MatrixLattice`` methods and
+    ``intersect_with_centralizer``, so no second elimination loop can grow
+    beside the one pass."""
     import ast
     import pathlib
 
     import strata_kit
-    allowed = {"_clear": lambda scope: scope == "_echelon",
+    allowed = {"_add_product": lambda scope: scope == "_clear",
+               "_clear": lambda scope: scope == "_echelon",
                "_echelon": lambda scope: (scope.startswith("MatrixLattice.")
                                           or scope == "intersect_with_centralizer")}
     uses, outside = [], []

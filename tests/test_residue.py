@@ -223,6 +223,37 @@ def test_log_arithmetic_matches_coordinates(p, f, data):
             a / b
 
 
+@pytest.mark.parametrize("p, f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 2), (3, 3)])
+def test_log_sum_is_the_log_of_the_coordinate_sum(p, f):
+    """``log_sum``, the one Zech rule, on every pair of logs, -1 (zero)
+    included: the log of the coordinate sum.  Exactly q - 1 pairs of
+    nonzero terms cancel, one for each nonzero term."""
+    fld = make_field(p, f)
+    logs = range(-1, fld.q - 1)
+    coords = {k: (fld.gen_power(k) if k >= 0 else fld.zero).coords for k in logs}
+    log_of = {c: k for k, c in coords.items()}
+    cancelling = 0
+    for a, b in itertools.product(logs, repeat=2):
+        s = residue.log_sum(fld, a, b)
+        assert s == log_of[tuple((x + y) % p for x, y in zip(coords[a], coords[b]))]
+        cancelling += a >= 0 and b >= 0 and s < 0
+    assert cancelling == fld.q - 1
+
+
+def test_log_tables_are_read_only_in_residue():
+    # every other module adds logs through log_sum and converts through the
+    # public helpers, so the table layout is residue's own decision
+    tables = {"_zech", "_dlog", "_pow", "_half"}
+    reads, outside = [], []
+    for path in sorted(pathlib.Path(residue.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+                if path.name != "residue.py":
+                    outside.append(reads[-1])
+    assert {r.split()[-1] for r in reads} == tables and outside == []
+
+
 def test_large_fields_pinned():
     k = make_field(3, 10)
     assert k.modulus == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
