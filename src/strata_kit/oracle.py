@@ -26,20 +26,21 @@ the stored entries of the pivot column, and an entry that cancels is
 dropped at once.  Matrix products skip exact zeros over dense rows;
 elements are immutable, so a dense matrix may share one exact zero.
 
-The bracket columns of ``intersect_with_centralizer`` are assembled from
-shifts by powers of t instead of products with them: ``_t_shift(x, k)``
-moves the digits of an exact nonzero x from v to v + k, exactly the digits
-of x times the monomial t^k.  Each stored generator entry is shifted once
-for each value its bound D takes, and every bracket column with that value
-shares the shifted entry, which is safe since elements are immutable.
-
 Inside the elimination pass an entry is a digit-log map {valuation: log},
 each digit g^log of the base residue field, so the pass runs in integers:
 a product adds valuations and logs, negation adds the log of -1, and a sum
-is one ``residue.log_sum``.  Its callers convert where they check entries
-anyway: the ``MatrixLattice`` methods through ``_stored``, and
-``intersect_with_centralizer`` once per assembled bracket column, turning
+is one ``residue.log_sum``.  The pass never changes a map in place, it
+replaces it, so columns may share maps.  Its callers convert where they
+check entries anyway: the ``MatrixLattice`` methods through ``_stored``,
+and ``intersect_with_centralizer`` once per stored generator entry, turning
 back only the kernel's lower rows.  A lattice's ``cols`` hold elements.
+
+``intersect_with_centralizer`` assembles its bracket columns in log form
+too.  It reads each stored generator entry once as a map by row and once,
+negated, by column, and shifts those maps by t^d with ``_shift_logs``,
+which adds d to each valuation: the digits of the product with the
+monomial t^d.  It shifts them once for each value d its bound D takes, and
+every bracket column with that value shares the shifted maps.
 
 Every elimination is one fraction-free column-echelon pass, ``_echelon``,
 the only code that eliminates, and each lattice costs at most one pass:
@@ -229,13 +230,22 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
 # lattice chains and radical-power lattices
 # ---------------------------------------------------------------------------
 
+def _check_period(period: int):
+    """Refuse a chain period below 1: the bounds divide by it."""
+    if period < 1:
+        raise DomainError(f"a lattice chain has period >= 1, not {period}",
+                          clause="nonpositive_period")
+
+
 class ChainRealized:
     """A uniform lattice chain in the standard space F^N given by a diagonal
-    profile: L_j = span of t^ceil((j - c_i)/period) e_i."""
+    profile: L_j = span of t^ceil((j - c_i)/period) e_i.  A period below 1
+    raises ``nonpositive_period``."""
 
     __slots__ = ("N", "period", "profile")
 
     def __init__(self, N: int, period: int, profile):
+        _check_period(period)
         self.N = N
         self.period = period
         self.profile = tuple(profile)
@@ -251,6 +261,7 @@ class ChainRealized:
 
 
 def uniform_chain(N: int, e_A: int) -> ChainRealized:
+    _check_period(e_A)
     if N % e_A != 0:
         raise DomainError("uniform chain requires e_A | N",
                           clause="period_not_dividing_N")
@@ -290,11 +301,9 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
 # lattices over the power-series ring
 # ---------------------------------------------------------------------------
 
-def _t_shift(x: TameElement, k: int) -> TameElement:
-    """x * t^k for an exact nonzero x, a stored lattice or generator entry:
-    x's digits at valuations v + k."""
-    return TameElement._unchecked(
-        x.owner, {v + k: a for v, a in x.digits.items()}, INF)
+def _shift_logs(x, k):
+    """The digit-log map x times t^k: x's digits at valuations v + k."""
+    return {v + k: a for v, a in x.items()}
 
 
 def _add_product(z, x, y, fld):
@@ -516,17 +525,18 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
     o_F-basis of the graph of the bracket map.  The generators are ``Mat``s
     over ``base``, so their entries are exact elements of it, and each
-    column is a sparse dict {row: entry} of the nonzero entries: a bracket
-    entry that cancels, such as t^d g - t^d g on the diagonal, is not
-    stored.  Each column is converted to digit-log maps once, and one
-    :func:`_echelon` pass over all rows clears each bracket row from all
-    columns but its pivot column, and drops it.  Each step is unimodular,
-    and a kernel element has no part along a dropped column, so the
-    remaining columns' lower parts span the kernel over o_F, saturated.
-    They store nothing in the bracket rows, so the same pass goes on over
-    the lower rows as an echelon pass over those lower parts: its pivots
-    there, with their lower parts, turned back into elements, are the
-    kernel's echelon basis."""
+    column is built directly as a sparse dict {row: digit-log map} of the
+    nonzero entries: the lower entry t^d is {d: 0}, and where the two terms
+    of a bracket meet in one row, on the diagonal of its block, their maps
+    are summed digit by digit through ``residue.log_sum``; a sum that
+    cancels, such as t^d g - t^d g, is not stored.  One :func:`_echelon`
+    pass over all rows clears each bracket row from all columns but its
+    pivot column, and drops it.  Each step is unimodular, and a kernel
+    element has no part along a dropped column, so the remaining columns'
+    lower parts span the kernel over o_F, saturated.  They store nothing
+    in the bracket rows, so the same pass goes on over the lower rows as an
+    echelon pass over those lower parts: its pivots there, with their lower
+    parts, turned back into elements, are the kernel's echelon basis."""
     N = chain.N
     dim = N * N
     for G in gens:
@@ -536,40 +546,51 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                               f"base {base!r}", clause="owner_mismatch")
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
-    one = base.residue.one
+    fld = base.residue
+    minus, order = (-fld.one).log, fld.q - 1
     # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k), -t^d G[k][i] at
-    # (k, j); each generator's stored entries, by row and negated by column
+    # (k, j); each generator's stored entries as digit-log maps, by row and
+    # negated by column
     terms = [(off,
-              [[(k, g) for k, g in enumerate(G.rows[j]) if g.digits]
-               for j in range(N)],
-              [[(k, -g) for k in range(N) if (g := G.rows[k][i]).digits]
-               for i in range(N)])
+              [[(k, {v: a.log for v, a in g.digits.items()})
+                for k, g in enumerate(G.rows[j]) if g.digits] for j in range(N)],
+              [[(k, {v: (a.log + minus) % order for v, a in g.digits.items()})
+                for k in range(N) if (g := G.rows[k][i]).digits] for i in range(N)])
              for off, G in zip(range(0, top, dim), gens)]
-    # the same terms times t^d, once for each value d that D takes
-    shifted = {d: [(off, [[(k, _t_shift(g, d)) for k, g in r] for r in by_row],
-                    [[(k, _t_shift(g, d)) for k, g in c] for c in by_col])
+    # the same maps times t^d, once for each value d that D takes
+    shifted = {d: [(off, [[(k, _shift_logs(x, d)) for k, x in r] for r in by_row],
+                    [[(k, _shift_logs(x, d)) for k, x in c] for c in by_col])
                    for off, by_row, by_col in terms]
                for d in set(D)}
     cols = []
     for u, d in enumerate(D):
         i, j = divmod(u, N)
-        col = {top + u: base.monomial(d, one)}
+        col = {top + u: {d: 0}}
         for off, by_row, by_col in shifted[d]:
             for k, x in by_row[j]:
                 col[off + i * N + k] = x
             for k, x in by_col[i]:
                 r = off + k * N + j
-                if r in col:
-                    x = col[r] + x
-                    if not x.digits:
+                y = col.get(r)
+                if y is not None:
+                    y = dict(y)
+                    for v, a in x.items():
+                        s = y.get(v)
+                        if s is None:
+                            y[v] = a
+                        elif (s := residue.log_sum(fld, s, a)) < 0:
+                            del y[v]
+                        else:
+                            y[v] = s
+                    if not y:
                         del col[r]
                         continue
+                    x = y
                 col[r] = x
-        cols.append({r: {v: a.log for v, a in x.digits.items()}
-                     for r, x in col.items()})
+        cols.append(col)
     return MatrixLattice._of_basis(base, dim, [
         ((r - top, v), _elements(base, {u - top: x for u, x in c.items() if u >= top}))
-        for (r, v), c in _echelon(cols, top + dim, base.residue) if r >= top])
+        for (r, v), c in _echelon(cols, top + dim, fld) if r >= top])
 
 
 # ---------------------------------------------------------------------------

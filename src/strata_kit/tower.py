@@ -178,9 +178,9 @@ class TameElement:
     infinite ``prec``, such as ``float("inf")`` or ``INF + v``, as
     :data:`INF`.
 
-    ``+``, ``-``, unary ``-`` and ``*`` (and the oracle's shift by a power
-    of t) build their result digits already filtered and construct the
-    result through :meth:`_unchecked`, which skips that second scan.
+    ``+``, ``-``, unary ``-`` and ``*`` build their result digits already
+    filtered and construct the result through :meth:`_unchecked`, which
+    skips that second scan.
     The product of two exact elements is exact, and ``*`` takes no
     precision arithmetic for it.  Elements are immutable, so results may
     share digit objects.

@@ -93,6 +93,18 @@ MUTANTS = {
         "q = [(w, (b + 0 * minus) % order) for w, b in q.items()]",
         "the step subtracts col * q; over an odd characteristic adding it "
         "leaves the pivot row uncleared"),
+    "bracket_column_not_negated": (
+        ORACLE,
+        "{v: (a.log + minus) % order for v, a in g.digits.items()}",
+        "{v: a.log % order for v, a in g.digits.items()}",
+        "the bracket X G - G X subtracts the by-column term; over an odd "
+        "characteristic adding it gives the wrong kernel"),
+    "bracket_rows_unshifted": (
+        ORACLE,
+        "[[(k, _shift_logs(x, d)) for k, x in r] for r in by_row]",
+        "[[(k, x) for k, x in r] for r in by_row]",
+        "X = t^d e_ij, so the by-row term of the bracket is t^d G[j][k], "
+        "not G[j][k]"),
     "same_as_pivots_only": (
         ORACLE,
         "cols = [_stored(c, other.dim, other.base) for c in other.cols + self.cols]\n"

@@ -390,6 +390,21 @@ def test_size_mismatches_are_domain_errors():
         assert err.value.clause == "shape_mismatch"
 
 
+@pytest.mark.parametrize("probe", [
+    lambda: uniform_chain(4, 0),
+    lambda: ChainRealized(2, 0, [0, 0]).filt_bound(1),
+    lambda: ChainRealized(2, -1, [0, 0]).filt_bound(1),
+    lambda: uniform_chain(4, -1),
+], ids=["uniform_chain_period_0", "period_0_bound", "period_minus_1_bound",
+        "uniform_chain_period_minus_1"])
+def test_a_chain_period_below_one_is_refused(probe):
+    """A period of 0 ended in ``ZeroDivisionError``, and one of -1 gave
+    bounds of -1; both are refused when the chain is built."""
+    with pytest.raises(DomainError) as err:
+        probe()
+    assert err.value.clause == "nonpositive_period"
+
+
 def test_entries_of_another_field_are_refused():
     """An element of an extension of the base is refused with clause
     ``owner_mismatch``: as a lattice entry (the constructor read pi_E's
@@ -453,12 +468,13 @@ def test_one_echelon_pass_per_lattice(monkeypatch):
 
 def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
     """On the bench tower GF(3) -> e=2 -> f=3 (N = 6), the assembly of
-    the bracket columns shifts each stored generator entry, counted once by
-    row and once by column, at most once per value of the bound D; and
+    the bracket columns shifts the digit-log map of each stored generator
+    entry, counted once by row and once by column, at most once per value
+    of the bound D, and at least once, so the count is not vacuous; and
     ``filt_lattice``, which makes no echelon pass, shifts nothing."""
     from strata_kit import oracle
     counts = {"shift": 0, "at_echelon": []}
-    shift, echelon = oracle._t_shift, oracle._echelon
+    shift, echelon = oracle._shift_logs, oracle._echelon
 
     def counted_shift(*args):
         counts["shift"] += 1
@@ -468,7 +484,7 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
         counts["at_echelon"].append(counts["shift"])
         return echelon(*args)
 
-    monkeypatch.setattr(oracle, "_t_shift", counted_shift)
+    monkeypatch.setattr(oracle, "_shift_logs", counted_shift)
     monkeypatch.setattr(oracle, "_echelon", marked_echelon)
     E = extend(extend(base_field(3), 1, 2, 1), 3, 1, 1)
     F, chain = E.base(), chain_from_field(E)
@@ -479,7 +495,7 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
         values = len({d for row in chain.filt_bound(n) for d in row})
         counts.update(shift=0, at_echelon=[])
         intersect_with_centralizer(gens, chain, n, F)
-        assert counts["at_echelon"][0] <= values * stored
+        assert stored <= counts["at_echelon"][0] <= values * stored
         counts.update(shift=0, at_echelon=[])
         filt_lattice(chain, n, F)
         assert counts["shift"] == 0
@@ -962,20 +978,22 @@ def test_sparse_kernel_pass_matches_dense_loops():
 
 # -- shifts: products by monic powers of t -----------------------------------
 
-def test_t_shift_is_the_monomial_product():
-    """On the exact nonzero entries it is given: the oracle's matrices and
-    lattices hold no inexact entry, and the kernel pass shifts only
-    entries with digits."""
-    from strata_kit.oracle import _t_shift
+def test_log_shift_is_the_monomial_product():
+    """On the digit-log maps of exact nonzero entries, the only ones the
+    oracle stores, the shift by k is the product with t^k, and it leaves
+    the map it is given as it is."""
+    from strata_kit.oracle import _shift_logs
     for q in (3, 5, 9):
         F = base_field(q)
         one, g = F.residue.one, F.residue.gen_power(1)
         for x in (TameElement(F, {-1: one, 0: g, 2: one}, INF),
                   TameElement(F, {-2: g, 1: one}, INF), F.one()):
+            logs = _digit_logs({0: x})[0]
+            given = dict(logs)
             for k in range(-3, 4):
-                got, want = _t_shift(x, k), x * F.monomial(k, one)
-                assert _entries([[got]]) == _entries([[want]])
-                assert (got.prec is INF) == (want.prec is INF)
+                got = _shift_logs(logs, k)
+                assert got == _digit_logs({0: x * F.monomial(k, one)})[0]
+                assert logs == given
 
 
 def _digit_logs(col):
@@ -1211,7 +1229,6 @@ def _row_scan_echelon(cols, scanned):
     every remaining column for a stored entry, take the least (valuation,
     position) as the pivot, remove it with ``del``, which keeps the order,
     and clear the row from the other live columns by :func:`_ref_clear`."""
-    from strata_kit.oracle import _t_shift
     pivots = []
     for r in range(scanned):
         live = [(e.val(), j, c) for j, c in enumerate(cols)
@@ -1220,10 +1237,12 @@ def _row_scan_echelon(cols, scanned):
             continue
         v, j, col = min(live)
         del cols[j]
-        unit = _t_shift(col[r], -v)
+        F = col[r].owner
+        t_v = F.monomial(-v, F.residue.one)
+        unit = col[r] * t_v
         for _, _, c2 in live:
             if c2 is not col:
-                _ref_clear(c2, col, unit, _t_shift(c2[r], -v))
+                _ref_clear(c2, col, unit, c2[r] * t_v)
         pivots.append(((r, v), col))
     return pivots
 
@@ -1303,6 +1322,76 @@ def test_bucketed_pass_matches_the_row_scan_on_sparse_columns(data):
         oracle._echelon([_digit_logs(c) for c in cols],
                         data.draw(st.integers(0, dim)), F.residue)
     assert len(compared) == 3
+
+
+def _element_bracket_columns(gens, chain, n, base):
+    """The earlier assembly of ``intersect_with_centralizer``'s columns, in
+    element arithmetic: each stored generator entry times the monomial
+    t^d, by row, and negated, by column; where the two terms meet in one
+    row they are summed by the element ``+`` and a sum that cancels is not
+    stored.  The lower entry is the monomial t^d itself.  Returns the
+    columns and the number of rows that cancelled."""
+    N, one = chain.N, base.residue.one
+    dim = N * N
+    top = len(gens) * dim
+    cols, cancelled = [], 0
+    for u, d in enumerate(d for row in chain.filt_bound(n) for d in row):
+        i, j = divmod(u, N)
+        t_d = base.monomial(d, one)
+        col = {top + u: t_d}
+        for off, G in zip(range(0, top, dim), gens):
+            for k, g in enumerate(G.rows[j]):
+                if g.digits:
+                    col[off + i * N + k] = g * t_d
+            for k in range(N):
+                if (g := G.rows[k][i]).digits:
+                    r, x = off + k * N + j, -(g * t_d)
+                    if r in col:
+                        x = col[r] + x
+                        if not x.digits:
+                            del col[r]
+                            cancelled += 1
+                            continue
+                    col[r] = x
+        cols.append(col)
+    return cols, cancelled
+
+
+def test_log_form_assembly_matches_the_element_assembly_on_the_bench_menu(monkeypatch):
+    """On the 17 menu towers, at every n over two periods, the digit-log
+    columns that ``intersect_with_centralizer`` hands to its pass are the
+    element assembly's, the same rows stored with the same digits, so a
+    diagonal entry that cancels is dropped by both; and its lattice, the
+    pivots and every entry of the basis, is the one the element columns
+    give under the row scan in element arithmetic."""
+    from strata_kit import oracle
+    echelon, seen = oracle._echelon, []
+
+    def recorded(cols, scanned, fld):
+        seen.append([{u: dict(x) for u, x in c.items()} for c in cols])
+        return echelon(cols, scanned, fld)
+
+    monkeypatch.setattr(oracle, "_echelon", recorded)
+    checked = cancelled = 0
+    for q, levels, copies in BENCH_MENU:
+        E = _menu_tower(q, levels)
+        F, chain = E.base(), chain_from_field(E, copies)
+        gens = [regular_rep(g, copies)
+                for g in (E.uniformizer(), E.residue_gen_elem())]
+        dim = chain.N ** 2
+        top = len(gens) * dim
+        for n in range(2 * chain.period):
+            seen.clear()
+            L = intersect_with_centralizer(gens, chain, n, F)
+            cols, dropped = _element_bracket_columns(gens, chain, n, F)
+            assert seen == [[_digit_logs(c) for c in cols]]
+            want = [((r - top, v), {u - top: x for u, x in c.items() if u >= top})
+                    for (r, v), c in _row_scan_echelon(cols, top + dim) if r >= top]
+            assert L.pivots == [p for p, _ in want]
+            assert _column_digits(L.cols) == _column_digits(c for _, c in want)
+            checked += 1
+            cancelled += dropped
+    assert checked == 68 and cancelled > 0
 
 
 def test_elimination_is_one_routine():

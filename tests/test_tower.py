@@ -719,8 +719,6 @@ def _checked_reference(op, x, y):
     E = x.owner
     if op == "neg":
         return TameElement(E, {v: -a for v, a in x.digits.items()}, x.prec)
-    if op == "shift":
-        return TameElement(E, {v + y: a for v, a in x.digits.items()}, x.prec + y)
     digits = dict(x.digits)
     if op in ("add", "sub"):
         for v, a in y.digits.items():
@@ -755,16 +753,13 @@ def _operand(data, E):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_operator_results_keep_the_element_invariant(E, data):
-    """+, -, unary -, * and the oracle's t-shift build their digits already
-    filtered: no zero digit, none at or above prec, and ``prec is INF``
-    exactly when prec is infinite.  Each result equals the public
-    constructor's filtering of its own digits and of the unfiltered
-    accumulation.  The second operand is drawn independently, or is x
-    (x - x cancels), -x (x + (-x) cancels) or x with its odd-valuation
-    digits negated (the cross terms of the product cancel).  The shift
-    takes exact nonzero entries only, so it shifts x's exact completion,
-    or 1 when x has no digits."""
-    from strata_kit.oracle import _t_shift
+    """+, -, unary - and * build their digits already filtered: no zero
+    digit, none at or above prec, and ``prec is INF`` exactly when prec is
+    infinite.  Each result equals the public constructor's filtering of its
+    own digits and of the unfiltered accumulation.  The second operand is
+    drawn independently, or is x (x - x cancels), -x (x + (-x) cancels) or
+    x with its odd-valuation digits negated (the cross terms of the product
+    cancel)."""
     x = _operand(data, E)
     pair = data.draw(st.sampled_from(["free", "same", "neg", "conj"]))
     y = {"free": lambda: _operand(data, E), "same": lambda: x,
@@ -772,18 +767,13 @@ def test_operator_results_keep_the_element_invariant(E, data):
          "conj": lambda: TameElement(E, {v: -a if v % 2 else a
                                          for v, a in x.digits.items()},
                                      x.prec)}[pair]()
-    k = data.draw(st.integers(-3, 3))
-    s = TameElement(E, x.digits or {0: E.residue.one}, INF)
-    results = {"add": x + y, "sub": x - y, "neg": -x, "mul": x * y,
-               "shift": _t_shift(s, k)}
+    results = {"add": x + y, "sub": x - y, "neg": -x, "mul": x * y}
     for op, r in results.items():
         assert r.owner is E
         assert all(not a.is_zero() and v < r.prec for v, a in r.digits.items())
         assert (r.prec is INF) == (r.prec == math.inf)
         assert _state(TameElement(E, dict(r.digits), r.prec)) == _state(r)
-        want = (_checked_reference(op, s, k) if op == "shift"
-                else _checked_reference(op, x, y))
-        assert _state(r) == _state(want), op
+        assert _state(r) == _state(_checked_reference(op, x, y)), op
     if pair == "same":
         assert not results["sub"].digits
     if pair == "neg":
@@ -821,14 +811,13 @@ def test_products_have_the_schoolbook_digits_and_precision(E, data):
 def test_unchecked_elements_are_built_only_by_the_operators():
     """``TameElement._unchecked`` keeps its digits and precision as given,
     so only code that builds them already filtered may name it: the four
-    arithmetic operators and the oracle's shift by a power of t."""
+    arithmetic operators."""
     import ast
     import pathlib
 
     import strata_kit
     allowed = {"tower.py": {"TameElement.__add__", "TameElement.__sub__",
-                            "TameElement.__neg__", "TameElement.__mul__"},
-               "oracle.py": {"_t_shift"}}
+                            "TameElement.__neg__", "TameElement.__mul__"}}
     uses, outside = [], []
 
     def visit(node, path, scope):
