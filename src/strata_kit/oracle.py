@@ -8,7 +8,7 @@ column echelon bases and kernels over the power-series ring (v_A is the
 least bound period * w + c_i - c_k over the entries, w an entry's valuation
 and c the chain profile).  The symbolic layer is tested against these answers.
 
-Scope: split ambient algebras M_N(F) with N small (<= 6).
+Scope: split ambient algebras M_N(F) with N small (<= 8).
 
 The oracle takes exact entries of its base field only.  ``_exact`` is its
 one check on entries: it raises ``PrecisionError``, naming the site, the
@@ -17,23 +17,25 @@ unknown digits could change an answer, and ``DomainError``
 (``owner_mismatch``) on an element of another field, whose digits would be
 read as powers of the wrong uniformizer.  It guards the argument of
 ``regular_rep``, every entry of a ``Mat``, whose rows are tuples so a
-matrix stays exact once built, and every entry of a lattice column, which
-``_stored`` converts for the pass without its exact zeros;
-``intersect_with_centralizer``
-refuses a generator over another base.  So every matrix entry is exact,
-every stored lattice entry is exact and nonzero, a row operation runs over
-the stored entries of the pivot column, and an entry that cancels is
-dropped at once.  Matrix products skip exact zeros over dense rows;
-elements are immutable, so a dense matrix may share one exact zero.
+matrix stays exact once built, and every entry of a caller's lattice
+column or vector, which ``_stored`` converts for the pass without its
+exact zeros; ``intersect_with_centralizer`` refuses a generator over
+another base.  So every matrix entry is exact, every stored lattice entry
+is exact and nonzero, a row operation runs over the stored entries of the
+pivot column, and an entry that cancels is dropped at once.  Matrix
+products skip exact zeros over dense rows; elements are immutable, so a
+dense matrix may share one exact zero.
 
 Inside the elimination pass an entry is a digit-log map {valuation: log},
 each digit g^log of the base residue field, so the pass runs in integers:
 a product adds valuations and logs, negation adds the log of -1, and a sum
-is one ``residue.log_sum``.  The pass never changes a map in place, it
-replaces it, so columns may share maps.  Its callers convert where they
-check entries anyway: the ``MatrixLattice`` methods through ``_stored``,
-and ``intersect_with_centralizer`` once per stored generator entry, turning
-back only the kernel's lower rows.  A lattice's ``cols`` hold elements.
+is one ``residue.log_sum``, through ``_add_logs``.  The pass never
+changes a map in place, it replaces it, so columns may share maps.  A
+lattice stores its basis in this form, as the pass returns it.  Entries
+are converted only where they are checked anyway: a caller's columns and
+vectors once, through ``_stored``, and a generator entry once, in
+``intersect_with_centralizer``.  Elements are built back, by ``_elements``,
+only when a caller reads a lattice's ``cols``.
 
 ``intersect_with_centralizer`` assembles its bracket columns in log form
 too.  It reads each stored generator entry once as a map by row and once,
@@ -45,12 +47,13 @@ every bracket column with that value shares the shifted maps.
 Every elimination is one fraction-free column-echelon pass, ``_echelon``,
 the only code that eliminates, and each lattice costs at most one pass:
 the ``MatrixLattice`` constructor makes one, ``filt_lattice`` none (its
-monomial columns are already an echelon basis), and a centralizer lattice
-one, over the bracket rows and then the rows that carry the kernel.
-``contains_vector`` and ``same_as`` make one pass over copies of the
-basis, so a lattice's columns never change.  The pass files each column
-under its least stored row and takes a row's columns from that bucket,
-so it scans no row of a column that does not store it.  Each pivot
+monomial columns are already an echelon basis), a centralizer lattice
+one, over the bracket rows and then the rows that carry the kernel, and
+``MatrixLattice.sum`` one.  ``contains_vector`` and ``same_as`` make one
+pass too; each pass over a stored basis runs over shallow copies of its
+columns, so a basis never changes.  The pass files each column under its
+least stored row and takes a row's columns from that bucket, so it scans
+no row of a column that does not store it.  Each pivot
 t^v * u is the entry of least valuation v in its row, and a column c with
 entry e in that row becomes u * c - t^-v * e * pivot column.  u is a unit
 of o_F and t^-v * e lies in o_F, so every column operation is unimodular
@@ -62,11 +65,13 @@ separate saturation step.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import DomainError, PrecisionError
 from . import residue
 from .tower import INF, TameElement, TameField
 
-ORACLE_N_CAP = 6
+ORACLE_N_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -306,50 +311,60 @@ def _shift_logs(x, k):
     return {v + k: a for v, a in x.items()}
 
 
-def _add_product(z, x, y, fld):
-    """z + x * y, in place in z, for a digit-log map x and the
-    (valuation, log) pairs y of another: a product adds valuations and
-    adds logs mod q - 1, and a sum is one :func:`residue.log_sum`; a digit
-    that cancels is dropped from z."""
+def _add_logs(z, x, fld, w=0, b=0):
+    """z + t^w * g^b * x, in place in z, for digit-log maps z and x over
+    fld, g the generator of its multiplicative group: the monomial adds w
+    to each valuation of x and b to each log, mod q - 1, and two digits at
+    one valuation sum by one :func:`residue.log_sum`; a digit that cancels is
+    dropped from z.  The oracle's one sum of digit-log maps."""
     order = fld.q - 1
     for v, a in x.items():
+        k, c = v + w, (a + b) % order
+        s = z.get(k)
+        if s is None:
+            z[k] = c
+        elif (s := residue.log_sum(fld, s, c)) < 0:
+            del z[k]
+        else:
+            z[k] = s
+    return z
+
+
+def _add_product(z, col, y, fld):
+    """z + col * y, in place in the sparse column z, for a sparse column
+    col of digit-log maps and the (valuation, log) pairs y of a digit-log
+    map: each entry of col adds into its row by one :func:`_add_logs` per
+    digit of y, and a row whose entry cancels is dropped from z."""
+    for u, x in col.items():
+        s = dict(z.get(u, ()))
         for w, b in y:
-            k, c = v + w, (a + b) % order
-            s = z.get(k)
-            if s is None:
-                z[k] = c
-            elif (s := residue.log_sum(fld, s, c)) < 0:
-                del z[k]
-            else:
-                z[k] = s
+            _add_logs(s, x, fld, w, b)
+        if s:
+            z[u] = s
+        else:
+            del z[u]
     return z
 
 
 def _clear(c2, col, unit, q, fld):
     """Clear a row of sparse column c2 by pivot column col, whose pivot
     entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is t^-v
-    times c2's entry in the pivot row.  All four are digit-log maps over
-    fld, the base residue field.  q is negated once, by adding the log of
-    -1 to each digit, so each entry is x * -q where c2 stores no entry and
-    y + x * -q where it stores y, summed by :func:`_add_product`.
+    times c2's entry in the pivot row.  The columns hold digit-log maps
+    over fld, the base residue field, and unit and q are such maps.  q is
+    negated once, by adding the log of -1 to each digit, and col * -q is
+    added to c2 by :func:`_add_product`.
 
     The one update step, called only by :func:`_echelon`.  It takes no
     inverse: unit is a unit of o_F, so the step is unimodular, and entries
-    stay exact.  A unit 1, the map {0: 0}, scales nothing.  x and q are
-    nonzero, so only a sum y + x * -q can cancel, and it is then dropped
-    from c2."""
+    stay exact.  A unit 1, the map {0: 0}, scales nothing, and a unit
+    scales no entry to zero, so every row of c2 stays stored.  An entry of
+    col * -q is nonzero, so only a sum with an entry of c2 can cancel, and
+    the row is then dropped from c2."""
     if unit != {0: 0}:
-        unit = unit.items()
-        for u, y in c2.items():
-            c2[u] = _add_product({}, y, unit, fld)
+        c2.update(_add_product({}, c2, unit.items(), fld))
     minus, order = (-fld.one).log, fld.q - 1
     q = [(w, (b + minus) % order) for w, b in q.items()]
-    for u, x in col.items():
-        z = _add_product(dict(c2.get(u, ())), x, q, fld)
-        if z:
-            c2[u] = z
-        else:
-            del c2[u]
+    _add_product(c2, col, q, fld)
 
 
 def _echelon(cols, scanned, fld):
@@ -416,7 +431,8 @@ def _stored(vec, dim, base):
 
 def _elements(base, col):
     """The column col of digit-log maps over base's residue field as a
-    column of exact elements of base: the way back from :func:`_echelon`."""
+    column of exact elements of base: the way back from :func:`_echelon`,
+    taken only when a caller reads ``MatrixLattice.cols``."""
     k = base.residue
     return {u: TameElement(base, {v: k.gen_power(a) for v, a in x.items()}, INF)
             for u, x in col.items()}
@@ -430,34 +446,46 @@ class MatrixLattice:
     in the rows above.  The basis is not canonical: the pivots are
     invariants of the lattice, the entries are not.
 
-    The constructor runs one :func:`_echelon` pass over the digit-log
-    copies of its columns made by :func:`_stored`, which refuses inexact
-    entries and elements of another field, and turns the pivot columns
-    back into elements.  Columns are sparse ``{row: entry}`` dicts in and
-    out.  ``filt_lattice`` and ``intersect_with_centralizer``, which
-    already hold an echelon basis, store it as it is.  Membership and
-    equality are one more pass over such copies, so ``cols`` is never
-    changed."""
+    The basis is stored as :func:`_echelon` returns it, each column a
+    sparse dict {row: digit-log map}.  The constructor runs one pass over
+    the copies of its columns made by :func:`_stored`, which refuses
+    inexact entries and elements of another field, so a stored entry is
+    exact and nonzero.  ``filt_lattice`` and ``intersect_with_centralizer``,
+    which already hold an echelon basis, store it as it is.  ``cols`` is a
+    read-only view: a tuple of read-only ``{row: element}`` mappings, built
+    by :func:`_elements` on first read and kept.  Membership, equality and
+    sums are one more pass over shallow copies of the stored columns, so the
+    basis never changes."""
 
-    __slots__ = ("base", "dim", "cols", "pivots")
+    __slots__ = ("base", "dim", "pivots", "_basis", "_cols")
 
     def __init__(self, base: TameField, dim: int, cols):
-        self.base = base
-        self.dim = dim
-        basis = _echelon([_stored(c, dim, base) for c in cols], dim, base.residue)
-        self.pivots = [p for p, _ in basis]
-        self.cols = [_elements(base, c) for _, c in basis]
+        self._keep(base, dim, _echelon([_stored(c, dim, base) for c in cols],
+                                       dim, base.residue))
 
     @classmethod
     def _of_basis(cls, base: TameField, dim: int, basis) -> "MatrixLattice":
         """The lattice with the column echelon basis ``basis``, pairs
         ((row, exponent), column) as :func:`_echelon` returns them."""
         L = cls.__new__(cls)
-        L.base = base
-        L.dim = dim
-        L.pivots = [p for p, _ in basis]
-        L.cols = [c for _, c in basis]
+        L._keep(base, dim, basis)
         return L
+
+    def _keep(self, base, dim, basis):
+        self.base = base
+        self.dim = dim
+        self.pivots = [p for p, _ in basis]
+        self._basis = [c for _, c in basis]
+        self._cols = None
+
+    @property
+    def cols(self):
+        """The pivot columns as a tuple of read-only {row: element}
+        mappings, built on first read."""
+        if self._cols is None:
+            self._cols = tuple(MappingProxyType(_elements(self.base, c))
+                               for c in self._basis)
+        return self._cols
 
     def rank(self) -> int:
         return len(self.pivots)
@@ -465,8 +493,8 @@ class MatrixLattice:
     def contains_vector(self, vec) -> bool:
         """Whether the sparse vector vec lies in the lattice: one
         :func:`_echelon` pass over copies of the basis followed by vec finds
-        no pivot but the basis's own."""
-        cols = [_stored(c, self.dim, self.base) for c in [*self.cols, vec]]
+        no pivot but the basis's own.  Only vec goes through :func:`_stored`."""
+        cols = [dict(c) for c in self._basis] + [_stored(vec, self.dim, self.base)]
         return ([p for p, _ in _echelon(cols, self.dim, self.base.residue)]
                 == self.pivots)
 
@@ -474,13 +502,29 @@ class MatrixLattice:
         """Equality: with equal pivots the index (other : self) is 1, so
         self inside other is enough: one pass over copies of other's basis
         followed by self's finds no pivot but other's.  Lattices over
-        different bases raise ``owner_mismatch``."""
+        different bases raise ``owner_mismatch``, and in spaces of
+        different dimensions ``shape_mismatch``."""
         _same_base(self, other)
+        _check_size(self.dim, other.dim)
         if self.pivots != other.pivots:
             return False
-        cols = [_stored(c, other.dim, other.base) for c in other.cols + self.cols]
+        cols = [dict(c) for c in other._basis + self._basis]
         return ([p for p, _ in _echelon(cols, other.dim, other.base.residue)]
                 == other.pivots)
+
+    @classmethod
+    def sum(cls, *lattices) -> "MatrixLattice":
+        """The lattice L_1 + ... + L_k of one or more lattices over one base
+        in one space: one pass over copies of their stored bases.  Lattices
+        over different bases raise ``owner_mismatch``, and in spaces of
+        different dimensions ``shape_mismatch``."""
+        first = lattices[0]
+        for L in lattices[1:]:
+            _same_base(first, L)
+            _check_size(L.dim, first.dim)
+        cols = [dict(c) for L in lattices for c in L._basis]
+        return cls._of_basis(first.base, first.dim,
+                             _echelon(cols, first.dim, first.base.residue))
 
 
 def _same_base(L1: MatrixLattice, L2: MatrixLattice):
@@ -496,9 +540,8 @@ def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice
     (row-major flattening): its monomial columns t^D(u) e_u, on distinct
     rows, are already its column echelon basis, with pivots (u, D(u))."""
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
-    one = base.residue.one
     return MatrixLattice._of_basis(base, len(D), [
-        ((u, d), {u: base.monomial(d, one)}) for u, d in enumerate(D)])
+        ((u, d), {u: {d: 0}}) for u, d in enumerate(D)])
 
 
 def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
@@ -528,15 +571,15 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     column is built directly as a sparse dict {row: digit-log map} of the
     nonzero entries: the lower entry t^d is {d: 0}, and where the two terms
     of a bracket meet in one row, on the diagonal of its block, their maps
-    are summed digit by digit through ``residue.log_sum``; a sum that
-    cancels, such as t^d g - t^d g, is not stored.  One :func:`_echelon`
+    are summed by :func:`_add_logs`; a sum that cancels, such as
+    t^d g - t^d g, is not stored.  One :func:`_echelon`
     pass over all rows clears each bracket row from all columns but its
     pivot column, and drops it.  Each step is unimodular, and a kernel
     element has no part along a dropped column, so the remaining columns'
     lower parts span the kernel over o_F, saturated.  They store nothing
     in the bracket rows, so the same pass goes on over the lower rows as an
     echelon pass over those lower parts: its pivots there, with their lower
-    parts, turned back into elements, are the kernel's echelon basis."""
+    parts, are the kernel's echelon basis, stored as the pass returns it."""
     N = chain.N
     dim = N * N
     for G in gens:
@@ -573,23 +616,14 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
                 r = off + k * N + j
                 y = col.get(r)
                 if y is not None:
-                    y = dict(y)
-                    for v, a in x.items():
-                        s = y.get(v)
-                        if s is None:
-                            y[v] = a
-                        elif (s := residue.log_sum(fld, s, a)) < 0:
-                            del y[v]
-                        else:
-                            y[v] = s
-                    if not y:
+                    x = _add_logs(dict(y), x, fld)
+                    if not x:
                         del col[r]
                         continue
-                    x = y
                 col[r] = x
         cols.append(col)
     return MatrixLattice._of_basis(base, dim, [
-        ((r - top, v), _elements(base, {u - top: x for u, x in c.items() if u >= top}))
+        ((r - top, v), {u - top: x for u, x in c.items() if u >= top})
         for (r, v), c in _echelon(cols, top + dim, fld) if r >= top])
 
 

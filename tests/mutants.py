@@ -107,11 +107,18 @@ MUTANTS = {
         "not G[j][k]"),
     "same_as_pivots_only": (
         ORACLE,
-        "cols = [_stored(c, other.dim, other.base) for c in other.cols + self.cols]\n"
+        "cols = [dict(c) for c in other._basis + self._basis]\n"
         "        return ([p for p, _ in _echelon(cols, other.dim, other.base.residue)]\n"
         "                == other.pivots)",
         "return True",
         "equal pivots give equal indices, not equal lattices"),
+    "lattice_pass_shares_basis": (
+        ORACLE,
+        "cols = [dict(c) for c in self._basis] + [",
+        "cols = self._basis + [",
+        "the pass changes the columns it clears in place, so a membership "
+        "pass over the stored columns themselves rewrites the basis that "
+        "later answers read"),
     "v_A_profile_swapped": (
         ORACLE,
         "e * min(a.digits) + c[i] - c[k]",

@@ -381,6 +381,9 @@ def test_size_mismatches_are_domain_errors():
                lambda: intersect_with_centralizer([Mat(F, wide)],
                                                   uniform_chain(1, 1), 0, F)]
     L = MatrixLattice(F, 2, [{0: one}])
+    L3 = MatrixLattice(F, 3, [{0: one}])
+    probes += [lambda: L.same_as(L3), lambda: L3.same_as(L),
+               lambda: MatrixLattice.sum(L, L3)]
     for row in (-1, 2):                 # rows of F^2 are 0 and 1
         probes += [lambda row=row: L.contains_vector({row: one}),
                    lambda row=row: MatrixLattice(F, 2, [{0: one}, {row: one}])]
@@ -413,7 +416,8 @@ def test_entries_of_another_field_are_refused():
     diag(pi_E, 1) read 0), and as a generator of
     ``intersect_with_centralizer`` over another base, which returned
     pivots.  ``same_as`` and ``lattice_index`` refuse two lattices over
-    different bases also when their pivots differ: the index read 1."""
+    different bases also when their pivots differ: the index read 1; so
+    does ``MatrixLattice.sum``."""
     F = base_field(3)
     E = extend(F, 1, 2, 1)              # pi^2 = t
     pi, zF, zE = E.uniformizer(), TameElement(F, {}, INF), TameElement(E, {}, INF)
@@ -426,6 +430,7 @@ def test_entries_of_another_field_are_refused():
               lambda: L_E.same_as(L),
               lambda: L.same_as(L_E),
               lambda: lattice_index(L, L_E),
+              lambda: MatrixLattice.sum(L, L_E),
               lambda: v_A_direct(Mat(F, [[pi, zF], [zF, F.one()]]),
                                  uniform_chain(2, 1)),
               lambda: Mat(F, over_E.rows),
@@ -1452,20 +1457,16 @@ def test_a_decision_on_unknown_digits_raises(probe):
 
 
 def test_the_refusal_names_the_site_the_row_and_the_precision():
-    """The lattice constructor, ``contains_vector`` and ``same_as`` refuse
-    an inexact entry in row 2, ``Mat`` one at (1, 0), and ``regular_rep``
-    an inexact argument; ``same_as`` meets one only in columns changed
-    after the lattice was built."""
+    """The lattice constructor and ``contains_vector`` refuse an inexact
+    entry in row 2, ``Mat`` one at (1, 0), and ``regular_rep`` an inexact
+    argument."""
     F = base_field(3)
     one, z = F.one(), TameElement(F, {}, INF)
     lost = TameElement(F, {0: F.residue.one}, 4)
-    changed = MatrixLattice(F, 3, [{0: one}])
-    changed.cols[0][2] = lost
     row = "oracle: the lattice entry in row 2 is known only to O(t^4)"
     probes = [(lambda: MatrixLattice(F, 3, [{0: one}, {2: lost}]), row),
               (lambda: MatrixLattice(F, 3, [{0: one}]).contains_vector({2: lost}),
                row),
-              (lambda: changed.same_as(MatrixLattice(F, 3, [{0: one}])), row),
               (lambda: Mat(F, [[one, z], [lost, z]]),
                "oracle: Mat entry (1, 0) is known only to O(t^4)"),
               (lambda: regular_rep(lost),
@@ -1474,6 +1475,75 @@ def test_the_refusal_names_the_site_the_row_and_the_precision():
         with pytest.raises(PrecisionError) as err:
             probe()
         assert str(err.value) == message
+
+
+def test_lattice_columns_are_a_read_only_view():
+    """``cols`` is a tuple of read-only mappings, built on first read and
+    kept: neither it nor a column takes an assignment."""
+    F = base_field(3)
+    one, t = F.one(), mono(F, 1)
+    L = MatrixLattice(F, 2, [{0: one, 1: t}, {1: t}])
+    with pytest.raises(TypeError):
+        L.cols[0] = {0: one}
+    with pytest.raises(TypeError):
+        L.cols[0][1] = one
+    with pytest.raises(TypeError):
+        L.cols[1][0] = one
+    assert L.cols is L.cols
+    assert _column_digits(L.cols) == [[(0, [(0, 0)]), (1, [(1, 0)])],
+                                      [(1, [(1, 0)])]]
+
+
+def test_lattice_answers_do_not_change_after_reads_or_passes():
+    """Reading ``cols`` and repeating membership and equality passes leave
+    the pivots, the entries of ``cols`` and every answer as they were.  The
+    vectors outside L include ones whose pivot-row entry has a smaller
+    valuation than L's pivot, so a pass that cleared L's own columns in
+    place would change the basis it answers from."""
+    F = base_field(3)
+    one, t, t2 = F.one(), mono(F, 1), mono(F, 2)
+    gens = [{0: t, 1: one}, {1: t, 2: one}]        # span{t e0 + e1, t e1 + e2}
+    vecs = [{0: t, 1: one}, {0: t, 1: one + t, 2: one}, {0: t2, 1: t},
+            {0: one}, {1: one}, {0: one, 1: t}, {2: one}]
+
+    def answers(L, others):
+        return (list(L.pivots), [L.contains_vector(v) for v in vecs],
+                [L.same_as(M) for M in others], [M.same_as(L) for M in others])
+
+    want = ([(0, 1), (1, 1)], [True] * 3 + [False] * 4,
+            [True, True, False], [True, True, False])
+    for read_first in (False, True):
+        L = MatrixLattice(F, 3, gens)
+        others = [L, MatrixLattice(F, 3, gens[::-1]),
+                  MatrixLattice(F, 3, [{0: t}, {1: t, 2: one}])]
+        if read_first:
+            entries = _column_digits(L.cols)
+        assert answers(L, others) == want
+        if not read_first:
+            entries = _column_digits(L.cols)
+        for _ in range(3):
+            assert answers(L, others) == want
+            assert _column_digits(L.cols) == entries
+
+
+def test_lattice_sum_is_the_constructor_on_the_joined_columns():
+    """``MatrixLattice.sum`` gives the pivots and every entry that the
+    constructor gives on the columns of its summands in order, here on
+    centralizer and radical-power lattices of the bench tower
+    GF(3) -> e=2 -> f=3, and their sum contains each summand."""
+    E = extend(extend(base_field(3), 1, 2, 1), 3, 1, 1)
+    F, chain = E.base(), chain_from_field(E)
+    gens = [regular_rep(g) for g in (E.uniformizer(), E.residue_gen_elem())]
+    for n in range(2 * chain.period):
+        parts = [intersect_with_centralizer(gens, chain, n + 1, F),
+                 intersect_with_centralizer(gens[:1], chain, n + 2, F),
+                 filt_lattice(chain, n + 3, F)]
+        S = MatrixLattice.sum(*parts)
+        joined = MatrixLattice(F, chain.N ** 2, [c for L in parts for c in L.cols])
+        assert S.pivots == joined.pivots
+        assert _column_digits(S.cols) == _column_digits(joined.cols)
+        assert all(S.contains_vector(c) for L in parts for c in L.cols)
+        assert MatrixLattice.sum(parts[0]).same_as(parts[0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
