@@ -16,30 +16,33 @@ position and the precision, on an entry with a finite ``prec``, whose
 unknown digits could change an answer, and ``DomainError``
 (``owner_mismatch``) on an element of another field, whose digits would be
 read as powers of the wrong uniformizer.  It guards the argument of
-``regular_rep``, every entry of a ``Mat``, whose rows are tuples so a
-matrix stays exact once built, and every entry of a caller's lattice
-column or vector, which ``_stored`` converts for the pass without its
-exact zeros; ``intersect_with_centralizer`` refuses a generator over
-another base.  So every matrix entry is exact, every stored lattice entry
-is exact and nonzero, a row operation runs over the stored entries of the
-pivot column, and an entry that cancels is dropped at once.  Matrix
-products skip exact zeros over dense rows; elements are immutable, so a
-dense matrix may share one exact zero.
+``regular_rep``, every entry of a caller's ``Mat`` rows, and every entry
+of a caller's lattice column or vector; each is checked once, where it
+comes in.  Matrices and lattices over another base are refused by
+``_check_base`` wherever two meet: ``Mat`` ``+``, ``-`` and ``@``,
+``block_diag``, ``eval_psi_c``, the generators of
+``intersect_with_centralizer``, and two lattices.
 
-Inside the elimination pass an entry is a digit-log map {valuation: log},
-each digit g^log of the base residue field, so the pass runs in integers:
-a product adds valuations and logs, negation adds the log of -1, and a sum
-is one ``residue.log_sum``, through ``_add_logs``.  The pass never
-changes a map in place, it replaces it, so columns may share maps.  A
-lattice stores its basis in this form, as the pass returns it.  Entries
-are converted only where they are checked anyway: a caller's columns and
-vectors once, through ``_stored``, and a generator entry once, in
-``intersect_with_centralizer``.  Elements are built back, by ``_elements``,
-only when a caller reads a lattice's ``cols``.
+Past that boundary an entry is a digit-log map {valuation: log}, each
+digit g^log of the base residue field, {} for zero, so the oracle runs in
+integers from ``regular_rep`` to the kernel: a product adds valuations and
+logs, negation adds the log of -1, and a sum is one ``residue.log_sum``,
+through ``_add_logs``.  A ``Mat`` stores its entries in this form: the
+constructor converts a caller's rows once, and the library's own builders
+(``regular_rep``, ``block_diag``, ``+``, ``-``, ``@``, ...) build maps
+through ``Mat._of_logs``.  ``regular_rep`` reads x's digits as logs and
+adds each decomposed digit into its entry's map, with no tower element
+built.  A lattice stores its basis in this form, as the pass returns it;
+a caller's columns and vectors are converted once, through ``_stored``,
+without their exact zeros.  A stored map is never changed in place, only
+replaced, so matrices and columns may share maps.  Elements are built
+back only when a caller reads them: a ``Mat``'s ``rows``, a tuple of
+tuples, and a lattice's ``cols``, read-only mappings built by
+``_elements``; each is built on first read and kept.
 
 ``intersect_with_centralizer`` assembles its bracket columns in log form
-too.  It reads each stored generator entry once as a map by row and once,
-negated, by column, and shifts those maps by t^d with ``_shift_logs``,
+too.  It reads each stored generator map as it is by row and, negated
+once, by column, and shifts those maps by t^d with ``_shift_logs``,
 which adds d to each valuation: the digits of the product with the
 monomial t^d.  It shifts them once for each value d its bound D takes, and
 every bracket column with that value shares the shifted maps.
@@ -73,19 +76,28 @@ from .tower import INF, TameElement, TameField
 
 ORACLE_N_CAP = 8
 
+#: the digit-log map of 1
+_ONE = {0: 0}
+
 
 # ---------------------------------------------------------------------------
 # matrices over the base field
 # ---------------------------------------------------------------------------
 
-def _exact_zero(base: TameField) -> TameElement:
-    return TameElement(base, {}, INF)
+def _logs_of(x: TameElement) -> dict:
+    """The digit-log map {valuation: log} of an exact element, {} for zero."""
+    return {v: a.log for v, a in x.digits.items()}
 
 
-def _zero_rows(base: TameField, n: int):
-    """The rows of the n x n zero matrix, as lists to fill in."""
-    zero = _exact_zero(base)
-    return [[zero] * n for _ in range(n)]
+def _element(base: TameField, x) -> TameElement:
+    """The exact element of base whose digit-log map is x."""
+    k = base.residue
+    return TameElement(base, {v: k.gen_power(a) for v, a in x.items()}, INF)
+
+
+def _minus_one(fld) -> int:
+    """The log of -1 in the residue field fld."""
+    return (-fld.one).log
 
 
 def _exact(x: TameElement, owner: TameField, where: str, *at) -> TameElement:
@@ -103,6 +115,14 @@ def _exact(x: TameElement, owner: TameField, where: str, *at) -> TameElement:
     return x
 
 
+def _check_base(base: TameField, x, what: str):
+    """Refuse a matrix or lattice x over another base than ``base``: its
+    digits are powers of another uniformizer."""
+    if x.base is not base:
+        raise DomainError(f"oracle: {what} over {x.base!r} meets the base "
+                          f"{base!r}", clause="owner_mismatch")
+
+
 def _check_size(n: int, m: int):
     """Raise unless a size-n matrix meets a size-m matrix or chain."""
     if n != m:
@@ -112,122 +132,166 @@ def _check_size(n: int, m: int):
 
 class Mat:
     """A dense square matrix over the base Laurent-series field, with exact
-    entries: the constructor refuses an inexact entry (``PrecisionError``),
-    an element of another field (``owner_mismatch``) and a ragged or
-    non-square list of rows (``shape_mismatch``), and keeps the rows as
-    tuples, so the matrix cannot change once built."""
+    entries, each stored as a digit-log map {valuation: log} over the base
+    residue field, {} for zero.
 
-    __slots__ = ("base", "n", "rows")
+    The constructor is the one way in for a caller's rows: it checks and
+    converts each entry once, by :func:`_exact` (``PrecisionError``,
+    ``owner_mismatch``), and refuses a ragged or non-square list of rows
+    (``shape_mismatch``).  The library's own builders store the maps they
+    build through :meth:`_of_logs`.  A stored map is never changed, so
+    matrices may share maps.  ``+``, ``-`` and ``@`` refuse a matrix of
+    another size (``shape_mismatch``) or over another base
+    (``owner_mismatch``).  ``rows`` is a read-only tuple of tuples of
+    elements, built on first read and kept."""
+
+    __slots__ = ("base", "n", "_logs", "_rows")
 
     def __init__(self, base: TameField, rows):
-        self.base = base
-        rows = [[_exact(a, base, "Mat entry ({}, {})", i, k)
+        logs = [[_logs_of(_exact(a, base, "Mat entry ({}, {})", i, k))
                  for k, a in enumerate(r)] for i, r in enumerate(rows)]
-        self.rows = tuple(map(tuple, rows))
-        self.n = len(self.rows)
-        for r in self.rows:
-            _check_size(len(r), self.n)
+        for r in logs:
+            _check_size(len(r), len(logs))
+        self._keep(base, logs)
+
+    @classmethod
+    def _of_logs(cls, base: TameField, logs) -> "Mat":
+        """The matrix whose entry (i, k) has the digit-log map logs[i][k]."""
+        M = cls.__new__(cls)
+        M._keep(base, logs)
+        return M
+
+    def _keep(self, base, logs):
+        self.base = base
+        self.n = len(logs)
+        self._logs = logs
+        self._rows = None
+
+    @property
+    def rows(self):
+        """The entries as a tuple of tuples of exact elements, built on
+        first read; the zero entries share one exact zero."""
+        if self._rows is None:
+            zero = TameElement(self.base, {}, INF)
+            self._rows = tuple(tuple(_element(self.base, x) if x else zero
+                                     for x in r) for r in self._logs)
+        return self._rows
 
     @classmethod
     def zero(cls, base: TameField, n: int) -> "Mat":
-        return cls(base, _zero_rows(base, n))
+        return cls._of_logs(base, [[{}] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, base: TameField, n: int) -> "Mat":
-        rows = _zero_rows(base, n)
-        one = base.one()
-        for i in range(n):
-            rows[i][i] = one
-        return cls(base, rows)
+        return cls._of_logs(base, [[{0: 0} if i == k else {} for k in range(n)]
+                                   for i in range(n)])
 
     @classmethod
     def monomial_entry(cls, base: TameField, n: int, i: int, k: int, v: int,
                        coeff) -> "Mat":
-        rows = _zero_rows(base, n)
-        rows[i][k] = base.monomial(v, coeff)
-        return cls(base, rows)
+        logs = [[{}] * n for _ in range(n)]
+        logs[i][k] = _logs_of(base.monomial(v, coeff))
+        return cls._of_logs(base, logs)
+
+    def _meet(self, other):
+        """Refuse another matrix of another size or over another base."""
+        _check_size(self.n, other.n)
+        _check_base(self.base, other, "a matrix")
 
     def __add__(self, other):
-        _check_size(self.n, other.n)
-        return Mat(self.base, [[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        self._meet(other)
+        fld = self.base.residue
+        return Mat._of_logs(self.base, [
+            [_add_logs(dict(a), b, fld) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(self._logs, other._logs)])
 
     def __sub__(self, other):
-        _check_size(self.n, other.n)
-        return Mat(self.base, [[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.rows, other.rows)])
+        self._meet(other)
+        fld = self.base.residue
+        minus = _minus_one(fld)
+        return Mat._of_logs(self.base, [
+            [_add_logs(dict(a), b, fld, 0, minus) for a, b in zip(r1, r2)]
+            for r1, r2 in zip(self._logs, other._logs)])
 
     def __matmul__(self, other):
-        _check_size(self.n, other.n)
-        zero = _exact_zero(self.base)
+        self._meet(other)
+        fld = self.base.residue
         out = []
-        for r in self.rows:
-            terms = [(a, other.rows[j]) for j, a in enumerate(r) if a.digits]
+        for r in self._logs:
+            terms = [(a, other._logs[j]) for j, a in enumerate(r) if a]
             row = []
             for k in range(self.n):
-                acc = zero
+                acc = {}
                 for a, orow in terms:
                     b = orow[k]
-                    if b.digits:
-                        acc = acc + a * b
+                    if b:
+                        for w, c in a.items():
+                            _add_logs(acc, b, fld, w, c)
                 row.append(acc)
             out.append(row)
-        return Mat(self.base, out)
+        return Mat._of_logs(self.base, out)
 
     def trace(self) -> TameElement:
-        acc = _exact_zero(self.base)
+        acc, fld = {}, self.base.residue
         for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+            _add_logs(acc, self._logs[i][i], fld)
+        return _element(self.base, acc)
 
     def is_zero(self) -> bool:
-        return all(not a.digits for r in self.rows for a in r)
+        return not any(x for r in self._logs for x in r)
 
     def __repr__(self):
         return f"Mat({self.n}x{self.n})"
 
 
 def block_diag(base: TameField, mats) -> Mat:
-    rows = _zero_rows(base, sum(m.n for m in mats))
+    """The block-diagonal matrix of ``mats``, all over ``base``
+    (``owner_mismatch`` otherwise); it shares their digit-log maps."""
+    for m in mats:
+        _check_base(base, m, "a block")
+    n = sum(m.n for m in mats)
+    logs = [[{}] * n for _ in range(n)]
     off = 0
     for m in mats:
-        for i, r in enumerate(m.rows):
-            rows[off + i][off:off + m.n] = r
+        for i, r in enumerate(m._logs):
+            logs[off + i][off:off + m.n] = r
         off += m.n
-    return Mat(base, rows)
+    return Mat._of_logs(base, logs)
 
 
 def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     """The matrix of multiplication by x on its field viewed as a base
     vector space, in the basis {g^a pi^b} ordered pi-power-major; with
     ``copies`` > 1, the block-diagonal sum of that many copies.  x must be
-    exact."""
+    exact.
+
+    Built in logs: x times the basis element g^a_c pi^b_c has the digit
+    g^(log + a_c) at valuation w = v + b_c for each digit g^log pi^v of x,
+    and pi^w = pi^b t^m (w = m e + b, 0 <= b < e) with pi^e = t / T for
+    the accumulated twist T, so the digit is u pi^b t^m with
+    u = g^(log + a_c) T^-m.  Each coefficient c_a of u over the base
+    residue field goes into entry (b f + a, b_c f + a_c) at valuation m,
+    added by :func:`_add_logs`."""
     E = x.owner
     _exact(x, E, "the argument of regular_rep")
     base = E.base()
     if E.degree * copies > ORACLE_N_CAP:
         raise DomainError(f"oracle capped at N <= {ORACLE_N_CAP}",
                           clause="oracle_cap")
-    e, f = E.e_abs, E.f_over_base
-    kF = base.residue
-    T = E.acc_twist
-    Tinv = T.inverse()
-    block = _zero_rows(base, E.degree)
-    for b_c in range(e):
-        for a_c in range(f):
-            col = b_c * f + a_c
-            basis_el = E.monomial(b_c, E.residue.gen_power(a_c))
-            y = x * basis_el
-            for v, coeff in y.digits.items():
-                b = v % e
-                m = (v - b) // e
-                u = coeff * (Tinv ** m if m >= 0 else T ** (-m))
-                for a, c_a in enumerate(residue.decompose(u, kF)):
-                    if c_a.is_zero():
-                        continue
-                    row = b * f + a
-                    block[row][col] = block[row][col] + base.monomial(m, c_a)
-    R = Mat(base, block)
+    e, f, n = E.e_abs, E.f_over_base, E.degree
+    kE, kF = E.residue, base.residue
+    twist = E.acc_twist.log
+    block = [[{} for _ in range(n)] for _ in range(n)]
+    for v, a in x.digits.items():
+        for b_c in range(e):
+            b, m = (v + b_c) % e, (v + b_c) // e
+            for a_c in range(f):
+                u = kE.gen_power(a.log + a_c - m * twist)
+                for a_r, c in enumerate(residue.decompose(u, kF)):
+                    if c.log >= 0:
+                        _add_logs(block[b * f + a_r][b_c * f + a_c], _ONE, kF,
+                                  m, c.log)
+    R = Mat._of_logs(base, block)
     return R if copies == 1 else block_diag(base, [R] * copies)
 
 
@@ -291,11 +355,11 @@ def v_A_direct(x: Mat, chain: ChainRealized) -> int:
     Entry (i, k) of valuation w lies in the n-th radical power exactly when
     w >= filt_bound(n)[i][k], that is when n <= period * w + c_i - c_k, so
     v_A is the least such bound over the nonzero entries, which are exact
-    since x is a ``Mat``."""
+    since x is a ``Mat``; it reads their digit-log maps."""
     _check_size(x.n, chain.N)
     c, e = chain.profile, chain.period
-    known = [e * min(a.digits) + c[i] - c[k] for i, row in enumerate(x.rows)
-             for k, a in enumerate(row) if a.digits]
+    known = [e * min(a) + c[i] - c[k] for i, row in enumerate(x._logs)
+             for k, a in enumerate(row) if a]
     if not known:
         raise DomainError("v_A of the zero matrix is undefined",
                           clause="v_A_of_zero")
@@ -334,9 +398,18 @@ def _add_product(z, col, y, fld):
     """z + col * y, in place in the sparse column z, for a sparse column
     col of digit-log maps and the (valuation, log) pairs y of a digit-log
     map: each entry of col adds into its row by one :func:`_add_logs` per
-    digit of y, and a row whose entry cancels is dropped from z."""
+    digit of y, and a row whose entry cancels is dropped from z.  When y
+    is one digit t^w g^b, a row that z does not store takes x shifted by
+    w and b as it is: a nonzero map times a monomial is nonzero, so no
+    digit needs a sum."""
+    order, one = fld.q - 1, y[0] if len(y) == 1 else None
     for u, x in col.items():
-        s = dict(z.get(u, ()))
+        s = z.get(u)
+        if s is None and one:
+            w, b = one
+            z[u] = {v + w: (a + b) % order for v, a in x.items()}
+            continue
+        s = dict(s or ())
         for w, b in y:
             _add_logs(s, x, fld, w, b)
         if s:
@@ -346,13 +419,13 @@ def _add_product(z, col, y, fld):
     return z
 
 
-def _clear(c2, col, unit, q, fld):
+def _clear(c2, col, unit, q, fld, minus):
     """Clear a row of sparse column c2 by pivot column col, whose pivot
     entry is t^v * unit: c2 becomes unit * c2 - col * q, where q is t^-v
     times c2's entry in the pivot row.  The columns hold digit-log maps
     over fld, the base residue field, and unit and q are such maps.  q is
-    negated once, by adding the log of -1 to each digit, and col * -q is
-    added to c2 by :func:`_add_product`.
+    negated once, by adding ``minus``, the log of -1, to each digit, and
+    col * -q is added to c2 by :func:`_add_product`.
 
     The one update step, called only by :func:`_echelon`.  It takes no
     inverse: unit is a unit of o_F, so the step is unimodular, and entries
@@ -360,11 +433,10 @@ def _clear(c2, col, unit, q, fld):
     scales no entry to zero, so every row of c2 stays stored.  An entry of
     col * -q is nonzero, so only a sum with an entry of c2 can cancel, and
     the row is then dropped from c2."""
-    if unit != {0: 0}:
-        c2.update(_add_product({}, c2, unit.items(), fld))
-    minus, order = (-fld.one).log, fld.q - 1
-    q = [(w, (b + minus) % order) for w, b in q.items()]
-    _add_product(c2, col, q, fld)
+    if unit != _ONE:
+        c2.update(_add_product({}, c2, list(unit.items()), fld))
+    order = fld.q - 1
+    _add_product(c2, col, [(w, (b + minus) % order) for w, b in q.items()], fld)
 
 
 def _echelon(cols, scanned, fld):
@@ -381,9 +453,9 @@ def _echelon(cols, scanned, fld):
     column is scanned to find them.  The pivot is the entry of least
     valuation v among them, the first column in the input order on a tie;
     this is the one place where the oracle chooses a pivot.  It clears the
-    row from the other columns of the bucket by :func:`_clear`, and each
-    column left nonempty is filed again under its new least row, which
-    lies below r.  Since v is least, every quotient lies in o_F, and
+    row from the other columns of the bucket by :func:`_clear`, which gets
+    the log of -1, read once per pass, and each column left nonempty is
+    filed again under its new least row, which lies below r.  Since v is least, every quotient lies in o_F, and
     shifting a map's valuations by -v is its product with t^-v.  Returns
     the pivot columns with their (row, exponent) pairs; the pivot columns
     leave ``cols``, and the columns left there keep their order and store
@@ -393,6 +465,7 @@ def _echelon(cols, scanned, fld):
         if c:
             at.setdefault(min(c), []).append(j)
     pivots, taken = [], set()
+    minus = _minus_one(fld)
     for r in range(scanned):
         bucket = at.pop(r, None)
         if bucket is None:
@@ -404,7 +477,8 @@ def _echelon(cols, scanned, fld):
         for j2 in bucket:
             if j2 != j:
                 c2 = cols[j2]
-                _clear(c2, col, unit, {w - v: a for w, a in c2[r].items()}, fld)
+                _clear(c2, col, unit, {w - v: a for w, a in c2[r].items()}, fld,
+                       minus)
                 if c2:
                     at.setdefault(min(c2), []).append(j2)
         pivots.append(((r, v), col))
@@ -425,7 +499,7 @@ def _stored(vec, dim, base):
             raise DomainError(f"row {u} is outside 0 .. {dim - 1}",
                               clause="shape_mismatch")
         if _exact(x, base, "the lattice entry in row {}", u).digits:
-            out[u] = {v: a.log for v, a in x.digits.items()}
+            out[u] = _logs_of(x)
     return out
 
 
@@ -433,9 +507,7 @@ def _elements(base, col):
     """The column col of digit-log maps over base's residue field as a
     column of exact elements of base: the way back from :func:`_echelon`,
     taken only when a caller reads ``MatrixLattice.cols``."""
-    k = base.residue
-    return {u: TameElement(base, {v: k.gen_power(a) for v, a in x.items()}, INF)
-            for u, x in col.items()}
+    return {u: _element(base, x) for u, x in col.items()}
 
 
 class MatrixLattice:
@@ -504,7 +576,7 @@ class MatrixLattice:
         followed by self's finds no pivot but other's.  Lattices over
         different bases raise ``owner_mismatch``, and in spaces of
         different dimensions ``shape_mismatch``."""
-        _same_base(self, other)
+        _check_base(self.base, other, "a lattice")
         _check_size(self.dim, other.dim)
         if self.pivots != other.pivots:
             return False
@@ -520,19 +592,11 @@ class MatrixLattice:
         different dimensions ``shape_mismatch``."""
         first = lattices[0]
         for L in lattices[1:]:
-            _same_base(first, L)
+            _check_base(first.base, L, "a lattice")
             _check_size(L.dim, first.dim)
         cols = [dict(c) for L in lattices for c in L._basis]
         return cls._of_basis(first.base, first.dim,
                              _echelon(cols, first.dim, first.base.residue))
-
-
-def _same_base(L1: MatrixLattice, L2: MatrixLattice):
-    """Refuse two lattices over different bases, whose pivot exponents are
-    powers of different uniformizers."""
-    if L1.base is not L2.base:
-        raise DomainError(f"oracle: a lattice over {L1.base!r} meets one over "
-                          f"{L2.base!r}", clause="owner_mismatch")
 
 
 def filt_lattice(chain: ChainRealized, n: int, base: TameField) -> MatrixLattice:
@@ -548,7 +612,7 @@ def lattice_index(L1: MatrixLattice, L2: MatrixLattice) -> int:
     """q-exponent of the index (L1 : L2) for lattices spanning the same
     space, as the difference of pivot exponent sums.  Lattices over
     different bases raise ``owner_mismatch``."""
-    _same_base(L1, L2)
+    _check_base(L1.base, L2, "a lattice")
     if [r for r, _ in L1.pivots] != [r for r, _ in L2.pivots]:
         raise DomainError("lattices span different spaces: index undefined",
                           clause="index_undefined")
@@ -567,9 +631,10 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
     o_F-basis of the graph of the bracket map.  The generators are ``Mat``s
-    over ``base``, so their entries are exact elements of it, and each
-    column is built directly as a sparse dict {row: digit-log map} of the
-    nonzero entries: the lower entry t^d is {d: 0}, and where the two terms
+    over ``base``, so their entries are already digit-log maps over its
+    residue field, and each column is built directly as a sparse dict
+    {row: digit-log map} of the nonzero entries: the lower entry t^d is
+    {d: 0}, and where the two terms
     of a bracket meet in one row, on the diagonal of its block, their maps
     are summed by :func:`_add_logs`; a sum that cancels, such as
     t^d g - t^d g, is not stored.  One :func:`_echelon`
@@ -584,21 +649,18 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     dim = N * N
     for G in gens:
         _check_size(G.n, N)
-        if G.base is not base:
-            raise DomainError(f"oracle: a generator over {G.base!r} meets the "
-                              f"base {base!r}", clause="owner_mismatch")
+        _check_base(base, G, "a generator")
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
     fld = base.residue
-    minus, order = (-fld.one).log, fld.q - 1
+    minus, order = _minus_one(fld), fld.q - 1
     # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k), -t^d G[k][i] at
-    # (k, j); each generator's stored entries as digit-log maps, by row and
-    # negated by column
+    # (k, j); each generator's stored maps as they are by row, and negated
+    # by column
     terms = [(off,
-              [[(k, {v: a.log for v, a in g.digits.items()})
-                for k, g in enumerate(G.rows[j]) if g.digits] for j in range(N)],
-              [[(k, {v: (a.log + minus) % order for v, a in g.digits.items()})
-                for k in range(N) if (g := G.rows[k][i]).digits] for i in range(N)])
+              [[(k, x) for k, x in enumerate(G._logs[j]) if x] for j in range(N)],
+              [[(k, {v: (a + minus) % order for v, a in x.items()})
+                for k in range(N) if (x := G._logs[k][i])] for i in range(N)])
              for off, G in zip(range(0, top, dim), gens)]
     # the same maps times t^d, once for each value d that D takes
     shifted = {d: [(off, [[(k, _shift_logs(x, d)) for k, x in r] for r in by_row],
@@ -648,18 +710,22 @@ def absolute_trace(u) -> int:
 def eval_psi_c(c: Mat, y: Mat) -> int:
     """Exponent (mod p) of the standard character at trace(c*y): the
     absolute trace of the t^0 digit, read as the sum of the digit products
-    c[i][k]_v * y[k][i]_{-v} over the entry pairs.  The entries of a
-    ``Mat`` are exact, so that digit is known."""
+    c[i][k]_v * y[k][i]_{-v} over the entry pairs, on their digit-log
+    maps.  The entries of a ``Mat`` are exact, so that digit is known;
+    matrices of different sizes raise ``shape_mismatch``, and over
+    different bases ``owner_mismatch``."""
     _check_size(c.n, y.n)
-    acc = c.base.residue.zero
-    for i, row in enumerate(c.rows):
+    _check_base(c.base, y, "a matrix")
+    fld = c.base.residue
+    order, acc = fld.q - 1, -1
+    for i, row in enumerate(c._logs):
         for k, a in enumerate(row):
-            b = y.rows[k][i]
-            for v, d in a.digits.items():
-                e = b.digits.get(-v)
+            b = y._logs[k][i]
+            for v, d in a.items():
+                e = b.get(-v)
                 if e is not None:
-                    acc = acc + d * e
-    return absolute_trace(acc)
+                    acc = residue.log_sum(fld, acc, (d + e) % order)
+    return absolute_trace(residue.FqElem(fld, acc))
 
 
 def psi_witness(delta: Mat, chain: ChainRealized, m: int):
@@ -672,13 +738,13 @@ def psi_witness(delta: Mat, chain: ChainRealized, m: int):
     D = chain.filt_bound(m)
     for i in range(N):
         for k in range(N):
-            entry = delta.rows[k][i]
-            for v, a in entry.digits.items():
+            for v, a in delta._logs[k][i].items():
                 if v + D[i][k] > 0:
                     continue
                 s = -v - D[i][k]
+                d = kF.gen_power(a)
                 for j in range(kF.f):
                     u = kF.elem(tuple([0] * j + [1] + [0] * (kF.f - j - 1)))
-                    if absolute_trace(a * u) != 0:
+                    if absolute_trace(d * u) != 0:
                         return Mat.monomial_entry(base, N, i, k, D[i][k] + s, u)
     return None

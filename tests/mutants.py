@@ -84,19 +84,19 @@ MUTANTS = {
         "the reciprocal recurrence subtracts the convolution"),
     "clear_no_unit_scaling": (
         ORACLE,
-        "if unit != {0: 0}:",
+        "if unit != _ONE:",
         "if False:",
         "without the unit, u * c2 - q * col is not a unimodular step"),
     "clear_no_negation": (
         ORACLE,
-        "q = [(w, (b + minus) % order) for w, b in q.items()]",
-        "q = [(w, (b + 0 * minus) % order) for w, b in q.items()]",
+        "[(w, (b + minus) % order) for w, b in q.items()]",
+        "[(w, (b + 0 * minus) % order) for w, b in q.items()]",
         "the step subtracts col * q; over an odd characteristic adding it "
         "leaves the pivot row uncleared"),
     "bracket_column_not_negated": (
         ORACLE,
-        "{v: (a.log + minus) % order for v, a in g.digits.items()}",
-        "{v: a.log % order for v, a in g.digits.items()}",
+        "{v: (a + minus) % order for v, a in x.items()}",
+        "{v: (a + 0 * minus) % order for v, a in x.items()}",
         "the bracket X G - G X subtracts the by-column term; over an odd "
         "characteristic adding it gives the wrong kernel"),
     "bracket_rows_unshifted": (
@@ -121,10 +121,30 @@ MUTANTS = {
         "later answers read"),
     "v_A_profile_swapped": (
         ORACLE,
-        "e * min(a.digits) + c[i] - c[k]",
-        "e * min(a.digits) + c[k] - c[i]",
+        "e * min(a) + c[i] - c[k]",
+        "e * min(a) + c[k] - c[i]",
         "entry (i, k) maps L_j into L_(j + n) through the profile difference "
         "c_i - c_k"),
+    "regular_rep_overwrites_entry": (
+        ORACLE,
+        "_add_logs(block[b * f + a_r][b_c * f + a_c], _ONE, kF,\n"
+        "                                  m, c.log)",
+        "block[b * f + a_r][b_c * f + a_c] = {m: c.log}",
+        "an entry of regular_rep(x) collects a digit from each digit of x "
+        "that lands in it; a map written anew keeps only the last"),
+    "matmul_skips_base_check": (
+        ORACLE,
+        "    def __matmul__(self, other):\n        self._meet(other)",
+        "    def __matmul__(self, other):\n        _check_size(self.n, other.n)",
+        "entries are stored as residue logs, so a matrix over another base "
+        "with the same residue field multiplies without an error; its "
+        "digits are powers of another uniformizer"),
+    "mat_sum_in_place": (
+        ORACLE,
+        "[_add_logs(dict(a), b, fld) for a, b in zip(r1, r2)]",
+        "[_add_logs(a, b, fld) for a, b in zip(r1, r2)]",
+        "matrices share their stored maps, so a sum written into an "
+        "operand's map changes that operand and every matrix sharing it"),
     "embeddings_no_step": (
         TOWER,
         "d // e + k * step",

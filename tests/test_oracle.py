@@ -34,10 +34,26 @@ def test_regular_rep_uniformizer_frozen(E_ram2):
 
 
 def test_regular_rep_is_ring_hom(E_ram2, towers):
-    for E in [E_ram2] + [T for T in towers if 1 < T.degree <= 4]:
+    """On towers up to the degree-8 one, with one copy and, where N <= 8,
+    with two: products, sums and differences go to ``@``, ``+`` and ``-``,
+    and the trace of each matrix is the sum of its diagonal entries.  y
+    and x * y have two digits, so entries collect several digits."""
+    checked = 0
+    for E in [E_ram2] + [T for T in towers if 1 < T.degree <= 8]:
         x, y = mono(E, -1, 1), mono(E, 2, 2) + mono(E, 0)
-        assert mats_equal(regular_rep(x * y), regular_rep(x) @ regular_rep(y))
-        assert mats_equal(regular_rep(x + y), regular_rep(x) + regular_rep(y))
+        for copies in (1, 2):
+            if E.degree * copies > 8:
+                continue
+            X, Y, XY = (regular_rep(z, copies) for z in (x, y, x * y))
+            assert mats_equal(XY, X @ Y)
+            assert mats_equal(regular_rep(x + y, copies), X + Y)
+            assert mats_equal(regular_rep(x - y, copies), X - Y)
+            for M in (X, Y, XY):
+                diagonal = sum((M.rows[i][i] for i in range(M.n)),
+                               E.base().zero(INF))
+                assert M.trace().equals(diagonal)
+            checked += 1
+    assert checked == 23
 
 
 def test_regular_rep_respects_twist():
@@ -417,7 +433,10 @@ def test_entries_of_another_field_are_refused():
     ``intersect_with_centralizer`` over another base, which returned
     pivots.  ``same_as`` and ``lattice_index`` refuse two lattices over
     different bases also when their pivots differ: the index read 1; so
-    does ``MatrixLattice.sum``."""
+    does ``MatrixLattice.sum``.  ``Mat`` ``+``, ``-``, ``@``,
+    ``block_diag`` and ``eval_psi_c`` refuse a matrix over another base:
+    over E = GF(3)((pi)) the digits are logs in the same residue field, and
+    ``eval_psi_c`` paired a GF(3)((t)) matrix with a GF(5)((t)) one to 0."""
     F = base_field(3)
     E = extend(F, 1, 2, 1)              # pi^2 = t
     pi, zF, zE = E.uniformizer(), TameElement(F, {}, INF), TameElement(E, {}, INF)
@@ -436,6 +455,14 @@ def test_entries_of_another_field_are_refused():
               lambda: Mat(F, over_E.rows),
               lambda: intersect_with_centralizer([over_E], uniform_chain(2, 1),
                                                  0, F)]
+    I_F = Mat.identity(F, 2)
+    for A, B in ((I_F, over_E), (over_E, I_F)):
+        probes += [lambda A=A, B=B: A + B, lambda A=A, B=B: A - B,
+                   lambda A=A, B=B: A @ B, lambda A=A, B=B: eval_psi_c(A, B)]
+    F5 = base_field(5)
+    t5 = Mat.monomial_entry(F5, 2, 0, 0, 1, F5.residue.one)
+    probes += [lambda: block_diag(F, [I_F, over_E]),
+               lambda: eval_psi_c(I_F, t5), lambda: eval_psi_c(t5, I_F)]
     for probe in probes:
         with pytest.raises(DomainError) as err:
             probe()
@@ -1023,7 +1050,7 @@ def test_clear_skips_only_an_exact_unit_one():
         c2 = _digit_logs(start)
         kept = c2[2]
         _clear(c2, _digit_logs(col), _digit_logs({0: unit})[0],
-               _digit_logs({0: q})[0], F.residue)
+               _digit_logs({0: q})[0], F.residue, (-F.residue.one).log)
         zero = F.zero(INF)
         want = {u: unit * start.get(u, zero) - col.get(u, zero) * q for u in range(3)}
         assert c2 == _digit_logs({u: x for u, x in want.items() if x.digits})
@@ -1492,6 +1519,33 @@ def test_lattice_columns_are_a_read_only_view():
     assert L.cols is L.cols
     assert _column_digits(L.cols) == [[(0, [(0, 0)]), (1, [(1, 0)])],
                                       [(1, [(1, 0)])]]
+
+
+def test_mat_rows_are_a_read_only_view_and_entries_never_change():
+    """``rows`` is a tuple of tuples of elements, built on first read and
+    kept, and takes no assignment.  A matrix's entries are the ones it was
+    built from, and stay so after ``+``, ``-``, ``@``, ``block_diag``,
+    ``trace`` and a centralizer lattice read the maps it shares with
+    them."""
+    F = base_field(3)
+    E = extend(F, 2, 1, 1)
+    x = mono(E, -1, 1) + mono(E, 0) + mono(E, 2, 3)
+    z = TameElement(F, {}, INF)
+    given = [[mono(F, -1) + mono(F, 2, 1), z], [F.one(), mono(F, 1)]]
+    for M in (regular_rep(x), Mat(F, given)):
+        with pytest.raises(TypeError):
+            M.rows[0] = M.rows[1]
+        with pytest.raises(AttributeError):
+            M.rows = ()
+        assert M.rows is M.rows
+        entries = _entries(M.rows)
+        for use in (lambda: M + M, lambda: M - M, lambda: M @ M,
+                    lambda: block_diag(F, [M, M]), M.trace,
+                    lambda: intersect_with_centralizer(
+                        [M, M @ M], uniform_chain(M.n, 1), 0, F)):
+            use()
+            assert _entries(Mat._of_logs(F, M._logs).rows) == entries
+    assert _entries(Mat(F, given).rows) == _entries(given)
 
 
 def test_lattice_answers_do_not_change_after_reads_or_passes():
