@@ -31,7 +31,7 @@ through ``_add_logs``.  A ``Mat`` stores its entries in this form: the
 constructor converts a caller's rows once, and the library's own builders
 (``regular_rep``, ``block_diag``, ``+``, ``-``, ``@``, ...) build maps
 through ``Mat._of_logs``.  ``regular_rep`` reads x's digits as logs and
-adds each decomposed digit into its entry's map, with no tower element
+writes each decomposed digit into its entry's map, with no tower element
 built.  A lattice stores its basis in this form, as the pass returns it;
 a caller's columns and vectors are converted once, through ``_stored``,
 without their exact zeros.  A stored map is never changed in place, only
@@ -41,11 +41,15 @@ tuples, and a lattice's ``cols``, read-only mappings built by
 ``_elements``; each is built on first read and kept.
 
 ``intersect_with_centralizer`` assembles its bracket columns in log form
-too.  It reads each stored generator map as it is by row and, negated
-once, by column, and shifts those maps by t^d with ``_shift_logs``,
-which adds d to each valuation: the digits of the product with the
-monomial t^d.  It shifts them once for each value d its bound D takes, and
-every bracket column with that value shares the shifted maps.
+too, from each generator's bracket stencil, which the ``Mat`` builds on
+first use and keeps, like ``rows``: its stored maps as they are by row
+and, negated once, by column, and those maps shifted by t^d with
+``_shift_logs``, which adds d to each valuation: the digits of the
+product with the monomial t^d.  Each shift is made the first time some
+call needs that value d, and every bracket column with that value, in
+that call and in later calls on the same generators, shares the shifted
+maps.  A scalar matrix commutes with every matrix, so its stencil is
+empty and it adds no work.
 
 Every elimination is one fraction-free column-echelon pass, ``_echelon``,
 the only code that eliminates, and each lattice costs at most one pass:
@@ -143,9 +147,10 @@ class Mat:
     matrices may share maps.  ``+``, ``-`` and ``@`` refuse a matrix of
     another size (``shape_mismatch``) or over another base
     (``owner_mismatch``).  ``rows`` is a read-only tuple of tuples of
-    elements, built on first read and kept."""
+    elements, built on first read and kept.  So is the bracket stencil that
+    :func:`intersect_with_centralizer` reads, by :meth:`_bracket`."""
 
-    __slots__ = ("base", "n", "_logs", "_rows")
+    __slots__ = ("base", "n", "_logs", "_rows", "_stencil")
 
     def __init__(self, base: TameField, rows):
         logs = [[_logs_of(_exact(a, base, "Mat entry ({}, {})", i, k))
@@ -165,7 +170,7 @@ class Mat:
         self.base = base
         self.n = len(logs)
         self._logs = logs
-        self._rows = None
+        self._rows = self._stencil = None
 
     @property
     def rows(self):
@@ -176,6 +181,42 @@ class Mat:
             self._rows = tuple(tuple(_element(self.base, x) if x else zero
                                      for x in r) for r in self._logs)
         return self._rows
+
+    def _bracket(self, d):
+        """The terms of the brackets t^d (e_ij G - G e_ij) of this matrix G,
+        or None when G is scalar, c * I (zero included), which commutes
+        with every matrix: a pair (by_row, by_col), by_row[j] the pairs
+        (k, t^d G[j][k]) over the nonzero entries of row j, by_col[i] the
+        pairs (k, -t^d G[k][i]) over those of column i.  The stencil is
+        built on first use and kept, with the terms for d = 0, and the
+        terms for another d are shifted by :func:`_shift_logs` the first
+        time a call needs them and kept too; calls share them, since no
+        stored map is changed in place."""
+        stencil = self._stencil
+        if stencil is None:
+            logs = self._logs
+            c = logs[0][0] if logs else {}
+            if all(x == c if i == k else not x
+                   for i, r in enumerate(logs) for k, x in enumerate(r)):
+                stencil = {}
+            else:
+                fld = self.base.residue
+                minus, order = _minus_one(fld), fld.q - 1
+                stencil = {0: (
+                    [[(k, x) for k, x in enumerate(r) if x] for r in logs],
+                    [[(k, {v: (a + minus) % order for v, a in x.items()})
+                      for k, r in enumerate(logs) if (x := r[i])]
+                     for i in range(self.n)])}
+            self._stencil = stencil
+        if not stencil:
+            return None
+        terms = stencil.get(d)
+        if terms is None:
+            by_row, by_col = stencil[0]
+            terms = stencil[d] = (
+                [[(k, _shift_logs(x, d)) for k, x in r] for r in by_row],
+                [[(k, _shift_logs(x, d)) for k, x in c] for c in by_col])
+        return terms
 
     @classmethod
     def zero(cls, base: TameField, n: int) -> "Mat":
@@ -270,8 +311,9 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
     and pi^w = pi^b t^m (w = m e + b, 0 <= b < e) with pi^e = t / T for
     the accumulated twist T, so the digit is u pi^b t^m with
     u = g^(log + a_c) T^-m.  Each coefficient c_a of u over the base
-    residue field goes into entry (b f + a, b_c f + a_c) at valuation m,
-    added by :func:`_add_logs`."""
+    residue field goes into entry (b f + a, b_c f + a_c) at valuation m.
+    The entry and m fix v = m e + b - b_c, so no two digits land at one
+    valuation of one entry: each is written, with no sum."""
     E = x.owner
     _exact(x, E, "the argument of regular_rep")
     base = E.base()
@@ -289,8 +331,7 @@ def regular_rep(x: TameElement, copies: int = 1) -> Mat:
                 u = kE.gen_power(a.log + a_c - m * twist)
                 for a_r, c in enumerate(residue.decompose(u, kF)):
                     if c.log >= 0:
-                        _add_logs(block[b * f + a_r][b_c * f + a_c], _ONE, kF,
-                                  m, c.log)
+                        block[b * f + a_r][b_c * f + a_c][m] = c.log
     R = Mat._of_logs(base, block)
     return R if copies == 1 else block_diag(base, [R] * copies)
 
@@ -631,13 +672,17 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     Column u holds the brackets of t^D(u) e_u with every generator, stacked,
     above t^D(u) e_u itself (D from ``filt_bound``): the columns are an
     o_F-basis of the graph of the bracket map.  The generators are ``Mat``s
-    over ``base``, so their entries are already digit-log maps over its
-    residue field, and each column is built directly as a sparse dict
-    {row: digit-log map} of the nonzero entries: the lower entry t^d is
-    {d: 0}, and where the two terms
-    of a bracket meet in one row, on the diagonal of its block, their maps
-    are summed by :func:`_add_logs`; a sum that cancels, such as
-    t^d g - t^d g, is not stored.  One :func:`_echelon`
+    over ``base``, and each column is built directly as a sparse dict
+    {row: digit-log map} of the nonzero entries from the generators'
+    bracket stencils (:meth:`Mat._bracket`), which each ``Mat`` builds
+    once and keeps, so calls at several n on the same generators share
+    them.  The lower entry t^d is {d: 0}, and where the two terms of a
+    bracket meet in one row, on the diagonal of its block, their maps are
+    summed by :func:`_add_logs` into a copy, since the stencil's maps are
+    shared; a sum that cancels, such as t^d g - t^d g, is not stored.  A
+    scalar generator commutes with every X: it has no stencil and adds no
+    entry, but keeps its block of bracket rows, so the rows of the other
+    generators do not move.  One :func:`_echelon`
     pass over all rows clears each bracket row from all columns but its
     pivot column, and drops it.  Each step is unimodular, and a kernel
     element has no part along a dropped column, so the remaining columns'
@@ -653,25 +698,17 @@ def intersect_with_centralizer(gens, chain: ChainRealized, n: int,
     D = [d for row in chain.filt_bound(n) for d in row]     # D[u] for entry u
     top = len(gens) * dim
     fld = base.residue
-    minus, order = _minus_one(fld), fld.q - 1
     # (X G - G X) for X = t^d e_ij: t^d G[j][k] at (i, k), -t^d G[k][i] at
-    # (k, j); each generator's stored maps as they are by row, and negated
-    # by column
-    terms = [(off,
-              [[(k, x) for k, x in enumerate(G._logs[j]) if x] for j in range(N)],
-              [[(k, {v: (a + minus) % order for v, a in x.items()})
-                for k in range(N) if (x := G._logs[k][i])] for i in range(N)])
-             for off, G in zip(range(0, top, dim), gens)]
-    # the same maps times t^d, once for each value d that D takes
-    shifted = {d: [(off, [[(k, _shift_logs(x, d)) for k, x in r] for r in by_row],
-                    [[(k, _shift_logs(x, d)) for k, x in c] for c in by_col])
-                   for off, by_row, by_col in terms]
+    # (k, j); each generator's terms for each value d that D takes, from
+    # its stencil; a scalar generator has none
+    shifted = {d: [(off, terms) for off, G in zip(range(0, top, dim), gens)
+                   if (terms := G._bracket(d))]
                for d in set(D)}
     cols = []
     for u, d in enumerate(D):
         i, j = divmod(u, N)
         col = {top + u: {d: 0}}
-        for off, by_row, by_col in shifted[d]:
+        for off, (by_row, by_col) in shifted[d]:
             for k, x in by_row[j]:
                 col[off + i * N + k] = x
             for k, x in by_col[i]:

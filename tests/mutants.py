@@ -105,6 +105,24 @@ MUTANTS = {
         "[[(k, x) for k, x in r] for r in by_row]",
         "X = t^d e_ij, so the by-row term of the bracket is t^d G[j][k], "
         "not G[j][k]"),
+    "stencil_ignores_d": (
+        ORACLE,
+        "terms = stencil[d] = (",
+        "terms = stencil[d + 1] = (",
+        "a stencil keeps each value d's terms under d; under another key, a "
+        "later call at that value gets terms shifted by the wrong power of t"),
+    "scalar_test_diagonal_only": (
+        ORACLE,
+        "if all(x == c if i == k else not x",
+        "if all(True if i == k else not x",
+        "a diagonal matrix with two different diagonal entries does not "
+        "commute with every matrix, so its brackets cannot be skipped"),
+    "assembly_sums_into_shared_map": (
+        ORACLE,
+        "x = _add_logs(dict(y), x, fld)",
+        "x = _add_logs(y, x, fld)",
+        "the by-row map in a diagonal row is a stencil map that other "
+        "columns and later calls share; a sum written into it changes them"),
     "same_as_pivots_only": (
         ORACLE,
         "cols = [dict(c) for c in other._basis + self._basis]\n"
@@ -127,8 +145,7 @@ MUTANTS = {
         "c_i - c_k"),
     "regular_rep_overwrites_entry": (
         ORACLE,
-        "_add_logs(block[b * f + a_r][b_c * f + a_c], _ONE, kF,\n"
-        "                                  m, c.log)",
+        "block[b * f + a_r][b_c * f + a_c][m] = c.log",
         "block[b * f + a_r][b_c * f + a_c] = {m: c.log}",
         "an entry of regular_rep(x) collects a digit from each digit of x "
         "that lands in it; a map written anew keeps only the last"),

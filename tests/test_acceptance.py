@@ -388,18 +388,22 @@ def centralizer_gens(field_sub):
 class StratumLattices:
     """The oracle lattices of one stratum, over the chain of its ambient
     field, each built once: C_level intersect P^n by (level, n), and each
-    Lie lattice by the set of its summands."""
+    Lie lattice by the set of its summands.  Each level's generators are
+    built once too, so the centralizers of one level at several n share
+    the bracket stencils their ``Mat``s keep."""
 
     def __init__(self, st):
         ambient = st.beta.owner
         self.levels = st.fac.levels
         self.chain, self.base = chain_from_field(ambient), ambient.base()
-        self.centralizers, self.lie_lattices = {}, {}
+        self.gens, self.centralizers, self.lie_lattices = {}, {}, {}
 
     def centralizer(self, level, n):
         if (level, n) not in self.centralizers:
+            if level not in self.gens:
+                self.gens[level] = centralizer_gens(self.levels[level])
             self.centralizers[level, n] = intersect_with_centralizer(
-                centralizer_gens(self.levels[level]), self.chain, n, self.base)
+                self.gens[level], self.chain, n, self.base)
         return self.centralizers[level, n]
 
     def lie(self, pres):

@@ -499,21 +499,25 @@ def test_one_echelon_pass_per_lattice(monkeypatch):
 
 
 def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
-    """On the bench tower GF(3) -> e=2 -> f=3 (N = 6), the assembly of
-    the bracket columns shifts the digit-log map of each stored generator
+    """On the bench tower GF(3) -> e=2 -> f=3 (N = 6), over centralizer
+    calls on the same generators at every n over two periods, up and then
+    down, the assembly shifts the digit-log map of each stored generator
     entry, counted once by row and once by column, at most once per value
-    of the bound D, and at least once, so the count is not vacuous; and
+    d of the bound D in total, since each ``Mat`` keeps its shifted maps;
+    the first call shifts at least once, so the count is not vacuous, and
+    every shift of a call comes before its echelon pass.
     ``filt_lattice``, which makes no echelon pass, shifts nothing."""
+    from collections import Counter
     from strata_kit import oracle
-    counts = {"shift": 0, "at_echelon": []}
+    shifts, at_echelon = Counter(), []
     shift, echelon = oracle._shift_logs, oracle._echelon
 
-    def counted_shift(*args):
-        counts["shift"] += 1
-        return shift(*args)
+    def counted_shift(x, k):
+        shifts[k] += 1
+        return shift(x, k)
 
     def marked_echelon(*args):
-        counts["at_echelon"].append(counts["shift"])
+        at_echelon.append(sum(shifts.values()))
         return echelon(*args)
 
     monkeypatch.setattr(oracle, "_shift_logs", counted_shift)
@@ -523,14 +527,19 @@ def test_shifts_are_counted_per_bound_value_not_per_column(monkeypatch):
     gens = [regular_rep(g) for g in (E.uniformizer(), E.residue_gen_elem())]
     stored = 2 * sum(bool(x.digits) for G in gens for row in G.rows for x in row)
     assert chain.N == 6 and stored > 0
-    for n in range(2 * chain.period):
-        values = len({d for row in chain.filt_bound(n) for d in row})
-        counts.update(shift=0, at_echelon=[])
+    ns = list(range(2 * chain.period + 1))
+    totals = []
+    for n in ns + ns[::-1]:
+        at_echelon.clear()
         intersect_with_centralizer(gens, chain, n, F)
-        assert stored <= counts["at_echelon"][0] <= values * stored
-        counts.update(shift=0, at_echelon=[])
+        totals.append(sum(shifts.values()))
+        assert at_echelon == totals[-1:]
         filt_lattice(chain, n, F)
-        assert counts["shift"] == 0
+        assert sum(shifts.values()) == totals[-1]
+    values = {d for n in ns for row in chain.filt_bound(n) for d in row}
+    assert totals[0] > 0
+    assert set(shifts) <= values and all(c <= stored for c in shifts.values())
+    assert totals[-1] <= len(values) * stored
 
 
 def test_lattice_columns_are_copied_without_exact_zeros():
@@ -1424,6 +1433,93 @@ def test_log_form_assembly_matches_the_element_assembly_on_the_bench_menu(monkey
             checked += 1
             cancelled += dropped
     assert checked == 68 and cancelled > 0
+
+
+def test_generators_reused_across_calls_give_the_fresh_lattices():
+    """On the 17 menu towers, centralizer calls on one set of generator
+    ``Mat``s at n = 2e ... 0 and then 0 ... 2e, e the period, give the
+    pivots and basis entries that calls on freshly built generators give;
+    and afterwards each generator's stencil holds, for every value d it
+    kept, the terms a fresh ``Mat`` builds for d: no call changed a map it
+    shares with the stencil."""
+    checked = kept = 0
+    for q, levels, copies in BENCH_MENU:
+        E = _menu_tower(q, levels)
+        F, chain = E.base(), chain_from_field(E, copies)
+        elems = (E.uniformizer(), E.residue_gen_elem())
+        gens = [regular_rep(g, copies) for g in elems]
+        ns = list(range(2 * chain.period, -1, -1))
+        for n in ns + ns[::-1]:
+            L = intersect_with_centralizer(gens, chain, n, F)
+            M = intersect_with_centralizer(
+                [regular_rep(g, copies) for g in elems], chain, n, F)
+            assert L.pivots == M.pivots and L._basis == M._basis
+            checked += 1
+        for G, g in zip(gens, elems):
+            fresh = regular_rep(g, copies)
+            assert G._stencil == {d: fresh._bracket(d) for d in G._stencil}
+            kept += len(G._stencil)
+    assert checked == 170 and kept > 2 * len(BENCH_MENU)
+
+
+def test_a_scalar_generator_leaves_the_lattice_as_it_is():
+    """A scalar generator c * I, the zero matrix and the f = 1 menu
+    towers' residue generator included, commutes with every matrix: on
+    the 17 menu towers at every n over a period, it leaves the centralizer
+    lattice of the uniformizer ``same_as`` the lattice without it, put
+    before or after it, and alone it gives the radical power.  Its
+    stencil is empty: it adds no bracket term."""
+    checked = 0
+    for q, levels, copies in BENCH_MENU:
+        E = _menu_tower(q, levels)
+        F, chain = E.base(), chain_from_field(E, copies)
+        N, z = chain.N, TameElement(F, {}, INF)
+        c = F.one() + mono(F, 1, 1)
+        scalars = [Mat.zero(F, N), Mat.identity(F, N),
+                   Mat(F, [[c if i == k else z for k in range(N)]
+                           for i in range(N)])]
+        if E.f_over_base == 1:
+            scalars.append(regular_rep(E.residue_gen_elem(), copies))
+        pi = regular_rep(E.uniformizer(), copies)
+        for n in range(chain.period + 1):
+            L = intersect_with_centralizer([pi], chain, n, F)
+            for S in scalars:
+                assert intersect_with_centralizer([pi, S], chain, n, F).same_as(L)
+                assert intersect_with_centralizer([S, pi], chain, n, F).same_as(L)
+                assert intersect_with_centralizer([S], chain, n, F).same_as(
+                    filt_lattice(chain, n, F))
+                checked += 1
+        assert all(S._stencil == {} for S in scalars)
+    assert checked == 184
+
+
+def test_a_diagonal_generator_that_is_not_scalar_is_not_skipped():
+    """Diagonal generators with two different diagonal entries, and a
+    matrix with a constant diagonal and one entry off it, are not scalar:
+    their centralizer lattices, alone and after a scalar, are the dense
+    loops'."""
+    F = base_field(3)
+    z = TameElement(F, {}, INF)
+    c = F.one() + mono(F, 1, 1)
+    checked = 0
+    for N in (2, 3):
+        def mat(entry):
+            return Mat(F, [[entry(i, k) for k in range(N)] for i in range(N)])
+
+        scalar = mat(lambda i, k: c if i == k else z)
+        for G in (mat(lambda i, k: (c if i else mono(F, 1)) if i == k else z),
+                  mat(lambda i, k: (F.one() if i else mono(F, 0, 1))
+                      if i == k else z),
+                  mat(lambda i, k: c if i == k else mono(F, 1) if (i, k) == (0, 1)
+                      else z)):
+            for gens in ([G], [scalar, G]):
+                basis = _dense_commutant(gens, N, F)
+                for chain in (uniform_chain(N, 1), uniform_chain(N, N)):
+                    for n in range(-1, chain.period + 1):
+                        L = intersect_with_centralizer(gens, chain, n, F)
+                        _check_lattice(L, *_dense_centralizer(basis, chain, n, F))
+                        checked += 1
+    assert checked == 90
 
 
 def test_elimination_is_one_routine():
